@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 
 from .oracle import (
     Automaton,
+    InvariantError,
     SimulationReport,
     SingularSystemError,
     absorption_probabilities,
@@ -70,6 +71,7 @@ __all__ = [
     "EMPTY_WORD_PROBABILITY",
     "GameSolution",
     "GameSpec",
+    "InvariantError",
     "ONE",
     "Pattern",
     "PolyMatrix",

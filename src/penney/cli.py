@@ -76,17 +76,38 @@ def _header(command: str, model: SourceModel) -> dict:
     }
 
 
+def _check_series_digits(model: SourceModel, horizon: int) -> None:
+    """Refuse a horizon whose coefficients could not be printed.
+
+    Every coefficient through toss N is at most 1 with a denominator dividing
+    D**N (D the common denominator of the alphabet), so nothing exceeds
+    Python's int-to-str digit limit when D**N has at most that many digits.
+    """
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        return
+    scale = model.common_denominator
+    # D >= 2, so D**N >= 10**limit once N >= 4 * limit; skip the big powers then.
+    if horizon >= 4 * limit or scale**horizon >= 10**limit:
+        raise ValidationError(
+            f"--series {horizon} is too long for this alphabet: its coefficients have "
+            f"denominators up to {scale}^{horizon}, more than the {limit} digits Python "
+            "converts to text (sys.get_int_max_str_digits())"
+        )
+
+
 def cmd_solve(args) -> dict:
     model, patterns = _parse_inputs(args)
+    if args.series is not None:
+        _check_series_digits(model, args.series)
     spec = validate_pattern_set(patterns, model)
     solution = solve_game(spec)
     digits = args.digits
 
     players = []
-    for i, (pattern, prob, pgf) in enumerate(
-        zip(spec.patterns, solution.win_probs, solution.pgfs), start=1
+    for i, (pattern, prob, conditional) in enumerate(
+        zip(spec.patterns, solution.win_probs, solution.conditional_durations), start=1
     ):
-        conditional = pgf.derivative().limit(1) / prob
         players.append(
             {
                 "player": i,

@@ -8,7 +8,6 @@ correlation-polynomial machinery; they share only the pattern and model types.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -19,6 +18,10 @@ from .patterns import GameSpec, SourceModel, ValidationError
 
 class SingularSystemError(ArithmeticError):
     """Defensive: the absorbing-chain linear system had no unique solution."""
+
+
+class InvariantError(ArithmeticError):
+    """Defensive: a structural invariant of the automaton or simulator failed."""
 
 
 @dataclass(frozen=True)
@@ -84,12 +87,13 @@ def build_automaton(spec: GameSpec) -> Automaton:
 
     automaton = Automaton(tuple(prefixes), tuple(transitions), winner)
     # Structural invariants: total, one terminal per pattern, terminals self-loop.
-    assert all(len(row) == len(spec.model.symbols) for row in automaton.transitions)
-    assert sorted(automaton.absorbing.values()) == list(range(spec.player_count))
-    assert all(
-        all(t == u for t in automaton.transitions[u]) for u in automaton.absorbing
-    )
-    assert automaton.winner[automaton.start] is None
+    if not (
+        all(len(row) == len(spec.model.symbols) for row in automaton.transitions)
+        and sorted(automaton.absorbing.values()) == list(range(spec.player_count))
+        and all(all(t == u for t in automaton.transitions[u]) for u in automaton.absorbing)
+        and automaton.winner[automaton.start] is None
+    ):
+        raise InvariantError("prefix automaton is not total with one absorbing state per pattern")
     return automaton
 
 
@@ -217,7 +221,8 @@ class SimulationReport:
     empirical_probs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        assert sum(self.wins) == self.trials
+        if sum(self.wins) != self.trials:
+            raise InvariantError(f"{sum(self.wins)} wins recorded for {self.trials} trials")
 
     @property
     def mean_tosses(self) -> Fraction:
@@ -265,9 +270,10 @@ def simulate(spec: GameSpec, trials: int, seed: int = 0, streams: int = 1) -> Si
     automaton = build_automaton(spec)
     model = spec.model
 
-    common = math.lcm(*(p.denominator for p in model.probs))
+    common = model.common_denominator
     bounds = list(accumulate(int(p * common) for p in model.probs))
-    assert bounds[-1] == common
+    if bounds[-1] != common:
+        raise InvariantError("scaled symbol probabilities do not sum to the common denominator")
     reject_from = (1 << 64) - ((1 << 64) % common)
 
     transitions = automaton.transitions

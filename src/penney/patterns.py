@@ -94,6 +94,15 @@ class SourceModel:
     def fair_coin(cls) -> "SourceModel":
         return cls(("H", "T"), (Fraction(1, 2), Fraction(1, 2)))
 
+    @property
+    def common_denominator(self) -> int:
+        """Least common multiple D of the probability denominators.
+
+        Every probability is an integer multiple of 1/D, so any product of k
+        symbol probabilities is an integer over D**k.
+        """
+        return math.lcm(*(p.denominator for p in self.probs))
+
     def index(self, symbol: str) -> int:
         lookup = getattr(self, "_lookup")
         if symbol not in lookup:

@@ -9,18 +9,25 @@ generating function
     g_i(s) = det M_i(s) / (sum_j det M_j(s) + (1 - s) * det M(s)),
 
 where M(s) is the correlation matrix and M_j replaces column j by the
-completion monomials P(A_i) * s^len(A_i). Win probabilities and the expected
-game length come out of the same determinants evaluated through the Conway
-leading numbers, which keeps everything a ratio of plain rationals with no
-limit-taking at s = 1.
+completion monomials P(A_i) * s^len(A_i).
+
+All of it comes from one elimination. With D the least common multiple of
+the symbol-probability denominators, the substitution u = s/D turns M and the
+completion column into integer polynomials, and one fraction-free
+Gauss-Jordan pass over Z[u] on [M | c] yields det M and every Cramer
+numerator together. Since M(0) = I, no pivoting is needed and every division
+is exact with a pivot whose constant term is 1. Win probabilities, the
+expected game length and the conditional lengths are then plain evaluations
+at s = 1, where the shared denominator equals sum_j det M_j(1) != 0.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .patterns import (
     GameSpec,
@@ -32,11 +39,41 @@ from .patterns import (
     symbols_probability,
     validate_pattern_set,
 )
-from .polyalg import ONE, S, ZERO, PolyMatrix, Polynomial, RationalFunction
+from .polyalg import PolyMatrix, Polynomial, RationalFunction
+
+# Integer polynomials in u = s/D: coefficient lists, lowest degree first, with
+# no trailing zeros (the zero polynomial is the empty list).
+IntPoly = list[int]
 
 
 class DegenerateGameError(ArithmeticError):
-    """A Conway-matrix denominator vanished; impossible for validated specs."""
+    """The pgf denominator vanished at s = 1; impossible for validated specs."""
+
+
+def _symbol_weights(model: SourceModel) -> dict[str, int]:
+    """D * P(symbol) per symbol: integers, D the common denominator."""
+    scale = model.common_denominator
+    return {s: p.numerator * (scale // p.denominator) for s, p in zip(model.symbols, model.probs)}
+
+
+def _scaled_correlation(a: Pattern, b: Pattern, weights: dict[str, int]) -> IntPoly:
+    """Correlation polynomial of `a` against `b` in u = s/D: integer coefficients."""
+    coeffs = [0] * a.length
+    for k in range(1, min(a.length, b.length) + 1):
+        if overlap_indicator(a, b, k):
+            coeffs[a.length - k] = math.prod(weights[s] for s in a.symbols[k:])
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _in_s(coeffs: IntPoly, scale: int) -> Polynomial:
+    """The polynomial in s = D*u: coefficient k divided by D**k."""
+    out, power = [], 1
+    for c in coeffs:
+        out.append(Fraction(c, power))
+        power *= scale
+    return Polynomial(out)
 
 
 def correlation_polynomial(a: Pattern, b: Pattern, model: SourceModel) -> Polynomial:
@@ -47,11 +84,7 @@ def correlation_polynomial(a: Pattern, b: Pattern, model: SourceModel) -> Polyno
     last k symbols of `b`. Its constant term is 1 iff a == b, and for a
     validated pattern set every off-diagonal polynomial vanishes at 0.
     """
-    coeffs = [Fraction(0)] * a.length
-    for k in range(1, min(a.length, b.length) + 1):
-        if overlap_indicator(a, b, k):
-            coeffs[a.length - k] = symbols_probability(a.symbols[k:], model)
-    return Polynomial(coeffs)
+    return _in_s(_scaled_correlation(a, b, _symbol_weights(model)), model.common_denominator)
 
 
 def correlation_matrix(spec: GameSpec) -> PolyMatrix:
@@ -72,25 +105,129 @@ def completion_monomials(spec: GameSpec) -> list[Polynomial]:
     ]
 
 
-def _pgf_parts(spec: GameSpec) -> tuple[list[Polynomial], Polynomial, Polynomial]:
-    """Numerators, correlation determinant, and the shared pgf denominator."""
-    matrix = correlation_matrix(spec)
-    column = completion_monomials(spec)
-    numerators = [
-        matrix.replace_column(j, column).determinant()
-        for j in range(1, spec.player_count + 1)
+def _add(a: IntPoly, b: IntPoly, sign: int = 1) -> IntPoly:
+    """a + sign * b."""
+    out = a + [0] * (len(b) - len(a)) if len(a) < len(b) else list(a)
+    for i, c in enumerate(b):
+        out[i] += sign * c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _mul(a: IntPoly, b: IntPoly) -> IntPoly:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _divide_exact(a: IntPoly, d: IntPoly) -> IntPoly:
+    """Quotient a / d in Z[u] for d with constant term 1; raises unless exact.
+
+    With d[0] = 1 the quotient comes out low to high with no division:
+    q_k = a_k - sum_{j>=1} d_j q_{k-j}. Continuing the recurrence past the
+    quotient's degree gives the remainder's coefficients, which must vanish.
+    """
+    size = len(a) - len(d) + 1
+    quotient: IntPoly = []
+    for k, acc in enumerate(a):
+        for j in range(max(1, k - size + 1), min(k, len(d) - 1) + 1):
+            acc -= d[j] * quotient[k - j]
+        if k < size:
+            quotient.append(acc)
+        elif acc:
+            raise ArithmeticError("elimination step is not divisible by the previous pivot")
+    return quotient
+
+
+def _gauss_jordan(rows: list[list[IntPoly]]) -> tuple[IntPoly, list[IntPoly]]:
+    """One fraction-free Gauss-Jordan pass on an m-by-(m+1) matrix over Z[u].
+
+    After step k every entry is a (k+1)-by-(k+1) minor (Sylvester's identity),
+    so each update (pivot * a_ij - a_ik * a_kj) / previous pivot is exact.
+    The left block must be the identity at u = 0: every pivot, a leading
+    principal minor, then has constant term 1. Returns the determinant of the
+    left block and the last column, whose entry i is the determinant with
+    column i replaced by the last column. `rows` is overwritten.
+    """
+    m = len(rows)
+    previous: IntPoly = [1]
+    for k in range(m):
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        if not pivot or pivot[0] != 1:
+            raise DegenerateGameError("a pivot is not 1 at the origin; the matrix is not I at 0")
+        for i, row in enumerate(rows):
+            if i == k:
+                continue
+            factor = row[k]
+            for j in range(k + 1, m + 1):
+                scaled = _mul(pivot, row[j])
+                if factor:
+                    scaled = _add(scaled, _mul(factor, pivot_row[j]), -1)
+                row[j] = _divide_exact(scaled, previous)
+            row[k] = []
+        previous = pivot
+    return previous, [row[m] for row in rows]
+
+
+def _solve_integer(spec: GameSpec) -> tuple[int, list[IntPoly], IntPoly, IntPoly]:
+    """D, the Cramer numerators, det M and the shared denominator, over Z[u]."""
+    scale = spec.model.common_denominator
+    weights = _symbol_weights(spec.model)
+    rows = [
+        [_scaled_correlation(a, b, weights) for b in spec.patterns]
+        + [[0] * a.length + [math.prod(weights[s] for s in a.symbols)]]
+        for a in spec.patterns
     ]
-    det_corr = matrix.determinant()
-    denominator = sum(numerators, ZERO) + (ONE - S) * det_corr
-    return numerators, det_corr, denominator
+    det_corr, numerators = _gauss_jordan(rows)
+    # Q = sum_j N_j + (1 - s) det M, with s = D*u
+    denominator = _add(det_corr, [0] + det_corr, -scale)
+    for numerator in numerators:
+        denominator = _add(denominator, numerator)
+    return scale, numerators, det_corr, denominator
+
+
+def _values_at_one(
+    scale: int, numerators: list[IntPoly], det_corr: IntPoly, denominator: IntPoly
+) -> tuple[tuple[Fraction, ...], Fraction, tuple[Fraction, ...]]:
+    """Win probabilities, E[T] and E[T | j], by evaluation at s = 1.
+
+    A polynomial in u with coefficients c_k has, at s = 1, value sum c_k / D**k
+    and derivative in s sum k c_k / D**k. Scaling every value and slope by the same
+    D**n keeps them integers, and the scale cancels in each ratio: with N_j,
+    Q the numerators and denominator, win_j = N_j(1)/Q(1), E[T] = det M(1)/Q(1)
+    and E[T | j] = g_j'(1)/win_j = (N_j'(1) Q(1) - N_j(1) Q'(1)) / (Q(1) N_j(1)).
+    """
+    top = max(len(p) for p in (*numerators, det_corr, denominator))
+    powers = [scale ** (top - k) for k in range(top)]
+
+    def at_one(coeffs: IntPoly) -> tuple[int, int]:
+        terms = [c * w for c, w in zip(coeffs, powers)]
+        return sum(terms), sum(k * t for k, t in enumerate(terms))
+
+    q, q_slope = at_one(denominator)
+    if q == 0:
+        raise DegenerateGameError("the pgf denominator vanishes at s = 1; hypotheses violated")
+    wins, conditionals = [], []
+    for player, numerator in enumerate(numerators, start=1):
+        n, n_slope = at_one(numerator)
+        if n == 0:
+            raise DegenerateGameError(f"player {player} has zero winning probability")
+        wins.append(Fraction(n, q))
+        conditionals.append(Fraction(n_slope * q - n * q_slope, q * n))
+    return tuple(wins), Fraction(at_one(det_corr)[0], q), tuple(conditionals)
 
 
 def winning_pgf(spec: GameSpec, player: int) -> RationalFunction:
     """Generating function of P(the 1-based `player` wins exactly at toss n)."""
-    if not 1 <= player <= spec.player_count:
-        raise ValueError(f"player index {player} out of range 1..{spec.player_count}")
-    numerators, _, denominator = _pgf_parts(spec)
-    return RationalFunction(numerators[player - 1], denominator)
+    _check_player(spec, player)
+    return solve_game(spec).pgfs[player - 1]
 
 
 def conway_number(a: Pattern, b: Pattern, model: SourceModel) -> Fraction:
@@ -98,17 +235,16 @@ def conway_number(a: Pattern, b: Pattern, model: SourceModel) -> Fraction:
 
     Sums 1/P(first k symbols of b) over every k where that prefix of b equals
     the suffix of a; equivalently the correlation polynomial of b against a
-    evaluated at 1 and divided by P(b). Both routes are computed and checked.
+    evaluated at 1 and divided by P(b).
     """
-    total = Fraction(0)
-    for k in range(1, min(a.length, b.length) + 1):
-        if overlap_indicator(b, a, k):
-            total += 1 / symbols_probability(b.symbols[:k], model)
-    via_polynomial = correlation_polynomial(b, a, model).evaluate(1) / pattern_probability(
-        b, model
+    return sum(
+        (
+            1 / symbols_probability(b.symbols[:k], model)
+            for k in range(1, min(a.length, b.length) + 1)
+            if overlap_indicator(b, a, k)
+        ),
+        Fraction(0),
     )
-    assert total == via_polynomial
-    return total
 
 
 def conway_matrix(spec: GameSpec) -> tuple[tuple[Fraction, ...], ...]:
@@ -119,51 +255,25 @@ def conway_matrix(spec: GameSpec) -> tuple[tuple[Fraction, ...], ...]:
     )
 
 
-def _constant_determinant(grid: Sequence[Sequence[Fraction]]) -> Fraction:
-    matrix = PolyMatrix([[Polynomial.constant(v) for v in row] for row in grid])
-    return matrix.determinant().coefficient(0)
-
-
-def _conway_parts(
-    spec: GameSpec,
-) -> tuple[tuple[tuple[Fraction, ...], ...], list[Fraction], Fraction]:
-    grid = conway_matrix(spec)
-    column_dets = []
-    for j in range(spec.player_count):
-        replaced = [row[:j] + (Fraction(1),) + row[j + 1 :] for row in grid]
-        column_dets.append(_constant_determinant(replaced))
-    total = sum(column_dets)
-    if total == 0:
-        raise DegenerateGameError(
-            "sum of Conway column determinants is zero; the game hypotheses are violated"
-        )
-    return grid, column_dets, total
-
-
 def winning_probabilities(spec: GameSpec) -> tuple[Fraction, ...]:
     """Each player's exact probability of seeing their pattern first."""
-    _, column_dets, total = _conway_parts(spec)
-    return tuple(d / total for d in column_dets)
+    return _values_at_one(*_solve_integer(spec))[0]
 
 
 def two_player_odds(first: Pattern, second: Pattern, model: SourceModel) -> Fraction:
     """Odds P(first wins) : P(second wins) by the classic leading-number ratio."""
-    spec = validate_pattern_set([first, second], model)
+    validate_pattern_set([first, second], model)
     denominator = conway_number(first, first, model) - conway_number(first, second, model)
     if denominator == 0:
         raise DegenerateGameError(f"degenerate pair: {first} vs {second}")
-    ratio = (
+    return (
         conway_number(second, second, model) - conway_number(second, first, model)
     ) / denominator
-    probs = winning_probabilities(spec)
-    assert ratio == probs[0] / probs[1]
-    return ratio
 
 
 def expected_duration(spec: GameSpec) -> Fraction:
     """Exact expected number of tosses until some pattern completes."""
-    grid, _, total = _conway_parts(spec)
-    return _constant_determinant(grid) / total
+    return _values_at_one(*_solve_integer(spec))[1]
 
 
 def single_pattern_expected_time(pattern: Pattern, model: SourceModel) -> Fraction:
@@ -183,23 +293,22 @@ def game_distribution(spec: GameSpec, horizon: int) -> list[list[Fraction]]:
     """Per player: exact P(that player wins at toss k) for 0 <= k <= horizon."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    numerators, _, denominator = _pgf_parts(spec)
-    return [RationalFunction(n, denominator).series(horizon) for n in numerators]
+    return [pgf.series(horizon) for pgf in solve_game(spec).pgfs]
+
+
+def _check_player(spec: GameSpec, player: int) -> None:
+    if not 1 <= player <= spec.player_count:
+        raise ValueError(f"player index {player} out of range 1..{spec.player_count}")
 
 
 def conditional_expected_duration(spec: GameSpec, player: int) -> Fraction:
     """E[game length | the 1-based `player` wins], exact.
 
-    Differentiates the player's (defective) pgf and evaluates at 1, cancelling
-    any shared (1 - s) factors by exact polynomial division first.
+    The derivative of the player's (defective) pgf at 1 over the player's win
+    probability, both evaluated directly since the denominator is nonzero there.
     """
-    if not 1 <= player <= spec.player_count:
-        raise ValueError(f"player index {player} out of range 1..{spec.player_count}")
-    probability = winning_probabilities(spec)[player - 1]
-    if probability == 0:
-        raise DegenerateGameError(f"player {player} has zero winning probability")
-    pgf = winning_pgf(spec, player)
-    return pgf.derivative().limit(1) / probability
+    _check_player(spec, player)
+    return _values_at_one(*_solve_integer(spec))[2][player - 1]
 
 
 @dataclass(frozen=True)
@@ -211,6 +320,7 @@ class GameSolution:
     win_probs: tuple[Fraction, ...]
     expected_duration: Fraction
     tail_gf: RationalFunction
+    conditional_durations: tuple[Fraction, ...]
 
 
 def solve_game(spec: GameSpec) -> GameSolution:
@@ -220,16 +330,12 @@ def solve_game(spec: GameSpec) -> GameSolution:
     tosses)) comes out as det M(s) over the shared pgf denominator; its value
     at 1 is the expected duration.
     """
-    numerators, det_corr, denominator = _pgf_parts(spec)
-    pgfs = tuple(RationalFunction(n, denominator) for n in numerators)
-    grid, column_dets, total = _conway_parts(spec)
-    win_probs = tuple(d / total for d in column_dets)
-    duration = _constant_determinant(grid) / total
-    tail_gf = RationalFunction(det_corr, denominator)
-    at_one = denominator.evaluate(1)
-    assert at_one != 0
-    assert all(w == n.evaluate(1) / at_one for w, n in zip(win_probs, numerators))
-    return GameSolution(spec, pgfs, win_probs, duration, tail_gf)
+    scale, numerators, det_corr, denominator = _solve_integer(spec)
+    win_probs, duration, conditionals = _values_at_one(scale, numerators, det_corr, denominator)
+    shared = _in_s(denominator, scale)
+    pgfs = tuple(RationalFunction(_in_s(n, scale), shared) for n in numerators)
+    tail_gf = RationalFunction(_in_s(det_corr, scale), shared)
+    return GameSolution(spec, pgfs, win_probs, duration, tail_gf, conditionals)
 
 
 def response_table(

@@ -2,7 +2,8 @@
 
 Player counts are uniform in 1..4, lengths uniform in 1..5, coin biases come
 from a fixed menu of small rationals, and sets violating the substring-free
-hypothesis are simply regenerated.
+hypothesis are simply regenerated. `sized_spec` draws one game of a given size
+over any alphabet, for checks beyond that binary envelope.
 """
 
 from __future__ import annotations
@@ -42,6 +43,24 @@ def random_pair(rng: random.Random, max_length: int = 5) -> GameSpec:
     model = random_model(rng)
     while True:
         patterns = [random_pattern(rng, max_length) for _ in range(2)]
+        try:
+            return validate_pattern_set(patterns, model)
+        except ValidationError:
+            continue
+
+
+def sized_spec(rng: random.Random, model: SourceModel, players: int, max_length: int) -> GameSpec:
+    """`players` patterns over `model`, lengths within two of `max_length`."""
+    while True:
+        patterns = [
+            Pattern(
+                tuple(
+                    rng.choice(model.symbols)
+                    for _ in range(rng.randint(max(1, max_length - 2), max_length))
+                )
+            )
+            for _ in range(players)
+        ]
         try:
             return validate_pattern_set(patterns, model)
         except ValidationError:

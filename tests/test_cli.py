@@ -77,6 +77,18 @@ class TestExitCodes:
         assert main(["best-response", "--opponents", "H,T", "--length", "1"]) == 2
         assert "no admissible" in capsys.readouterr().err
 
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="no int-to-str digit limit in this interpreter",
+    )
+    def test_series_past_the_digit_limit_is_user_error(self, capsys):
+        argv = ["solve", "--alphabet", "H:1/3,T:2/3", "--patterns", "HH", "--series", "9200"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(sys.get_int_max_str_digits()) in captured.err
+        assert "3^9200" in captured.err
+
 
 class TestJsonDocuments:
     def test_solve_roundtrips_exact_rationals(self, capsys):
@@ -142,3 +154,12 @@ class TestGoldens:
         assert result.returncode == 0, result.stderr.decode()
         expected = (GOLDEN_DIR / name).read_bytes()
         assert result.stdout == expected
+
+    def test_goldens_survive_optimized_interpreter(self):
+        # python -O strips asserts; every library invariant must be an explicit check
+        for name, argv in sorted(GOLDEN_COMMANDS.items()):
+            result = subprocess.run(
+                [sys.executable, "-O", "-m", "penney", *argv], capture_output=True, timeout=120
+            )
+            assert result.returncode == 0, result.stderr.decode()
+            assert result.stdout == (GOLDEN_DIR / name).read_bytes()

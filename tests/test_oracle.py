@@ -9,6 +9,8 @@ from fractions import Fraction as F
 import pytest
 
 from penney.oracle import (
+    InvariantError,
+    SimulationReport,
     absorption_probabilities,
     build_automaton,
     conditional_absorption_times,
@@ -181,6 +183,10 @@ class TestSimulate:
             report = simulate(spec, 500, seed=rng.randint(0, 10**6))
             assert sum(report.wins) == 500
             assert report.empirical_probs == tuple(F(w, 500) for w in report.wins)
+
+    def test_report_rejects_inconsistent_counts(self):
+        with pytest.raises(InvariantError):
+            SimulationReport(3, (1, 1), 5, 0, 1, (F(1, 3), F(1, 3)))
 
     def test_requires_trials(self, example_spec):
         with pytest.raises(ValidationError):

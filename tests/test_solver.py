@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from penney.oracle import (
+    absorption_probabilities,
     build_automaton,
     conditional_absorption_times,
     expected_absorption_time,
@@ -25,6 +26,7 @@ from penney.patterns import (
 )
 from penney.polyalg import ONE, S, PolyMatrix, Polynomial, RationalFunction
 from penney.solver import (
+    _divide_exact,
     best_response,
     completion_monomials,
     conditional_expected_duration,
@@ -48,9 +50,51 @@ from exampledata import (
     correlation_grid,
     det3,
 )
-from specgen import BIAS_MENU, random_pair, random_single, random_spec
+from specgen import BIAS_MENU, random_pair, random_single, random_spec, sized_spec
 
 TEST_BIASES = (F(1, 2), F(1, 3), F(1, 4), F(2, 5))
+
+# (alphabet, players, longest pattern) of the games past the binary m <= 4,
+# L <= 5 envelope of `random_spec`.
+WIDE_GAMES = (
+    ("a:1/2,b:1/3,c:1/6", 2, 3),
+    ("a:1/2,b:1/3,c:1/6", 3, 5),
+    ("a:1/2,b:1/3,c:1/6", 5, 6),
+    ("a:1/2,b:1/3,c:1/6", 8, 8),
+    ("H:1/3,T:2/3", 6, 8),
+    ("H:1/3,T:2/3", 8, 8),
+    ("H:2/5,T:3/5", 4, 7),
+    ("x:1/4,yy:3/4", 3, 6),
+)
+
+
+@pytest.fixture(scope="module")
+def wide_specs():
+    rng = random.Random(31)
+    return [
+        sized_spec(rng, SourceModel.from_text(text), players, length)
+        for text, players, length in WIDE_GAMES
+    ]
+
+
+def conway_reference(spec):
+    """Win probabilities and E[T] by the leading-number route.
+
+    Win probability j is the determinant of the Conway grid with column j
+    replaced by ones, over the sum of those determinants; E[T] is the grid's
+    own determinant over the same sum.
+    """
+    grid = conway_matrix(spec)
+
+    def det(rows):
+        return PolyMatrix([[Polynomial.constant(v) for v in row] for row in rows]).determinant()
+
+    column_dets = [
+        det([row[:j] + (F(1),) + row[j + 1 :] for row in grid]).coefficient(0)
+        for j in range(spec.player_count)
+    ]
+    total = sum(column_dets)
+    return tuple(d / total for d in column_dets), det(grid).coefficient(0) / total
 
 
 def showcase(p: F):
@@ -175,6 +219,57 @@ class TestConwayNumbers:
                 b, model
             )
             assert conway_number(a, b, model) == total == via_poly
+
+    def test_sum_form_equals_polynomial_form_beyond_coins(self, wide_specs):
+        for spec in wide_specs:
+            for a in spec.patterns:
+                for b in spec.patterns:
+                    via_poly = correlation_polynomial(b, a, spec.model).evaluate(
+                        1
+                    ) / pattern_probability(b, spec.model)
+                    assert conway_number(a, b, spec.model) == via_poly
+
+
+class TestIntegerCore:
+    """The one elimination over Z[u] against the Cramer route and the oracle."""
+
+    def test_matches_cramer_determinants(self, wide_specs):
+        for spec in wide_specs:
+            matrix = correlation_matrix(spec)
+            column = completion_monomials(spec)
+            numerators = [
+                matrix.replace_column(j, column).determinant()
+                for j in range(1, spec.player_count + 1)
+            ]
+            det_corr = matrix.determinant()
+            denominator = sum(numerators, Polynomial()) + (ONE - S) * det_corr
+            solution = solve_game(spec)
+            assert [pgf.numer for pgf in solution.pgfs] == numerators
+            assert all(pgf.denom == denominator for pgf in solution.pgfs)
+            assert solution.tail_gf.numer == det_corr
+            assert solution.tail_gf.denom == denominator
+
+    def test_matches_oracle(self, wide_specs):
+        for spec in wide_specs:
+            automaton = build_automaton(spec)
+            solution = solve_game(spec)
+            probs = absorption_probabilities(automaton, spec.model)
+            duration = expected_absorption_time(automaton, spec.model)
+            conditionals = conditional_absorption_times(automaton, spec.model)
+            assert solution.win_probs == winning_probabilities(spec) == probs
+            assert solution.expected_duration == expected_duration(spec) == duration
+            assert solution.conditional_durations == conditionals
+            assert conditional_expected_duration(spec, spec.player_count) == conditionals[-1]
+
+    def test_matches_conway_route(self, wide_specs):
+        rng = random.Random(32)
+        for spec in [*wide_specs, *(random_spec(rng) for _ in range(40))]:
+            assert conway_reference(spec) == (winning_probabilities(spec), expected_duration(spec))
+
+    def test_division_checks_the_remainder(self):
+        assert _divide_exact([1, 3, 2], [1, 1]) == [1, 2]
+        with pytest.raises(ArithmeticError):
+            _divide_exact([1, 3, 3], [1, 1])
 
 
 class TestWinningProbabilities:
