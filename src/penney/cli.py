@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -76,6 +77,11 @@ def _header(command: str, model: SourceModel) -> dict:
     }
 
 
+def _int_str_limit() -> int:
+    """Python's int-to-str digit limit; 0 where there is none."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
 def _check_series_digits(model: SourceModel, horizon: int) -> None:
     """Refuse a horizon whose coefficients could not be printed.
 
@@ -83,7 +89,7 @@ def _check_series_digits(model: SourceModel, horizon: int) -> None:
     D**N (D the common denominator of the alphabet), so nothing exceeds
     Python's int-to-str digit limit when D**N has at most that many digits.
     """
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    limit = _int_str_limit()
     if not limit:
         return
     scale = model.common_denominator
@@ -327,6 +333,13 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     if args.digits < 0:
         parser.error("--digits must be nonnegative")
+    # a decimal's fractional field has at most --digits digits, so the limit suffices
+    limit = _int_str_limit()
+    if limit and args.digits > limit:
+        parser.error(
+            f"--digits {args.digits} is more than the {limit} digits Python converts "
+            "to text (sys.get_int_max_str_digits())"
+        )
     if getattr(args, "series", None) is not None and args.series < 0:
         parser.error("--series must be nonnegative")
     if getattr(args, "trials", None) is not None and args.trials < 1:
@@ -341,7 +354,16 @@ def main(argv: "list[str] | None" = None) -> int:
     except ArithmeticError as exc:
         print(f"penney: internal error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(doc, indent=2) if args.json else render_table(doc))
+    text = json.dumps(doc, indent=2) if args.json else render_table(doc)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left (`penney ... | head`). Point stdout at devnull so the
+        # interpreter's flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -19,12 +19,17 @@ numerator together. Since M(0) = I, no pivoting is needed and every division
 is exact with a pivot whose constant term is 1. Win probabilities, the
 expected game length and the conditional lengths are then plain evaluations
 at s = 1, where the shared denominator equals sum_j det M_j(1) != 0.
+
+Best responses need only s = 1: `response_table` scores each candidate by the
+generalised Conway formula, an integer solve of M(1) x = c(1) that borders the
+opponents' block, inverted once, with the candidate's row and column.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -57,14 +62,27 @@ def _symbol_weights(model: SourceModel) -> dict[str, int]:
 
 
 def _scaled_correlation(a: Pattern, b: Pattern, weights: dict[str, int]) -> IntPoly:
-    """Correlation polynomial of `a` against `b` in u = s/D: integer coefficients."""
-    coeffs = [0] * a.length
-    for k in range(1, min(a.length, b.length) + 1):
-        if overlap_indicator(a, b, k):
-            coeffs[a.length - k] = math.prod(weights[s] for s in a.symbols[k:])
+    """Correlation polynomial of `a` against `b` in u = s/D: integer coefficients.
+
+    The coefficient of u**(len(a)-k) is D**(len(a)-k) P(last len(a)-k symbols
+    of `a`) when the first k symbols of `a` equal the last k symbols of `b`,
+    else 0. That is `overlap_indicator`'s test, made on the symbol tuples
+    directly because `response_table` runs this for every candidate.
+    """
+    head, tail = a.symbols, b.symbols
+    size = len(head)
+    coeffs = [0] * size
+    for k in range(1, min(size, len(tail)) + 1):
+        if head[:k] == tail[-k:]:
+            coeffs[size - k] = math.prod(map(weights.__getitem__, head[k:]))
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return coeffs
+
+
+def _completion_weight(a: Pattern, weights: dict[str, int]) -> int:
+    """D**len(a) P(a): the completion monomial's coefficient in u = s/D."""
+    return math.prod(map(weights.__getitem__, a.symbols))
 
 
 def _in_s(coeffs: IntPoly, scale: int) -> Polynomial:
@@ -182,7 +200,7 @@ def _solve_integer(spec: GameSpec) -> tuple[int, list[IntPoly], IntPoly, IntPoly
     weights = _symbol_weights(spec.model)
     rows = [
         [_scaled_correlation(a, b, weights) for b in spec.patterns]
-        + [[0] * a.length + [math.prod(weights[s] for s in a.symbols)]]
+        + [[0] * a.length + [_completion_weight(a, weights)]]
         for a in spec.patterns
     ]
     det_corr, numerators = _gauss_jordan(rows)
@@ -338,6 +356,38 @@ def solve_game(spec: GameSpec) -> GameSolution:
     return GameSolution(spec, pgfs, win_probs, duration, tail_gf, conditionals)
 
 
+def _dot(xs: list[int], ys: list[int]) -> int:
+    return sum(map(operator.mul, xs, ys))
+
+
+def _adjugate(matrix: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """Determinant and adjugate of a square integer matrix.
+
+    Fraction-free Gauss-Jordan on [A | I], as in `_gauss_jordan`: entry (i, m + t)
+    ends as det A with column i replaced by e_t, which is adj(A)[i][t]. The
+    leading principal minors are the pivots, so none may vanish.
+    """
+    m = len(matrix)
+    rows = [row + [int(i == t) for t in range(m)] for i, row in enumerate(matrix)]
+    previous = 1
+    for k in range(m):
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        if not pivot:
+            raise DegenerateGameError("a leading minor of the correlation matrix vanishes at s = 1")
+        for i, row in enumerate(rows):
+            if i == k:
+                continue
+            factor = row[k]
+            for j in range(k + 1, 2 * m):
+                row[j], remainder = divmod(pivot * row[j] - factor * pivot_row[j], previous)
+                if remainder:
+                    raise ArithmeticError("elimination step is not divisible by the previous pivot")
+            row[k] = 0
+        previous = pivot
+    return previous, [row[m:] for row in rows]
+
+
 def response_table(
     opponents: Iterable[Pattern], length: int, model: SourceModel
 ) -> list[tuple[Pattern, Fraction]]:
@@ -345,20 +395,50 @@ def response_table(
 
     Sorted by win probability descending; ties keep alphabet-lexicographic
     order (the enumeration order), so the ranking is deterministic.
+
+    Each score is the generalised Conway formula at s = 1: with M(1) x = c(1),
+    the newcomer wins with probability x_new / sum(x). Row a of the system is
+    scaled by D**len(a), which makes it integer. The opponents' block A is
+    inverted once (determinant delta, adjugate adj), and each candidate only
+    borders it with its column b, its row r, its diagonal entry d and its
+    completion weight c: with y = adj c_A and v = adj b, Cramer's rule on the
+    bordered system gives x_new = num / schur for num = c delta - r.y and
+    schur = d delta - r.v, and sum(x) = (sum(y) - sum(v) x_new) / delta + x_new.
     """
     if length < 1:
         raise ValidationError("response length must be at least 1")
     fixed = list(opponents)
     if fixed:
         validate_pattern_set(fixed, model)
+    weights = _symbol_weights(model)
+    top = max([length, *(a.length for a in fixed)])
+    powers = [model.common_denominator**k for k in range(top + 1)]
+
+    def at_one(a: Pattern, b: Pattern) -> int:
+        """Entry (a, b) of M(1) times D**len(a)."""
+        coeffs = _scaled_correlation(a, b, weights)
+        return sum(c * powers[a.length - i] for i, c in enumerate(coeffs) if c)
+
+    delta, adj = _adjugate([[at_one(a, b) for b in fixed] for a in fixed])
+    completions = [_completion_weight(a, weights) for a in fixed]
+    y = [_dot(adj_row, completions) for adj_row in adj]
+    y_total = sum(y)
     ranked: list[tuple[Pattern, Fraction]] = []
     for symbols in itertools.product(model.symbols, repeat=length):
         candidate = Pattern(symbols)
         try:
-            spec = validate_pattern_set([*fixed, candidate], model)
+            validate_pattern_set([*fixed, candidate], model)
         except ValidationError:
             continue
-        ranked.append((candidate, winning_probabilities(spec)[-1]))
+        column = [at_one(a, candidate) for a in fixed]
+        row = [at_one(candidate, a) for a in fixed]
+        v = [_dot(adj_row, column) for adj_row in adj]
+        num = _completion_weight(candidate, weights) * delta - _dot(row, y)
+        schur = at_one(candidate, candidate) * delta - _dot(row, v)
+        total = y_total * schur + num * (delta - sum(v))
+        if not (num and schur and total):
+            raise DegenerateGameError(f"candidate {candidate} makes the game degenerate at s = 1")
+        ranked.append((candidate, Fraction(num * delta, total)))
     ranked.sort(key=lambda entry: entry[1], reverse=True)
     return ranked
 

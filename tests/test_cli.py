@@ -30,6 +30,12 @@ GOLDEN_COMMANDS = {
 }
 
 
+needs_digit_limit = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no int-to-str digit limit in this interpreter",
+)
+
+
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "penney", *args], capture_output=True, timeout=120
@@ -77,10 +83,7 @@ class TestExitCodes:
         assert main(["best-response", "--opponents", "H,T", "--length", "1"]) == 2
         assert "no admissible" in capsys.readouterr().err
 
-    @pytest.mark.skipif(
-        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-        reason="no int-to-str digit limit in this interpreter",
-    )
+    @needs_digit_limit
     def test_series_past_the_digit_limit_is_user_error(self, capsys):
         argv = ["solve", "--alphabet", "H:1/3,T:2/3", "--patterns", "HH", "--series", "9200"]
         assert main(argv) == 2
@@ -88,6 +91,44 @@ class TestExitCodes:
         assert captured.out == ""
         assert str(sys.get_int_max_str_digits()) in captured.err
         assert "3^9200" in captured.err
+
+    @needs_digit_limit
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--patterns", "HTH,TTH"],
+            ["best-response", "--opponents", "HH", "--length", "2"],
+        ],
+    )
+    def test_digits_past_the_digit_limit_is_usage_error(self, argv):
+        limit = sys.get_int_max_str_digits()
+        result = run_cli(*argv, "--digits", str(limit + 700))
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert f"the {limit} digits".encode() in result.stderr
+        assert b"Traceback" not in result.stderr
+
+    @needs_digit_limit
+    def test_digits_at_the_digit_limit_render(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        assert main(["solve", "--patterns", "HTH,TTH", "--digits", str(limit), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        whole, frac = doc["players"][0]["win_probability_decimal"].split(".")
+        assert whole == "0" and len(frac) == limit
+
+    def test_closed_pipe_exits_without_traceback(self):
+        # ~1 MB of output, far more than a pipe buffers, so the writes outlive the reader
+        argv = ["best-response", "--opponents", "HTTHTH", "--length", "11", "--verbose"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "penney", *argv, "--json", "--digits", "500"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as proc:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            _, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert stderr == b""
 
 
 class TestJsonDocuments:

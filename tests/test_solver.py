@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -95,6 +96,34 @@ def conway_reference(spec):
     ]
     total = sum(column_dets)
     return tuple(d / total for d in column_dets), det(grid).coefficient(0) / total
+
+
+def reference_response_table(opponents, length, model):
+    """The exhaustive ranking by full solves: each admissible candidate's game
+    is solved by `winning_probabilities` and the newcomer's value is read."""
+    fixed = list(opponents)
+    if fixed:
+        validate_pattern_set(fixed, model)
+    ranked = []
+    for symbols in itertools.product(model.symbols, repeat=length):
+        candidate = Pattern(symbols)
+        try:
+            spec = validate_pattern_set([*fixed, candidate], model)
+        except ValidationError:
+            continue
+        ranked.append((candidate, winning_probabilities(spec)[-1]))
+    ranked.sort(key=lambda entry: entry[1], reverse=True)
+    return ranked
+
+
+# Alphabets for the best-response differential test, with the longest reply
+# drawn for each (so that |alphabet|^length stays small).
+RESPONSE_ALPHABETS = (
+    ("H:1/2,T:1/2", 6),
+    ("H:1/3,T:2/3", 6),
+    ("a:1/2,b:1/3,c:1/6", 4),
+    ("x:1/4,yy:3/4", 6),
+)
 
 
 def showcase(p: F):
@@ -451,6 +480,65 @@ class TestBestResponse:
         opponents = [parse_pattern("H", fair), parse_pattern("T", fair)]
         with pytest.raises(ValidationError, match="no admissible"):
             best_response(opponents, 1, fair)
+
+    def test_matches_full_solves(self):
+        # opponents of mixed lengths 1..5, replies shorter and longer than them
+        rng = random.Random(2024)
+        for trial in range(120):
+            text, longest = RESPONSE_ALPHABETS[trial % len(RESPONSE_ALPHABETS)]
+            model = SourceModel.from_text(text)
+            count = trial % 4
+            while True:
+                opponents = [
+                    Pattern(rng.choice(model.symbols) for _ in range(rng.randint(1, 5)))
+                    for _ in range(count)
+                ]
+                try:
+                    if opponents:
+                        validate_pattern_set(opponents, model)
+                except ValidationError:
+                    continue
+                break
+            length = rng.randint(1, longest)
+            expected = reference_response_table(opponents, length, model)
+            assert response_table(opponents, length, model) == expected, (text, opponents, length)
+
+    def test_no_admissible_candidate_matches_full_solves(self, fair):
+        # every reply equals, contains or lies inside one of the four pairs
+        opponents = [parse_pattern(text, fair) for text in ("HH", "HT", "TH", "TT")]
+        for length in (1, 2, 3):
+            assert response_table(opponents, length, fair) == []
+            assert reference_response_table(opponents, length, fair) == []
+
+    def test_no_opponents_every_candidate_wins(self):
+        for text, length in (("H:1/3,T:2/3", 3), ("a:1/2,b:1/3,c:1/6", 2), ("x:1/4,yy:3/4", 2)):
+            model = SourceModel.from_text(text)
+            table = response_table([], length, model)
+            assert table == reference_response_table([], length, model)
+            assert [p.symbols for p, _ in table] == list(
+                itertools.product(model.symbols, repeat=length)
+            )
+            assert all(w == 1 for _, w in table)
+
+    def test_guibas_odlyzko_best_reply_shape(self, fair):
+        # Guibas & Odlyzko (1981): on a fair coin the best same-length reply to
+        # b_1...b_L is x b_1...b_{L-1} for some symbol x
+        checked = 0
+        for length in range(3, 8):
+            for symbols in itertools.product(fair.symbols, repeat=length):
+                opponent = Pattern(symbols)
+                table = response_table([opponent], length, fair)
+                shaped = []
+                for x in fair.symbols:
+                    reply = Pattern((x, *symbols[:-1]))
+                    try:
+                        spec = validate_pattern_set([opponent, reply], fair)
+                    except ValidationError:
+                        continue
+                    shaped.append(winning_probabilities(spec)[-1])
+                assert table[0][1] == max(shaped), str(opponent)
+                checked += 1
+        assert checked == 248
 
     def test_always_beats_any_length_three_opponent(self, fair):
         # the classic nontransitivity: every length-3 pattern is beaten by some reply
