@@ -347,6 +347,15 @@ def main(argv: "list[str] | None" = None) -> int:
     if getattr(args, "length", None) is not None and args.length < 1:
         parser.error("--length must be at least 1")
     try:
+        return _answer(args)
+    except KeyboardInterrupt:
+        print("penney: interrupted", file=sys.stderr)
+        return 130
+
+
+def _answer(args: argparse.Namespace) -> int:
+    """Run the command's handler and print its document; the exit code."""
+    try:
         doc = args.handler(args)
     except ValidationError as exc:
         print(f"penney: {exc}", file=sys.stderr)

@@ -21,8 +21,8 @@ expected game length and the conditional lengths are then plain evaluations
 at s = 1, where the shared denominator equals sum_j det M_j(1) != 0.
 
 Best responses need only s = 1: `response_table` scores each candidate by the
-generalised Conway formula, an integer solve of M(1) x = c(1) that borders the
-opponents' block, inverted once, with the candidate's row and column.
+generalised Conway formula, solving its game's M(1) x = c(1) with the same
+elimination (`_cramer`) over Z.
 """
 
 from __future__ import annotations
@@ -32,13 +32,14 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .patterns import (
     GameSpec,
     Pattern,
     SourceModel,
     ValidationError,
+    _contains,
     overlap_indicator,
     pattern_probability,
     symbols_probability,
@@ -123,11 +124,11 @@ def completion_monomials(spec: GameSpec) -> list[Polynomial]:
     ]
 
 
-def _add(a: IntPoly, b: IntPoly, sign: int = 1) -> IntPoly:
-    """a + sign * b."""
+def _sub(a: IntPoly, b: IntPoly) -> IntPoly:
+    """a - b."""
     out = a + [0] * (len(b) - len(a)) if len(a) < len(b) else list(a)
     for i, c in enumerate(b):
-        out[i] += sign * c
+        out[i] -= c
     while out and not out[-1]:
         out.pop()
     return out
@@ -145,12 +146,17 @@ def _mul(a: IntPoly, b: IntPoly) -> IntPoly:
 
 
 def _divide_exact(a: IntPoly, d: IntPoly) -> IntPoly:
-    """Quotient a / d in Z[u] for d with constant term 1; raises unless exact.
+    """Quotient a / d in Z[u]; raises unless d has constant term 1 and d divides a.
 
     With d[0] = 1 the quotient comes out low to high with no division:
     q_k = a_k - sum_{j>=1} d_j q_{k-j}. Continuing the recurrence past the
     quotient's degree gives the remainder's coefficients, which must vanish.
+    In `_cramer`, d is a pivot, a leading principal minor of a matrix that is
+    the identity at u = 0, so a constant term other than 1 means that
+    hypothesis failed.
     """
+    if not d or d[0] != 1:
+        raise DegenerateGameError("a pivot is not 1 at the origin; the matrix is not I at 0")
     size = len(a) - len(d) + 1
     quotient: IntPoly = []
     for k, acc in enumerate(a):
@@ -163,33 +169,50 @@ def _divide_exact(a: IntPoly, d: IntPoly) -> IntPoly:
     return quotient
 
 
-def _gauss_jordan(rows: list[list[IntPoly]]) -> tuple[IntPoly, list[IntPoly]]:
-    """One fraction-free Gauss-Jordan pass on an m-by-(m+1) matrix over Z[u].
+def _divide_int(a: int, d: int) -> int:
+    """Quotient a / d in Z; raises unless d is nonzero and divides a."""
+    if not d:
+        raise DegenerateGameError("a leading minor of the correlation matrix vanishes at s = 1")
+    quotient, remainder = divmod(a, d)
+    if remainder:
+        raise ArithmeticError("elimination step is not divisible by the previous pivot")
+    return quotient
+
+
+R = TypeVar("R")
+
+
+def _cramer(
+    rows: list[list[R]],
+    one: R,
+    mul: Callable[[R, R], R],
+    sub: Callable[[R, R], R],
+    divide: Callable[[R, R], R],
+) -> tuple[R, list[R]]:
+    """One fraction-free Gauss-Jordan pass on an m-by-(m+1) matrix [A | c].
 
     After step k every entry is a (k+1)-by-(k+1) minor (Sylvester's identity),
     so each update (pivot * a_ij - a_ik * a_kj) / previous pivot is exact.
-    The left block must be the identity at u = 0: every pivot, a leading
-    principal minor, then has constant term 1. Returns the determinant of the
-    left block and the last column, whose entry i is the determinant with
-    column i replaced by the last column. `rows` is overwritten.
+    There is no pivoting: the pivots are A's leading principal minors, and
+    `divide` checks both that the previous one is usable and that the
+    division is exact. Returns det A, the last pivot, which no division
+    checks, and the last column, whose entry i is det A with column i
+    replaced by c: Cramer's numerators. `rows` is overwritten.
     """
     m = len(rows)
-    previous: IntPoly = [1]
+    previous = one
     for k in range(m):
         pivot_row = rows[k]
         pivot = pivot_row[k]
-        if not pivot or pivot[0] != 1:
-            raise DegenerateGameError("a pivot is not 1 at the origin; the matrix is not I at 0")
         for i, row in enumerate(rows):
             if i == k:
                 continue
             factor = row[k]
             for j in range(k + 1, m + 1):
-                scaled = _mul(pivot, row[j])
+                scaled = mul(pivot, row[j])
                 if factor:
-                    scaled = _add(scaled, _mul(factor, pivot_row[j]), -1)
-                row[j] = _divide_exact(scaled, previous)
-            row[k] = []
+                    scaled = sub(scaled, mul(factor, pivot_row[j]))
+                row[j] = divide(scaled, previous)
         previous = pivot
     return previous, [row[m] for row in rows]
 
@@ -203,11 +226,12 @@ def _solve_integer(spec: GameSpec) -> tuple[int, list[IntPoly], IntPoly, IntPoly
         + [[0] * a.length + [_completion_weight(a, weights)]]
         for a in spec.patterns
     ]
-    det_corr, numerators = _gauss_jordan(rows)
+    det_corr, numerators = _cramer(rows, [1], _mul, _sub, _divide_exact)
+    if not det_corr or det_corr[0] != 1:
+        raise DegenerateGameError("det M is not 1 at the origin; the matrix is not I at 0")
     # Q = sum_j N_j + (1 - s) det M, with s = D*u
-    denominator = _add(det_corr, [0] + det_corr, -scale)
-    for numerator in numerators:
-        denominator = _add(denominator, numerator)
+    total = [sum(c) for c in itertools.zip_longest(det_corr, *numerators, fillvalue=0)]
+    denominator = _sub(total, [0] + [scale * c for c in det_corr])
     return scale, numerators, det_corr, denominator
 
 
@@ -356,38 +380,6 @@ def solve_game(spec: GameSpec) -> GameSolution:
     return GameSolution(spec, pgfs, win_probs, duration, tail_gf, conditionals)
 
 
-def _dot(xs: list[int], ys: list[int]) -> int:
-    return sum(map(operator.mul, xs, ys))
-
-
-def _adjugate(matrix: list[list[int]]) -> tuple[int, list[list[int]]]:
-    """Determinant and adjugate of a square integer matrix.
-
-    Fraction-free Gauss-Jordan on [A | I], as in `_gauss_jordan`: entry (i, m + t)
-    ends as det A with column i replaced by e_t, which is adj(A)[i][t]. The
-    leading principal minors are the pivots, so none may vanish.
-    """
-    m = len(matrix)
-    rows = [row + [int(i == t) for t in range(m)] for i, row in enumerate(matrix)]
-    previous = 1
-    for k in range(m):
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        if not pivot:
-            raise DegenerateGameError("a leading minor of the correlation matrix vanishes at s = 1")
-        for i, row in enumerate(rows):
-            if i == k:
-                continue
-            factor = row[k]
-            for j in range(k + 1, 2 * m):
-                row[j], remainder = divmod(pivot * row[j] - factor * pivot_row[j], previous)
-                if remainder:
-                    raise ArithmeticError("elimination step is not divisible by the previous pivot")
-            row[k] = 0
-        previous = pivot
-    return previous, [row[m:] for row in rows]
-
-
 def response_table(
     opponents: Iterable[Pattern], length: int, model: SourceModel
 ) -> list[tuple[Pattern, Fraction]]:
@@ -397,13 +389,11 @@ def response_table(
     order (the enumeration order), so the ranking is deterministic.
 
     Each score is the generalised Conway formula at s = 1: with M(1) x = c(1),
-    the newcomer wins with probability x_new / sum(x). Row a of the system is
-    scaled by D**len(a), which makes it integer. The opponents' block A is
-    inverted once (determinant delta, adjugate adj), and each candidate only
-    borders it with its column b, its row r, its diagonal entry d and its
-    completion weight c: with y = adj c_A and v = adj b, Cramer's rule on the
-    bordered system gives x_new = num / schur for num = c delta - r.y and
-    schur = d delta - r.v, and sum(x) = (sum(y) - sum(v) x_new) / delta + x_new.
+    the newcomer wins with probability x_new / sum(x) = N_new / sum(N), N the
+    Cramer numerators. Row a of the system is scaled by D**len(a), which makes
+    it integer, so `_cramer` solves it over Z. The opponents are validated and
+    their rows built once; a candidate is admitted by checking only the pairs
+    it adds, and brings its column and its own row.
     """
     if length < 1:
         raise ValidationError("response length must be at least 1")
@@ -419,26 +409,24 @@ def response_table(
         coeffs = _scaled_correlation(a, b, weights)
         return sum(c * powers[a.length - i] for i, c in enumerate(coeffs) if c)
 
-    delta, adj = _adjugate([[at_one(a, b) for b in fixed] for a in fixed])
-    completions = [_completion_weight(a, weights) for a in fixed]
-    y = [_dot(adj_row, completions) for adj_row in adj]
-    y_total = sum(y)
+    fixed_rows = [([at_one(a, b) for b in fixed], _completion_weight(a, weights)) for a in fixed]
     ranked: list[tuple[Pattern, Fraction]] = []
     for symbols in itertools.product(model.symbols, repeat=length):
-        candidate = Pattern(symbols)
-        try:
-            validate_pattern_set([*fixed, candidate], model)
-        except ValidationError:
+        if any(_contains(symbols, a.symbols) or _contains(a.symbols, symbols) for a in fixed):
             continue
-        column = [at_one(a, candidate) for a in fixed]
-        row = [at_one(candidate, a) for a in fixed]
-        v = [_dot(adj_row, column) for adj_row in adj]
-        num = _completion_weight(candidate, weights) * delta - _dot(row, y)
-        schur = at_one(candidate, candidate) * delta - _dot(row, v)
-        total = y_total * schur + num * (delta - sum(v))
-        if not (num and schur and total):
+        candidate = Pattern(symbols)
+        rows = [
+            [*row, at_one(a, candidate), weight] for a, (row, weight) in zip(fixed, fixed_rows)
+        ]
+        rows.append(
+            [at_one(candidate, b) for b in (*fixed, candidate)]
+            + [_completion_weight(candidate, weights)]
+        )
+        det, numerators = _cramer(rows, 1, operator.mul, operator.sub, _divide_int)
+        total = sum(numerators)
+        if not (det and numerators[-1] and total):
             raise DegenerateGameError(f"candidate {candidate} makes the game degenerate at s = 1")
-        ranked.append((candidate, Fraction(num * delta, total)))
+        ranked.append((candidate, Fraction(numerators[-1], total)))
     ranked.sort(key=lambda entry: entry[1], reverse=True)
     return ranked
 

@@ -17,6 +17,7 @@ from contextlib import contextmanager
 from fractions import Fraction as F
 from pathlib import Path
 
+from childenv import child_env
 from penney.oracle import (
     absorption_probabilities,
     build_automaton,
@@ -252,7 +253,10 @@ def test_criterion_11_cli_goldens_byte_identical():
         }
         for name, args in invocations.items():
             result = subprocess.run(
-                [sys.executable, "-m", "penney", *args], capture_output=True, timeout=120
+                [sys.executable, "-m", "penney", *args],
+                capture_output=True,
+                timeout=120,
+                env=child_env(),
             )
             assert result.returncode == 0, result.stderr.decode()
             assert result.stdout == (GOLDEN_DIR / name).read_bytes()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from childenv import child_env
+import penney.cli
 from penney.cli import format_decimal, main, sqrt_decimal
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -38,7 +41,10 @@ needs_digit_limit = pytest.mark.skipif(
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-m", "penney", *args], capture_output=True, timeout=120
+        [sys.executable, "-m", "penney", *args],
+        capture_output=True,
+        timeout=120,
+        env=child_env(),
     )
 
 
@@ -116,6 +122,25 @@ class TestExitCodes:
         whole, frac = doc["players"][0]["win_probability_decimal"].split(".")
         assert whole == "0" and len(frac) == limit
 
+    def test_interrupt_in_handler_exits_130(self, capsys, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(penney.cli, "cmd_solve", interrupted)
+        assert main(["solve", "--patterns", "HTH,TTH"]) == 130
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "penney: interrupted\n"
+
+    def test_interrupt_while_printing_exits_130(self, capsys, monkeypatch):
+        class InterruptedStream(io.StringIO):
+            def write(self, text):
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(sys, "stdout", InterruptedStream())
+        assert main(["best-response", "--opponents", "HH", "--length", "2"]) == 130
+        assert capsys.readouterr().err == "penney: interrupted\n"
+
     def test_closed_pipe_exits_without_traceback(self):
         # ~1 MB of output, far more than a pipe buffers, so the writes outlive the reader
         argv = ["best-response", "--opponents", "HTTHTH", "--length", "11", "--verbose"]
@@ -123,6 +148,7 @@ class TestExitCodes:
             [sys.executable, "-m", "penney", *argv, "--json", "--digits", "500"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
+            env=child_env(),
         ) as proc:
             assert proc.stdout.readline() == b"{\n"
             proc.stdout.close()
@@ -200,7 +226,10 @@ class TestGoldens:
         # python -O strips asserts; every library invariant must be an explicit check
         for name, argv in sorted(GOLDEN_COMMANDS.items()):
             result = subprocess.run(
-                [sys.executable, "-O", "-m", "penney", *argv], capture_output=True, timeout=120
+                [sys.executable, "-O", "-m", "penney", *argv],
+                capture_output=True,
+                timeout=120,
+                env=child_env(),
             )
             assert result.returncode == 0, result.stderr.decode()
             assert result.stdout == (GOLDEN_DIR / name).read_bytes()

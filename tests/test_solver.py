@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import operator
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from penney import solver
 from penney.oracle import (
     absorption_probabilities,
     build_automaton,
@@ -27,7 +30,12 @@ from penney.patterns import (
 )
 from penney.polyalg import ONE, S, PolyMatrix, Polynomial, RationalFunction
 from penney.solver import (
+    DegenerateGameError,
+    _cramer,
     _divide_exact,
+    _divide_int,
+    _mul,
+    _sub,
     best_response,
     completion_monomials,
     conditional_expected_duration,
@@ -124,6 +132,21 @@ RESPONSE_ALPHABETS = (
     ("a:1/2,b:1/3,c:1/6", 4),
     ("x:1/4,yy:3/4", 6),
 )
+
+
+def mirror(model):
+    """Symbol map reversing the alphabet's order: H <-> T on a coin."""
+    return dict(zip(model.symbols, reversed(model.symbols)))
+
+
+def relabel_model(model, mapping):
+    """The model in which symbol mapping[x] has the probability x had."""
+    inverse = {new: old for old, new in mapping.items()}
+    return SourceModel(model.symbols, [model.probability(inverse[x]) for x in model.symbols])
+
+
+def relabel(pattern, mapping):
+    return Pattern(mapping[x] for x in pattern.symbols)
 
 
 def showcase(p: F):
@@ -299,6 +322,67 @@ class TestIntegerCore:
         assert _divide_exact([1, 3, 2], [1, 1]) == [1, 2]
         with pytest.raises(ArithmeticError):
             _divide_exact([1, 3, 3], [1, 1])
+
+
+class TestCramerKernel:
+    """Every check `_cramer` and its callers make, on small hand-built matrices."""
+
+    def test_integer_solve(self):
+        # det [[2, 1], [1, 3]] = 5; column 0 by c: det [[3, 1], [5, 3]] = 4; column 1: 7
+        assert _cramer([[2, 1, 3], [1, 3, 5]], 1, operator.mul, operator.sub, _divide_int) == (
+            5,
+            [4, 7],
+        )
+
+    def test_polynomial_solve(self):
+        # [[1 + u, u], [u, 1]] by c = [1, u]: det 1 + u - u^2, numerators 1 - u^2 and u^2
+        rows = [[[1, 1], [0, 1], [1]], [[0, 1], [1], [0, 1]]]
+        assert _cramer(rows, [1], _mul, _sub, _divide_exact) == (
+            [1, 1, -1],
+            [[1, 0, -1], [0, 0, 1]],
+        )
+
+    def test_integer_vanishing_leading_minor_is_degenerate(self):
+        with pytest.raises(DegenerateGameError, match="leading minor"):
+            _cramer([[0, 1, 1], [1, 1, 1]], 1, operator.mul, operator.sub, _divide_int)
+
+    def test_integer_division_checks_the_remainder(self):
+        assert _divide_int(-6, 3) == -2
+        with pytest.raises(ArithmeticError, match="not divisible"):
+            _divide_int(7, 2)
+
+    @pytest.mark.parametrize("pivot", [[2], [0, 1], []])
+    def test_polynomial_pivot_not_one_at_origin_is_degenerate(self, pivot):
+        rows = [[pivot, [0, 1], [1]], [[0, 1], [1], [1]]]
+        with pytest.raises(DegenerateGameError, match="pivot"):
+            _cramer(rows, [1], _mul, _sub, _divide_exact)
+
+    @staticmethod
+    def _diagonal(monkeypatch, diagonal):
+        """Make the solvers see `diagonal(coeffs)` for every diagonal correlation."""
+        real = solver._scaled_correlation
+
+        def patched(a, b, weights):
+            coeffs = real(a, b, weights)
+            return diagonal(coeffs) if a == b else coeffs
+
+        monkeypatch.setattr(solver, "_scaled_correlation", patched)
+
+    def test_determinant_not_one_at_origin_is_degenerate(self, fair, monkeypatch):
+        self._diagonal(monkeypatch, lambda coeffs: [2 * coeffs[0], *coeffs[1:]])
+        # one player: no division by a pivot, so only the check on det M fires
+        with pytest.raises(DegenerateGameError, match="det M"):
+            solve_game(validate_pattern_set([parse_pattern("HH", fair)], fair))
+        with pytest.raises(DegenerateGameError, match="pivot"):
+            solve_game(validate_pattern_set([parse_pattern(t, fair) for t in ("HH", "TH")], fair))
+
+    def test_response_vanishing_minors_are_degenerate(self, fair, monkeypatch):
+        self._diagonal(monkeypatch, lambda coeffs: [])
+        # no opponents: the candidate's diagonal entry is the whole determinant
+        with pytest.raises(DegenerateGameError, match="degenerate at s = 1"):
+            response_table([], 2, fair)
+        with pytest.raises(DegenerateGameError, match="leading minor"):
+            response_table([parse_pattern("HH", fair)], 2, fair)
 
 
 class TestWinningProbabilities:
@@ -613,3 +697,51 @@ class TestStructuralIdentities:
             assert solution.pgfs[0].denom.evaluate(0) == 1
             assert solution.tail_gf.denom.evaluate(0) == 1
             assert solution.tail_gf.series(0) == [F(1)]
+
+
+class TestMetamorphic:
+    """Renaming players or symbols moves the outputs by the same renaming."""
+
+    @pytest.fixture(scope="class")
+    def games(self, wide_specs):
+        rng = random.Random(41)
+        return [*wide_specs, *(random_spec(rng) for _ in range(40))]
+
+    def test_permuting_players_permutes_outputs(self, games):
+        rng = random.Random(42)
+        for spec in games:
+            order = list(range(spec.player_count))
+            rng.shuffle(order)
+            base = solve_game(spec)
+            moved = solve_game(validate_pattern_set([spec.patterns[i] for i in order], spec.model))
+            assert moved.win_probs == tuple(base.win_probs[i] for i in order)
+            assert moved.conditional_durations == tuple(
+                base.conditional_durations[i] for i in order
+            )
+            assert moved.expected_duration == base.expected_duration
+
+    def test_swapping_symbols_with_their_probabilities(self, games):
+        for spec in games:
+            mapping = mirror(spec.model)
+            swapped = validate_pattern_set(
+                [relabel(p, mapping) for p in spec.patterns], relabel_model(spec.model, mapping)
+            )
+            base = solve_game(spec)
+            assert dataclasses.replace(solve_game(swapped), spec=spec) == base
+
+    def test_swapping_symbols_relabels_response_table(self):
+        rng = random.Random(43)
+        cases = [(random_spec(rng, 3, 4), rng.randint(1, 5)) for _ in range(30)]
+        for text, players in (("a:1/2,b:1/3,c:1/6", 2), ("x:1/4,yy:3/4", 3), ("H:1/3,T:2/3", 2)):
+            model = SourceModel.from_text(text)
+            cases += [(sized_spec(rng, model, players, 4), 3) for _ in range(3)]
+        for spec, length in cases:
+            mapping = mirror(spec.model)
+            table = response_table(spec.patterns, length, spec.model)
+            swapped = response_table(
+                [relabel(p, mapping) for p in spec.patterns],
+                length,
+                relabel_model(spec.model, mapping),
+            )
+            assert dict(swapped) == {relabel(p, mapping): w for p, w in table}
+            assert len(swapped) == len(table)
