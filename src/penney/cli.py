@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__
@@ -24,6 +25,11 @@ SCHEMA_VERSION = 1
 
 def format_rational(value: Fraction) -> str:
     return str(value)
+
+
+def format_ratio(num: Decimal, den: Decimal) -> str:
+    """`str(Fraction(num, den))` for a pair already in lowest terms, den > 0."""
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def format_decimal(value: Fraction, digits: int) -> str:
@@ -83,11 +89,12 @@ def _int_str_limit() -> int:
 
 
 def _check_series_digits(model: SourceModel, horizon: int) -> None:
-    """Refuse a horizon whose coefficients could not be printed.
+    """Refuse a horizon whose coefficients could pass Python's int-to-str digit limit.
 
     Every coefficient through toss N is at most 1 with a denominator dividing
-    D**N (D the common denominator of the alphabet), so nothing exceeds
-    Python's int-to-str digit limit when D**N has at most that many digits.
+    D**N (D the common denominator of the alphabet), so nothing exceeds that
+    limit when D**N has at most that many digits. The series are printed from
+    Decimals, which the limit does not cover, so this is the --series budget.
     """
     limit = _int_str_limit()
     if not limit:
@@ -99,6 +106,21 @@ def _check_series_digits(model: SourceModel, horizon: int) -> None:
             f"--series {horizon} is too long for this alphabet: its coefficients have "
             f"denominators up to {scale}^{horizon}, more than the {limit} digits Python "
             "converts to text (sys.get_int_max_str_digits())"
+        )
+
+
+# The most best-response candidates the CLI enumerates: binary replies up to L = 20.
+MAX_CANDIDATES = 2**20
+
+
+def _check_candidate_count(model: SourceModel, length: int) -> None:
+    """Refuse a reply length whose |alphabet|**length candidates exceed MAX_CANDIDATES."""
+    size = len(model.symbols)
+    # a model has at least two symbols, so L > 20 already passes 2**20; skip the big power
+    if length > 20 or size**length > MAX_CANDIDATES:
+        raise ValidationError(
+            f"--length {length} would enumerate {size}^{length} candidates, more than "
+            f"the {MAX_CANDIDATES} (2^20) best-response allows"
         )
 
 
@@ -137,9 +159,11 @@ def cmd_solve(args) -> dict:
                 {
                     "player": i,
                     "pattern": str(pattern),
-                    "coefficients": [format_rational(c) for c in pgf.series(args.series)],
+                    "coefficients": [format_ratio(n, d) for n, d in terms],
                 }
-                for i, (pattern, pgf) in enumerate(zip(spec.patterns, solution.pgfs), start=1)
+                for i, (pattern, terms) in enumerate(
+                    zip(spec.patterns, solution.win_series(args.series)), start=1
+                )
             ],
         }
     return doc
@@ -190,6 +214,7 @@ def cmd_simulate(args) -> dict:
 def cmd_best_response(args) -> dict:
     model = SourceModel.from_text(args.alphabet)
     opponents = [parse_pattern(token.strip(), model) for token in args.opponents.split(",")]
+    _check_candidate_count(model, args.length)
     table = response_table(opponents, args.length, model)
     if not table:
         raise ValidationError(

@@ -20,6 +20,15 @@ is exact with a pivot whose constant term is 1. Win probabilities, the
 expected game length and the conditional lengths are then plain evaluations
 at s = 1, where the shared denominator equals sum_j det M_j(1) != 0.
 
+The win-time distributions come from the same numerators. Because the
+shared denominator Q has constant term 1 in u, N_j(u) / Q(u) has integer
+Taylor coefficients c_k = N_{j,k} - sum_{i>=1} Q_i c_{k-i}, and P(player j
+wins at toss k) = c_k / D**k. `_series_terms` runs that recurrence with no
+division and reduces each ratio by stripping the factors of D that c_k
+shares with D**k. Its integers are exact `Decimal`s, held in a context that
+raises rather than rounds, because they print in linear time where `int`
+printing is quadratic in CPython.
+
 Best responses need only s = 1: `response_table` scores each candidate by the
 generalised Conway formula, solving its game's M(1) x = c(1) with the same
 elimination (`_cramer`) over Z.
@@ -27,10 +36,12 @@ elimination (`_cramer`) over Z.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, TypeVar
 
@@ -235,6 +246,71 @@ def _solve_integer(spec: GameSpec) -> tuple[int, list[IntPoly], IntPoly, IntPoly
     return scale, numerators, det_corr, denominator
 
 
+# Exact integer arithmetic on Decimals: every operation that would round raises.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[
+        decimal.InvalidOperation,
+        decimal.DivisionByZero,
+        decimal.Overflow,
+        decimal.Inexact,
+        decimal.Rounded,
+    ],
+)
+
+
+def _series_terms(
+    scale: int, numerators: list[IntPoly], denominator: IntPoly, horizon: int
+) -> list[list[tuple[Decimal, Decimal]]]:
+    """Per numerator N_j: P(toss k) = n / d in lowest terms for 0 <= k <= horizon.
+
+    The Taylor coefficients of N_j(u) / Q(u) are the integers
+    c_k = N_{j,k} - sum_{i>=1} Q_i c_{k-i}, since Q(0) = 1, and the coefficient
+    of s**k is c_k / D**k. The integers are exact Decimals computed in `_EXACT`,
+    whatever the caller's context.
+    """
+    if not denominator or denominator[0] != 1:
+        raise DegenerateGameError("the pgf denominator is not 1 at the origin")
+    with decimal.localcontext(_EXACT):
+        steps = [(i, Decimal(q)) for i, q in enumerate(denominator) if i and q]
+        powers, base = [Decimal(1)], Decimal(scale)
+        for _ in range(horizon):
+            powers.append(powers[-1] * base)
+        terms = []
+        for numerator in numerators:
+            coeffs: list[Decimal] = []
+            for k in range(horizon + 1):
+                acc = Decimal(numerator[k] if k < len(numerator) else 0)
+                for i, q in steps:
+                    if i > k:
+                        break
+                    acc -= q * coeffs[k - i]
+                coeffs.append(acc)
+            terms.append([_lowest_terms(c, power, scale) for c, power in zip(coeffs, powers)])
+    return terms
+
+
+def _lowest_terms(num: Decimal, den: Decimal, scale: int) -> tuple[Decimal, Decimal]:
+    """num / den in lowest terms, den a power of `scale`; run inside `_EXACT`.
+
+    Every prime of den divides `scale`, so a common factor of num and den
+    divides g = gcd(num mod scale, scale). Each round divides both by
+    gcd(g, den), found from remainders of small divisors, until that is 1 or den is.
+    """
+    if not num:
+        return Decimal(0), Decimal(1)
+    while den != 1:
+        common = math.gcd(int(num % scale), scale)
+        common = math.gcd(common, int(den % common))
+        if common == 1:
+            break
+        num //= common
+        den //= common
+    return num, den
+
+
 def _values_at_one(
     scale: int, numerators: list[IntPoly], det_corr: IntPoly, denominator: IntPoly
 ) -> tuple[tuple[Fraction, ...], Fraction, tuple[Fraction, ...]]:
@@ -332,10 +408,15 @@ def single_pattern_expected_time(pattern: Pattern, model: SourceModel) -> Fracti
 
 
 def game_distribution(spec: GameSpec, horizon: int) -> list[list[Fraction]]:
-    """Per player: exact P(that player wins at toss k) for 0 <= k <= horizon."""
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    return [pgf.series(horizon) for pgf in solve_game(spec).pgfs]
+    """Per player: exact P(that player wins at toss k) for 0 <= k <= horizon.
+
+    The Fractions are built from the (n, d) pairs of `GameSolution.win_series`,
+    the integer recurrence over the shared denominator.
+    """
+    return [
+        [Fraction(int(n), int(d)) for n, d in player]
+        for player in solve_game(spec).win_series(horizon)
+    ]
 
 
 def _check_player(spec: GameSpec, player: int) -> None:
@@ -363,6 +444,20 @@ class GameSolution:
     expected_duration: Fraction
     tail_gf: RationalFunction
     conditional_durations: tuple[Fraction, ...]
+    # D, the Cramer numerators and the shared denominator over Z[u], u = s/D
+    integer_pgfs: tuple[int, list[IntPoly], IntPoly] = field(repr=False, compare=False)
+
+    def win_series(self, horizon: int) -> list[list[tuple[Decimal, Decimal]]]:
+        """Per player: (n, d) with P(that player wins at toss k) = n/d in lowest
+        terms, for 0 <= k <= horizon.
+
+        n and d are exact integers held as `Decimal`s, so that printing them
+        takes time linear in their digits.
+        """
+        if horizon < 0:
+            raise ValueError("horizon must be nonnegative")
+        scale, numerators, denominator = self.integer_pgfs
+        return _series_terms(scale, numerators, denominator, horizon)
 
 
 def solve_game(spec: GameSpec) -> GameSolution:
@@ -377,7 +472,9 @@ def solve_game(spec: GameSpec) -> GameSolution:
     shared = _in_s(denominator, scale)
     pgfs = tuple(RationalFunction(_in_s(n, scale), shared) for n in numerators)
     tail_gf = RationalFunction(_in_s(det_corr, scale), shared)
-    return GameSolution(spec, pgfs, win_probs, duration, tail_gf, conditionals)
+    return GameSolution(
+        spec, pgfs, win_probs, duration, tail_gf, conditionals, (scale, numerators, denominator)
+    )
 
 
 def response_table(

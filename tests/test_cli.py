@@ -30,6 +30,16 @@ GOLDEN_COMMANDS = {
         "--json",
     ],
     "best_response.json": ["best-response", "--opponents", "HH", "--length", "2", "--json"],
+    "solve_series.json": ["solve", "--patterns", "THH,HTH,HHT", "--series", "10", "--json"],
+    "solve_series_ternary.txt": [
+        "solve",
+        "--alphabet",
+        "a:1/2,b:1/3,c:1/6",
+        "--patterns",
+        "ab,bc,ca",
+        "--series",
+        "40",
+    ],
 }
 
 
@@ -97,6 +107,37 @@ class TestExitCodes:
         assert captured.out == ""
         assert str(sys.get_int_max_str_digits()) in captured.err
         assert "3^9200" in captured.err
+
+    @pytest.mark.parametrize(
+        "alphabet, opponent, length, admitted",
+        [
+            ("H:1/2,T:1/2", "HH", 20, True),
+            ("H:1/2,T:1/2", "HH", 21, False),
+            ("H:1/2,T:1/2", "HH", 40, False),
+            ("a:1/2,b:1/3,c:1/6", "ab", 12, True),
+            ("a:1/2,b:1/3,c:1/6", "ab", 13, False),
+            ("H:1/2,T:1/2", "HH", 10**12, False),
+        ],
+    )
+    def test_length_budget(self, capsys, monkeypatch, alphabet, opponent, length, admitted):
+        # a stub stands in for the enumeration, so no long reply is enumerated
+        calls = []
+
+        def stub(opponents, length, model):
+            calls.append(length)
+            return [(opponents[0], F(1, 2))]
+
+        monkeypatch.setattr(penney.cli, "response_table", stub)
+        argv = ["best-response", "--alphabet", alphabet, "--opponents", opponent]
+        code = main([*argv, "--length", str(length)])
+        captured = capsys.readouterr()
+        if admitted:
+            assert (code, calls) == (0, [length])
+        else:
+            assert (code, calls, captured.out) == (2, [], "")
+            size = len(alphabet.split(","))
+            assert f"{size}^{length} candidates" in captured.err
+            assert str(2**20) in captured.err
 
     @needs_digit_limit
     @pytest.mark.parametrize(

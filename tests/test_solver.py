@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import decimal
 import itertools
 import operator
 import random
@@ -34,7 +35,9 @@ from penney.solver import (
     _cramer,
     _divide_exact,
     _divide_int,
+    _lowest_terms,
     _mul,
+    _series_terms,
     _sub,
     best_response,
     completion_monomials,
@@ -511,6 +514,69 @@ class TestGameDistribution:
         for _ in range(25):
             for row in game_distribution(random_spec(rng), 50):
                 assert all(c >= 0 for c in row)
+
+
+class TestSeriesKernel:
+    """`GameSolution.win_series`, the integer recurrence, against the Fraction
+    recurrence `RationalFunction.series` and the chain oracle."""
+
+    def test_matches_fraction_series(self, wide_specs):
+        rng = random.Random(41)
+        for spec in [*wide_specs, *(random_spec(rng) for _ in range(40))]:
+            solution = solve_game(spec)
+            terms = solution.win_series(120)
+            assert len(terms) == spec.player_count
+            for pgf, player in zip(solution.pgfs, terms):
+                fractions = [F(int(n), int(d)) for n, d in player]
+                assert fractions == pgf.series(120)
+                # each pair is already in lowest terms with a positive denominator
+                assert [(f.numerator, f.denominator) for f in fractions] == [
+                    (int(n), int(d)) for n, d in player
+                ]
+
+    def test_matches_oracle_on_ternary_game(self):
+        model = SourceModel.from_text("a:1/2,b:1/3,c:1/6")
+        spec = validate_pattern_set(
+            [parse_pattern(text, model) for text in ("abc", "cab", "bba")], model
+        )
+        assert game_distribution(spec, 200) == step_distribution(build_automaton(spec), model, 200)
+
+    def reduce(self, num, den, scale):
+        with decimal.localcontext(solver._EXACT):
+            n, d = _lowest_terms(decimal.Decimal(num), decimal.Decimal(den), scale)
+        return int(n), int(d)
+
+    def test_reduction_edge_cases(self):
+        assert self.reduce(0, 2**10, 2) == (0, 1)
+        assert self.reduce(6**7, 6**7, 6) == (1, 1)
+        # more factors of D than the power holds: the denominator reaches 1
+        assert self.reduce(5 * 6**9, 6**7, 6) == (5 * 6**2, 1)
+        # D = 6 and a numerator divisible by 2 only: only the 2s cancel
+        assert self.reduce(2**5 * 5, 6**3, 6) == (20, 27)
+        assert self.reduce(2**2 * 5, 6**3, 6) == (5, 54)
+        assert self.reduce(9 * 7, 4**3, 4) == (63, 64)
+        assert self.reduce(2 * 7, 4**3, 4) == (7, 32)
+
+    def test_denominator_must_be_one_at_origin(self):
+        with pytest.raises(DegenerateGameError):
+            _series_terms(2, [[0, 1]], [2, 1], 3)
+
+    def test_ignores_the_callers_decimal_context(self, wide_specs):
+        solution = solve_game(wide_specs[1])
+        expected = solution.win_series(150)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 6
+            ctx.traps[decimal.Inexact] = False
+            ctx.traps[decimal.Rounded] = False
+            assert solution.win_series(150) == expected
+            assert decimal.getcontext().prec == 6
+        assert [[F(int(n), int(d)) for n, d in row] for row in expected] == [
+            pgf.series(150) for pgf in solution.pgfs
+        ]
+
+    def test_negative_horizon_is_refused(self, example_spec):
+        with pytest.raises(ValueError):
+            game_distribution(example_spec, -1)
 
 
 class TestConditionalDuration:
