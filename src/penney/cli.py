@@ -124,6 +124,18 @@ def _check_candidate_count(model: SourceModel, length: int) -> None:
         )
 
 
+# The most games simulate plays: about 14 minutes at ~120k games per second.
+MAX_TRIALS = 10**8
+
+
+def _check_trial_count(trials: int) -> None:
+    """Refuse a --trials above MAX_TRIALS."""
+    if trials > MAX_TRIALS:
+        raise ValidationError(
+            f"--trials {trials} is more than the {MAX_TRIALS} (10^8) games simulate allows"
+        )
+
+
 def cmd_solve(args) -> dict:
     model, patterns = _parse_inputs(args)
     if args.series is not None:
@@ -170,6 +182,7 @@ def cmd_solve(args) -> dict:
 
 
 def cmd_simulate(args) -> dict:
+    _check_trial_count(args.trials)
     model, patterns = _parse_inputs(args)
     spec = validate_pattern_set(patterns, model)
     solution = solve_game(spec)

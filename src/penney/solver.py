@@ -11,14 +11,24 @@ generating function
 where M(s) is the correlation matrix and M_j replaces column j by the
 completion monomials P(A_i) * s^len(A_i).
 
-All of it comes from one elimination. With D the least common multiple of
-the symbol-probability denominators, the substitution u = s/D turns M and the
-completion column into integer polynomials, and one fraction-free
-Gauss-Jordan pass over Z[u] on [M | c] yields det M and every Cramer
-numerator together. Since M(0) = I, no pivoting is needed and every division
-is exact with a pivot whose constant term is 1. Win probabilities, the
-expected game length and the conditional lengths are then plain evaluations
-at s = 1, where the shared denominator equals sum_j det M_j(1) != 0.
+All of it comes from one elimination, `_cramer`: a fraction-free
+Gauss-Jordan pass on [M | c] with no pivoting, run over whichever ring the
+caller needs.
+
+Win probabilities, the expected game length and the conditional lengths need
+only values at s = 1. With D the least common multiple of the
+symbol-probability denominators, row a of M(1) x = c(1) scaled by D**len(a)
+is integer, and so is its derivative in s. `_cramer` over the dual numbers
+Z[eps]/eps**2 therefore yields det M(1), every Cramer numerator N_j(1) and
+their slopes in one pass over Z. The shared denominator
+Q = sum_j N_j + (1 - s) det M has Q(1) = sum_j N_j(1) != 0 and
+Q'(1) = sum_j N_j'(1) - det M(1).
+
+The generating functions themselves are solved only when read
+(`GameSolution.pgfs`, `tail_gf`, `win_series`). The substitution u = s/D
+turns M and the completion column into integer polynomials, and `_cramer`
+over Z[u] yields det M and every Cramer numerator together. Since M(0) = I,
+every division is exact with a pivot whose constant term is 1.
 
 The win-time distributions come from the same numerators. Because the
 shared denominator Q has constant term 1 in u, N_j(u) / Q(u) has integer
@@ -29,18 +39,19 @@ shares with D**k. Its integers are exact `Decimal`s, held in a context that
 raises rather than rounds, because they print in linear time where `int`
 printing is quadratic in CPython.
 
-Best responses need only s = 1: `response_table` scores each candidate by the
-generalised Conway formula, solving its game's M(1) x = c(1) with the same
-elimination (`_cramer`) over Z.
+Best responses need only the values: `response_table` scores each candidate
+by the generalised Conway formula, solving its game's M(1) x = c(1) with
+`_cramer` over Z.
 """
 
 from __future__ import annotations
 
 import decimal
+import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, TypeVar
@@ -79,7 +90,7 @@ def _scaled_correlation(a: Pattern, b: Pattern, weights: dict[str, int]) -> IntP
     The coefficient of u**(len(a)-k) is D**(len(a)-k) P(last len(a)-k symbols
     of `a`) when the first k symbols of `a` equal the last k symbols of `b`,
     else 0. That is `overlap_indicator`'s test, made on the symbol tuples
-    directly because `response_table` runs this for every candidate.
+    directly.
     """
     head, tail = a.symbols, b.symbols
     size = len(head)
@@ -95,6 +106,28 @@ def _scaled_correlation(a: Pattern, b: Pattern, weights: dict[str, int]) -> IntP
 def _completion_weight(a: Pattern, weights: dict[str, int]) -> int:
     """D**len(a) P(a): the completion monomial's coefficient in u = s/D."""
     return math.prod(map(weights.__getitem__, a.symbols))
+
+
+def _entry_at_one(
+    a: Pattern, b: Pattern, weights: dict[str, int], powers: list[int]
+) -> tuple[int, int]:
+    """Entry (a, b) of M and its derivative in s, both at s = 1 and times D**len(a).
+
+    An overlap of length k contributes c * (s/D)**(len(a)-k) to the entry, c
+    the product of the weights of a's last len(a)-k symbols, as in
+    `_scaled_correlation`. Times D**len(a) at s = 1 that is c * D**k, with
+    slope (len(a)-k) * c * D**k. `powers[k]` is D**k. No coefficient list is
+    built, because `response_table` runs this for every candidate.
+    """
+    head, tail = a.symbols, b.symbols
+    size = len(head)
+    value = slope = 0
+    for k in range(1, min(size, len(tail)) + 1):
+        if head[:k] == tail[-k:]:
+            term = math.prod(map(weights.__getitem__, head[k:])) * powers[k]
+            value += term
+            slope += (size - k) * term
+    return value, slope
 
 
 def _in_s(coeffs: IntPoly, scale: int) -> Polynomial:
@@ -188,6 +221,22 @@ def _divide_int(a: int, d: int) -> int:
     if remainder:
         raise ArithmeticError("elimination step is not divisible by the previous pivot")
     return quotient
+
+
+# Dual numbers x + y*eps with eps**2 = 0, held as pairs (x, y): a function's
+# value and derivative at one point.
+def _dual_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    return a[0] * b[0], a[0] * b[1] + a[1] * b[0]
+
+
+def _dual_sub(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    return a[0] - b[0], a[1] - b[1]
+
+
+def _dual_divide(a: tuple[int, int], d: tuple[int, int]) -> tuple[int, int]:
+    """Quotient a / d: q0 = a0/d0, then q1 = (a1 - q0 d1)/d0, each by `_divide_int`."""
+    value = _divide_int(a[0], d[0])
+    return value, _divide_int(a[1] - value * d[1], d[0])
 
 
 R = TypeVar("R")
@@ -314,13 +363,11 @@ def _lowest_terms(num: Decimal, den: Decimal, scale: int) -> tuple[Decimal, Deci
 def _values_at_one(
     scale: int, numerators: list[IntPoly], det_corr: IntPoly, denominator: IntPoly
 ) -> tuple[tuple[Fraction, ...], Fraction, tuple[Fraction, ...]]:
-    """Win probabilities, E[T] and E[T | j], by evaluation at s = 1.
+    """Win probabilities, E[T] and E[T | j] from the Z[u] route, by evaluation at s = 1.
 
     A polynomial in u with coefficients c_k has, at s = 1, value sum c_k / D**k
-    and derivative in s sum k c_k / D**k. Scaling every value and slope by the same
-    D**n keeps them integers, and the scale cancels in each ratio: with N_j,
-    Q the numerators and denominator, win_j = N_j(1)/Q(1), E[T] = det M(1)/Q(1)
-    and E[T | j] = g_j'(1)/win_j = (N_j'(1) Q(1) - N_j(1) Q'(1)) / (Q(1) N_j(1)).
+    and derivative in s sum k c_k / D**k. Scaling every value and slope by the
+    same D**n keeps them integers, and the scale cancels in each ratio.
     """
     top = max(len(p) for p in (*numerators, det_corr, denominator))
     powers = [scale ** (top - k) for k in range(top)]
@@ -330,16 +377,62 @@ def _values_at_one(
         return sum(terms), sum(k * t for k, t in enumerate(terms))
 
     q, q_slope = at_one(denominator)
+    return _ratios_at_one(q, q_slope, at_one(det_corr)[0], [at_one(n) for n in numerators])
+
+
+def _ratios_at_one(
+    q: int, q_slope: int, det_corr: int, numerators: list[tuple[int, int]]
+) -> tuple[tuple[Fraction, ...], Fraction, tuple[Fraction, ...]]:
+    """Win probabilities, E[T] and E[T | j] from values and slopes at s = 1.
+
+    With Q(1), Q'(1), det M(1) and each (N_j(1), N_j'(1)) all under one common
+    scale: win_j = N_j(1)/Q(1), E[T] = det M(1)/Q(1) and
+    E[T | j] = g_j'(1)/win_j = (N_j'(1) Q(1) - N_j(1) Q'(1)) / (Q(1) N_j(1)).
+    """
     if q == 0:
         raise DegenerateGameError("the pgf denominator vanishes at s = 1; hypotheses violated")
     wins, conditionals = [], []
-    for player, numerator in enumerate(numerators, start=1):
-        n, n_slope = at_one(numerator)
+    for player, (n, n_slope) in enumerate(numerators, start=1):
         if n == 0:
             raise DegenerateGameError(f"player {player} has zero winning probability")
         wins.append(Fraction(n, q))
         conditionals.append(Fraction(n_slope * q - n * q_slope, q * n))
-    return tuple(wins), Fraction(at_one(det_corr)[0], q), tuple(conditionals)
+    return tuple(wins), Fraction(det_corr, q), tuple(conditionals)
+
+
+def _solve_at_one(
+    spec: GameSpec,
+) -> tuple[tuple[Fraction, ...], Fraction, tuple[Fraction, ...]]:
+    """Win probabilities, E[T] and E[T | j] from one solve of M(1) x = c(1).
+
+    Row a is scaled by D**len(a), so each entry is an integer pair (value,
+    slope) at s = 1: `_entry_at_one` for M, (w_a, len(a) w_a) for the
+    completion column. `_cramer` over those dual numbers yields det M(1) and
+    each N_j(1) with their slopes, all under the scale D**(sum of lengths);
+    then Q(1) = sum N_j(1) and Q'(1) = sum N_j'(1) - det M(1).
+
+    The pivots are the leading minors of M(1), each the M(1) of the game of
+    the first k players. No proof is known that none can vanish, so when one
+    does the values come from the Z[u] route instead.
+    """
+    weights = _symbol_weights(spec.model)
+    scale = spec.model.common_denominator
+    powers = [scale**k for k in range(max(a.length for a in spec.patterns) + 1)]
+    rows = []
+    for a in spec.patterns:
+        weight = _completion_weight(a, weights)
+        rows.append(
+            [_entry_at_one(a, b, weights, powers) for b in spec.patterns]
+            + [(weight, a.length * weight)]
+        )
+    try:
+        (det_corr, _), numerators = _cramer(rows, (1, 0), _dual_mul, _dual_sub, _dual_divide)
+    except DegenerateGameError:
+        # within `_cramer` only a zero pivot raises this; remainder errors propagate
+        return _values_at_one(*_solve_integer(spec))
+    q = sum(n for n, _ in numerators)
+    q_slope = sum(slope for _, slope in numerators) - det_corr
+    return _ratios_at_one(q, q_slope, det_corr, numerators)
 
 
 def winning_pgf(spec: GameSpec, player: int) -> RationalFunction:
@@ -375,7 +468,7 @@ def conway_matrix(spec: GameSpec) -> tuple[tuple[Fraction, ...], ...]:
 
 def winning_probabilities(spec: GameSpec) -> tuple[Fraction, ...]:
     """Each player's exact probability of seeing their pattern first."""
-    return _values_at_one(*_solve_integer(spec))[0]
+    return solve_game(spec).win_probs
 
 
 def two_player_odds(first: Pattern, second: Pattern, model: SourceModel) -> Fraction:
@@ -391,7 +484,7 @@ def two_player_odds(first: Pattern, second: Pattern, model: SourceModel) -> Frac
 
 def expected_duration(spec: GameSpec) -> Fraction:
     """Exact expected number of tosses until some pattern completes."""
-    return _values_at_one(*_solve_integer(spec))[1]
+    return solve_game(spec).expected_duration
 
 
 def single_pattern_expected_time(pattern: Pattern, model: SourceModel) -> Fraction:
@@ -431,21 +524,45 @@ def conditional_expected_duration(spec: GameSpec, player: int) -> Fraction:
     probability, both evaluated directly since the denominator is nonzero there.
     """
     _check_player(spec, player)
-    return _values_at_one(*_solve_integer(spec))[2][player - 1]
+    return solve_game(spec).conditional_durations[player - 1]
 
 
 @dataclass(frozen=True)
 class GameSolution:
-    """All solved outputs of one game."""
+    """All solved outputs of one game.
+
+    The fields are the values at s = 1, from `solve_game`'s dual-number solve
+    over Z; equality and repr rest on them. The generating functions come
+    from the Z[u] elimination, which runs when one of them is first read and
+    is then cached.
+    """
 
     spec: GameSpec
-    pgfs: tuple[RationalFunction, ...]
     win_probs: tuple[Fraction, ...]
     expected_duration: Fraction
-    tail_gf: RationalFunction
     conditional_durations: tuple[Fraction, ...]
-    # D, the Cramer numerators and the shared denominator over Z[u], u = s/D
-    integer_pgfs: tuple[int, list[IntPoly], IntPoly] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def integer_pgfs(self) -> tuple[int, list[IntPoly], IntPoly, IntPoly]:
+        """D, the Cramer numerators, det M and the shared denominator over Z[u], u = s/D."""
+        return _solve_integer(self.spec)
+
+    @functools.cached_property
+    def pgfs(self) -> tuple[RationalFunction, ...]:
+        """Per player: the generating function of P(that player wins at toss n)."""
+        scale, numerators, _, denominator = self.integer_pgfs
+        shared = _in_s(denominator, scale)
+        return tuple(RationalFunction(_in_s(n, scale), shared) for n in numerators)
+
+    @functools.cached_property
+    def tail_gf(self) -> RationalFunction:
+        """Generating function of P(game still running after n tosses).
+
+        It is det M(s) over the shared pgf denominator; its value at 1 is the
+        expected duration.
+        """
+        scale, _, det_corr, denominator = self.integer_pgfs
+        return RationalFunction(_in_s(det_corr, scale), _in_s(denominator, scale))
 
     def win_series(self, horizon: int) -> list[list[tuple[Decimal, Decimal]]]:
         """Per player: (n, d) with P(that player wins at toss k) = n/d in lowest
@@ -456,25 +573,13 @@ class GameSolution:
         """
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
-        scale, numerators, denominator = self.integer_pgfs
+        scale, numerators, _, denominator = self.integer_pgfs
         return _series_terms(scale, numerators, denominator, horizon)
 
 
 def solve_game(spec: GameSpec) -> GameSolution:
-    """Solve a validated game once: pgfs, win probabilities, durations, tail gf.
-
-    The tail generating function (coefficients P(game still running after n
-    tosses)) comes out as det M(s) over the shared pgf denominator; its value
-    at 1 is the expected duration.
-    """
-    scale, numerators, det_corr, denominator = _solve_integer(spec)
-    win_probs, duration, conditionals = _values_at_one(scale, numerators, det_corr, denominator)
-    shared = _in_s(denominator, scale)
-    pgfs = tuple(RationalFunction(_in_s(n, scale), shared) for n in numerators)
-    tail_gf = RationalFunction(_in_s(det_corr, scale), shared)
-    return GameSolution(
-        spec, pgfs, win_probs, duration, tail_gf, conditionals, (scale, numerators, denominator)
-    )
+    """Solve a validated game: win probabilities and durations now, pgfs when read."""
+    return GameSolution(spec, *_solve_at_one(spec))
 
 
 def response_table(
@@ -503,8 +608,7 @@ def response_table(
 
     def at_one(a: Pattern, b: Pattern) -> int:
         """Entry (a, b) of M(1) times D**len(a)."""
-        coeffs = _scaled_correlation(a, b, weights)
-        return sum(c * powers[a.length - i] for i, c in enumerate(coeffs) if c)
+        return _entry_at_one(a, b, weights, powers)[0]
 
     fixed_rows = [([at_one(a, b) for b in fixed], _completion_weight(a, weights)) for a in fixed]
     ranked: list[tuple[Pattern, Fraction]] = []

@@ -13,7 +13,9 @@ import pytest
 
 from childenv import child_env
 import penney.cli
+import penney.solver
 from penney.cli import format_decimal, main, sqrt_decimal
+from penney.oracle import SimulationReport
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -139,6 +141,25 @@ class TestExitCodes:
             assert f"{size}^{length} candidates" in captured.err
             assert str(2**20) in captured.err
 
+    @pytest.mark.parametrize("trials, admitted", [(10**8, True), (10**8 + 1, False)])
+    def test_trials_budget(self, capsys, monkeypatch, trials, admitted):
+        # a stub stands in for the simulation, so no long run is played
+        calls = []
+
+        def stub(spec, trials, seed=0):
+            calls.append(trials)
+            return SimulationReport(trials, (trials, 0), 2 * trials, seed, 1, (F(1), F(0)))
+
+        monkeypatch.setattr(penney.cli, "simulate", stub)
+        code = main(["simulate", "--patterns", "HH,TT", "--trials", str(trials)])
+        captured = capsys.readouterr()
+        if admitted:
+            assert (code, calls) == (0, [trials])
+        else:
+            assert (code, calls, captured.out) == (2, [], "")
+            assert f"--trials {trials}" in captured.err
+            assert str(10**8) in captured.err
+
     @needs_digit_limit
     @pytest.mark.parametrize(
         "argv",
@@ -262,6 +283,18 @@ class TestGoldens:
         assert result.returncode == 0, result.stderr.decode()
         expected = (GOLDEN_DIR / name).read_bytes()
         assert result.stdout == expected
+
+    @pytest.mark.parametrize("name", ["solve.json", "simulate.json"])
+    def test_values_need_no_polynomial_elimination(self, capsys, monkeypatch, name):
+        # values at s = 1 come from the dual-number solve; only pgfs and series reach Z[u]
+        def refuse(spec):
+            raise RuntimeError("the Z[u] elimination ran")
+
+        monkeypatch.setattr(penney.solver, "_solve_integer", refuse)
+        assert main(GOLDEN_COMMANDS[name]) == 0
+        assert capsys.readouterr().out.encode() == (GOLDEN_DIR / name).read_bytes()
+        with pytest.raises(RuntimeError, match="Z\\[u\\]"):
+            main(GOLDEN_COMMANDS["solve_series.json"])
 
     def test_goldens_survive_optimized_interpreter(self):
         # python -O strips asserts; every library invariant must be an explicit check

@@ -1,11 +1,16 @@
 """Central cross-validation: the analytic solver and the chain oracle must
 agree exactly on every randomized game. The acceptance suite reruns these
-checks at full size; here a medium batch keeps the signal in every dev run."""
+checks at full size; here a medium batch keeps the signal in every dev run,
+and a Hypothesis envelope reaches alphabets of up to four symbols, eight
+players and patterns of length twelve."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from penney.oracle import (
     absorption_probabilities,
@@ -16,7 +21,9 @@ from penney.oracle import (
     step_distribution,
 )
 from penney.patterns import (
+    Pattern,
     SourceModel,
+    _contains,
     overlap_indicator,
     parse_pattern,
     pattern_probability,
@@ -24,6 +31,9 @@ from penney.patterns import (
     validate_pattern_set,
 )
 from penney.solver import (
+    _solve_at_one,
+    _solve_integer,
+    _values_at_one,
     conditional_expected_duration,
     expected_duration,
     game_distribution,
@@ -107,3 +117,44 @@ def test_presummed_recurrence_replay():
                                 * distribution[j][n + k]
                             )
                 assert tail[n] * weight == rhs
+
+
+# Games whose total pattern length is at most this are also solved by the
+# chain oracle, whose exact elimination grows with the automaton.
+ORACLE_TOTAL_LENGTH = 24
+
+
+@st.composite
+def game_specs(draw, max_players=8, max_length=12):
+    """A game over 2 to 4 symbols with rational probabilities (integer weights
+    1..6 over their sum) and up to `max_players` patterns, whose lengths lie
+    within three of a drawn longest length of at most `max_length`. A drawn
+    pattern that contains or is contained in an earlier one is dropped, so
+    the set is substring-free."""
+    size = draw(st.integers(2, 4))
+    weights = draw(st.lists(st.integers(1, 6), min_size=size, max_size=size))
+    model = SourceModel("abcd"[:size], [F(w, sum(weights)) for w in weights])
+    longest = draw(st.integers(1, max_length))
+    kept: list[tuple[str, ...]] = []
+    for _ in range(draw(st.integers(1, max_players))):
+        length = draw(st.integers(max(1, longest - 3), longest))
+        symbols = tuple(
+            draw(st.lists(st.sampled_from(model.symbols), min_size=length, max_size=length))
+        )
+        if not any(_contains(symbols, p) or _contains(p, symbols) for p in kept):
+            kept.append(symbols)
+    return validate_pattern_set([Pattern(p) for p in kept], model)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(game_specs())
+def test_dual_solve_envelope(spec):
+    values = _solve_at_one(spec)
+    assert values == _values_at_one(*_solve_integer(spec))
+    if sum(p.length for p in spec.patterns) <= ORACLE_TOTAL_LENGTH:
+        automaton = build_automaton(spec)
+        assert values == (
+            absorption_probabilities(automaton, spec.model),
+            expected_absorption_time(automaton, spec.model),
+            conditional_absorption_times(automaton, spec.model),
+        )

@@ -35,10 +35,16 @@ from penney.solver import (
     _cramer,
     _divide_exact,
     _divide_int,
+    _dual_divide,
+    _dual_mul,
+    _dual_sub,
     _lowest_terms,
     _mul,
     _series_terms,
+    _solve_at_one,
+    _solve_integer,
     _sub,
+    _values_at_one,
     best_response,
     completion_monomials,
     conditional_expected_duration,
@@ -361,31 +367,115 @@ class TestCramerKernel:
             _cramer(rows, [1], _mul, _sub, _divide_exact)
 
     @staticmethod
-    def _diagonal(monkeypatch, diagonal):
-        """Make the solvers see `diagonal(coeffs)` for every diagonal correlation."""
-        real = solver._scaled_correlation
+    def _diagonal(monkeypatch, name, diagonal):
+        """Make the solvers see `diagonal(entry)` for every diagonal entry that
+        `solver.<name>` builds."""
+        real = getattr(solver, name)
 
-        def patched(a, b, weights):
-            coeffs = real(a, b, weights)
-            return diagonal(coeffs) if a == b else coeffs
+        def patched(a, b, *args):
+            entry = real(a, b, *args)
+            return diagonal(entry) if a == b else entry
 
-        monkeypatch.setattr(solver, "_scaled_correlation", patched)
+        monkeypatch.setattr(solver, name, patched)
 
     def test_determinant_not_one_at_origin_is_degenerate(self, fair, monkeypatch):
-        self._diagonal(monkeypatch, lambda coeffs: [2 * coeffs[0], *coeffs[1:]])
+        self._diagonal(monkeypatch, "_scaled_correlation", lambda c: [2 * c[0], *c[1:]])
+        # the check on det M(0) belongs to the Z[u] route, which runs when a pgf is read
         # one player: no division by a pivot, so only the check on det M fires
         with pytest.raises(DegenerateGameError, match="det M"):
-            solve_game(validate_pattern_set([parse_pattern("HH", fair)], fair))
+            solve_game(validate_pattern_set([parse_pattern("HH", fair)], fair)).pgfs
         with pytest.raises(DegenerateGameError, match="pivot"):
-            solve_game(validate_pattern_set([parse_pattern(t, fair) for t in ("HH", "TH")], fair))
+            spec = validate_pattern_set([parse_pattern(t, fair) for t in ("HH", "TH")], fair)
+            solve_game(spec).pgfs
 
     def test_response_vanishing_minors_are_degenerate(self, fair, monkeypatch):
-        self._diagonal(monkeypatch, lambda coeffs: [])
+        self._diagonal(monkeypatch, "_entry_at_one", lambda entry: (0, 0))
         # no opponents: the candidate's diagonal entry is the whole determinant
         with pytest.raises(DegenerateGameError, match="degenerate at s = 1"):
             response_table([], 2, fair)
         with pytest.raises(DegenerateGameError, match="leading minor"):
             response_table([parse_pattern("HH", fair)], 2, fair)
+
+
+class TestDualSolve:
+    """Values at s = 1 by `_cramer` over Z[eps]/eps**2, against the Z[u] route."""
+
+    def test_dual_solve(self):
+        # `test_polynomial_solve`'s system at u = 1, each entry as (value, derivative):
+        # det 1 + u - u^2 -> (1, -1), numerators 1 - u^2 -> (0, -2) and u^2 -> (1, 2)
+        rows = [[(2, 1), (1, 1), (1, 0)], [(1, 1), (1, 0), (1, 1)]]
+        assert _cramer(rows, (1, 0), _dual_mul, _dual_sub, _dual_divide) == (
+            (1, -1),
+            [(0, -2), (1, 2)],
+        )
+
+    def test_dual_division_checks_both_components(self):
+        # (6 + 7 eps) / (3 + 2 eps) = 2 + eps
+        assert _dual_divide((6, 7), (3, 2)) == (2, 1)
+        with pytest.raises(ArithmeticError, match="not divisible"):
+            _dual_divide((7, 0), (3, 0))
+        with pytest.raises(ArithmeticError, match="not divisible"):
+            _dual_divide((6, 8), (3, 2))
+        with pytest.raises(DegenerateGameError, match="leading minor"):
+            _dual_divide((0, 1), (0, 1))
+
+    def test_matches_integer_route(self, wide_specs):
+        for spec in wide_specs:
+            values = _values_at_one(*_solve_integer(spec))
+            assert _solve_at_one(spec) == values
+            solution = solve_game(spec)
+            assert (
+                solution.win_probs,
+                solution.expected_duration,
+                solution.conditional_durations,
+            ) == values
+
+    def test_vanishing_leading_minor_falls_back(self, example_spec, monkeypatch):
+        real = solver._entry_at_one
+        first = example_spec.patterns[0]
+
+        def patched(a, b, *args):
+            value, slope = real(a, b, *args)
+            return (0, slope) if a == b == first else (value, slope)
+
+        monkeypatch.setattr(solver, "_entry_at_one", patched)
+        solution = solve_game(example_spec)
+        assert solution.win_probs == (F(5, 12), F(1, 3), F(1, 4))
+        assert (
+            solution.win_probs,
+            solution.expected_duration,
+            solution.conditional_durations,
+        ) == _values_at_one(*_solve_integer(example_spec))
+
+    def test_only_a_vanishing_minor_falls_back(self, example_spec, monkeypatch):
+        def inexact(a, d):
+            raise ArithmeticError("elimination step is not divisible by the previous pivot")
+
+        def refuse(spec):
+            raise RuntimeError("the Z[u] elimination ran")
+
+        monkeypatch.setattr(solver, "_divide_int", inexact)
+        monkeypatch.setattr(solver, "_solve_integer", refuse)
+        with pytest.raises(ArithmeticError, match="not divisible"):
+            solve_game(example_spec)
+
+    def test_pgfs_are_solved_when_read(self, example_spec, monkeypatch):
+        calls = []
+        real = solver._solve_integer
+
+        def counted(spec):
+            calls.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(solver, "_solve_integer", counted)
+        solution = solve_game(example_spec)
+        assert calls == []
+        assert solution.pgfs[0].limit(1) == F(5, 12)
+        assert solution.tail_gf.limit(1) == solution.expected_duration
+        solution.win_series(3)
+        assert calls == [example_spec]
+        assert solution == solve_game(example_spec)
+        assert "pgfs" not in repr(solution)
 
 
 class TestWinningProbabilities:
