@@ -41,7 +41,6 @@ from .polyalg import (
     ZERO,
     PolyMatrix,
     Polynomial,
-    Rational,
     RationalFunction,
     SingularAtOriginError,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "Pattern",
     "PolyMatrix",
     "Polynomial",
-    "Rational",
     "RationalFunction",
     "S",
     "SimulationReport",

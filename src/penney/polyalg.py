@@ -1,10 +1,13 @@
-"""Exact univariate polynomial and rational-function algebra over the rationals.
+"""Exact univariate polynomials, rational functions and polynomial matrices.
 
-Everything here is arbitrary precision and exact: coefficients are
+These are the value types the game solver returns: the correlation matrix,
+its completion column and every generating function. The solver's own
+arithmetic runs over integers (see `penney.solver`); these types carry the
+results. Everything here is arbitrary precision and exact: coefficients are
 `fractions.Fraction`, arithmetic never rounds, and equality is decidable.
 Polynomials are dense coefficient tuples in a single formal variable (written
-``s`` throughout), which is all the game solver needs: degrees stay bounded by
-the combined pattern length, so sparse storage would buy nothing.
+``s`` throughout): degrees stay bounded by the combined pattern length, so
+sparse storage would buy nothing.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
-
-Rational = Fraction
 
 Scalar = Union[Fraction, int]
 
@@ -76,9 +77,6 @@ class Polynomial:
             acc = acc * point + c
         return acc
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial(k * c for k, c in enumerate(self.coeffs) if k)
-
     def __add__(self, other: "Polynomial | Scalar") -> "Polynomial":
         if isinstance(other, (Fraction, int)):
             other = Polynomial.constant(other)
@@ -132,30 +130,6 @@ class Polynomial:
             out = out * self
         return out
 
-    def __divmod__(self, other: "Polynomial") -> "tuple[Polynomial, Polynomial]":
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
-            return Polynomial(), self
-        rem = list(self.coeffs)
-        lead = other.coeffs[-1]
-        span = len(other.coeffs)
-        quot = [Fraction(0)] * (len(rem) - span + 1)
-        for i in range(len(quot) - 1, -1, -1):
-            c = rem[i + span - 1] / lead
-            if c:
-                quot[i] = c
-                for j, oc in enumerate(other.coeffs):
-                    rem[i + j] -= c * oc
-        return Polynomial(quot), Polynomial(rem[: span - 1])
-
-    def exact_div(self, other: "Polynomial") -> "Polynomial":
-        """Quotient when the division is exact; raises otherwise."""
-        quotient, remainder = divmod(self, other)
-        if not remainder.is_zero():
-            raise ArithmeticError(f"({self}) is not divisible by ({other})")
-        return quotient
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -191,9 +165,9 @@ def _as_polynomial(value: "Polynomial | Scalar") -> Polynomial:
 class RationalFunction:
     """Exact ratio of two polynomials.
 
-    Representations are never reduced by polynomial GCDs; evaluation, series
-    extraction, and derivatives are exact regardless, and `equivalent` compares
-    two ratios by cross multiplication.
+    Representations are never reduced by polynomial GCDs; evaluation and
+    series extraction are exact regardless. The solver gives every player's
+    pgf the same denominator, so sums over players are sums of numerators.
     """
 
     numer: Polynomial
@@ -212,25 +186,6 @@ class RationalFunction:
         if value == 0:
             raise ZeroDivisionError(f"denominator vanishes at s={_coerce(at)}")
         return self.numer.evaluate(at) / value
-
-    def limit(self, at: Scalar) -> Fraction:
-        """Value at a point, cancelling any common (s - at) factors first.
-
-        Raises ZeroDivisionError for a genuine pole.
-        """
-        point = _coerce(at)
-        top, bottom = self.numer, self.denom
-        while bottom.evaluate(point) == 0:
-            if top.evaluate(point) != 0:
-                raise ZeroDivisionError(f"pole at s={point}")
-            factor = Polynomial((-point, 1))
-            top = top.exact_div(factor)
-            bottom = bottom.exact_div(factor)
-        return top.evaluate(point) / bottom.evaluate(point)
-
-    def derivative(self) -> "RationalFunction":
-        n, d = self.numer, self.denom
-        return RationalFunction(n.derivative() * d - n * d.derivative(), d * d)
 
     def series(self, n: int) -> list[Fraction]:
         """First n+1 Taylor coefficients at 0, by the exact division recurrence.
@@ -251,59 +206,13 @@ class RationalFunction:
             out.append(acc / d0)
         return out
 
-    def equivalent(self, other: "RationalFunction") -> bool:
-        return self.numer * other.denom == other.numer * self.denom
-
-    def _binary(self, other, op):
-        if isinstance(other, (Polynomial, Fraction, int)):
-            other = RationalFunction(other)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return op(other)
-
-    def __add__(self, other):
-        def add(rhs: RationalFunction) -> RationalFunction:
-            if self.denom == rhs.denom:
-                return RationalFunction(self.numer + rhs.numer, self.denom)
-            return RationalFunction(
-                self.numer * rhs.denom + rhs.numer * self.denom, self.denom * rhs.denom
-            )
-
-        return self._binary(other, add)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.numer, self.denom)
-
-    def __sub__(self, other):
-        return self._binary(other, lambda rhs: self + (-rhs))
-
-    def __rsub__(self, other):
-        return self._binary(other, lambda rhs: rhs + (-self))
-
-    def __mul__(self, other):
-        return self._binary(
-            other, lambda rhs: RationalFunction(self.numer * rhs.numer, self.denom * rhs.denom)
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        def div(rhs: RationalFunction) -> RationalFunction:
-            if rhs.numer.is_zero():
-                raise ZeroDivisionError("division by the zero rational function")
-            return RationalFunction(self.numer * rhs.denom, self.denom * rhs.numer)
-
-        return self._binary(other, div)
-
     def __str__(self) -> str:
         return f"({self.numer}) / ({self.denom})"
 
 
 @dataclass(frozen=True)
 class PolyMatrix:
-    """Square matrix of polynomials with exact determinants.
+    """Square matrix of polynomials, such as the correlation matrix M(s).
 
     Column indices on the public surface are 1-based, matching the usual
     mathematical convention for Cramer-style column replacement.
@@ -340,49 +249,3 @@ class PolyMatrix:
 
     def evaluate(self, at: Scalar) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(entry.evaluate(at) for entry in row) for row in self.rows)
-
-    def determinant(self) -> Polynomial:
-        """Exact determinant by fraction-free (Bareiss) elimination.
-
-        Every interior division is by the previous pivot and is exact in the
-        polynomial ring, so intermediates never leave Polynomial.
-        """
-        n = self.dimension
-        work = [list(row) for row in self.rows]
-        sign = 1
-        prev = ONE
-        for k in range(n - 1):
-            if work[k][k].is_zero():
-                for r in range(k + 1, n):
-                    if not work[r][k].is_zero():
-                        work[k], work[r] = work[r], work[k]
-                        sign = -sign
-                        break
-                else:
-                    return ZERO
-            pivot = work[k][k]
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    work[i][j] = (work[i][j] * pivot - work[i][k] * work[k][j]).exact_div(prev)
-                work[i][k] = ZERO
-            prev = pivot
-        result = work[n - 1][n - 1]
-        return -result if sign < 0 else result
-
-    def determinant_cofactor(self) -> Polynomial:
-        """Reference determinant by first-row cofactor expansion.
-
-        Exponential in the dimension; kept as an independent check on the
-        Bareiss route and for tiny matrices.
-        """
-        n = self.dimension
-        if n == 1:
-            return self.rows[0][0]
-        total = ZERO
-        for j, entry in enumerate(self.rows[0]):
-            if entry.is_zero():
-                continue
-            minor = PolyMatrix(tuple(row[:j] + row[j + 1 :] for row in self.rows[1:]))
-            term = entry * minor.determinant_cofactor()
-            total = total + (-term if j % 2 else term)
-        return total

@@ -1,0 +1,96 @@
+"""Reference algebra over `penney.polyalg`'s value types, for the tests only.
+
+The library gets every answer from one fraction-free integer elimination
+(`penney.solver._cramer`). The routes here are independent of it: Bareiss
+and cofactor determinants, polynomial long division and derivatives. The
+tests replay the paper's determinant identities and Cramer's rule with them.
+Nothing here imports `penney.solver`.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from penney.polyalg import ONE, ZERO, PolyMatrix, Polynomial, RationalFunction
+
+
+def divide(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """Quotient and remainder of polynomial long division, deg r < deg b."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    if a.degree < b.degree:
+        return ZERO, a
+    rem = list(a.coeffs)
+    lead = b.coeffs[-1]
+    span = len(b.coeffs)
+    quot = [Fraction(0)] * (len(rem) - span + 1)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + span - 1] / lead
+        if c:
+            quot[i] = c
+            for j, bc in enumerate(b.coeffs):
+                rem[i + j] -= c * bc
+    return Polynomial(quot), Polynomial(rem[: span - 1])
+
+
+def exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Quotient when the division is exact; raises ArithmeticError otherwise."""
+    quotient, remainder = divide(a, b)
+    if not remainder.is_zero():
+        raise ArithmeticError(f"({a}) is not divisible by ({b})")
+    return quotient
+
+
+def derivative(p: Polynomial) -> Polynomial:
+    return Polynomial(k * c for k, c in enumerate(p.coeffs) if k)
+
+
+def rational_derivative(f: RationalFunction) -> RationalFunction:
+    """Quotient rule, with no reduction: (n'd - nd') / d**2."""
+    n, d = f.numer, f.denom
+    return RationalFunction(derivative(n) * d - n * derivative(d), d * d)
+
+
+def determinant(matrix: PolyMatrix) -> Polynomial:
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    Every interior division is by the previous pivot and is exact in the
+    polynomial ring, so intermediates never leave Polynomial.
+    """
+    n = matrix.dimension
+    work = [list(row) for row in matrix.rows]
+    sign = 1
+    prev = ONE
+    for k in range(n - 1):
+        if work[k][k].is_zero():
+            for r in range(k + 1, n):
+                if not work[r][k].is_zero():
+                    work[k], work[r] = work[r], work[k]
+                    sign = -sign
+                    break
+            else:
+                return ZERO
+        pivot = work[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                work[i][j] = exact_div(work[i][j] * pivot - work[i][k] * work[k][j], prev)
+            work[i][k] = ZERO
+        prev = pivot
+    result = work[n - 1][n - 1]
+    return -result if sign < 0 else result
+
+
+def determinant_cofactor(matrix: PolyMatrix) -> Polynomial:
+    """Determinant by first-row cofactor expansion: exponential in the
+    dimension, so only for small matrices, as a check on `determinant`."""
+    rows = matrix.rows
+    if len(rows) == 1:
+        return rows[0][0]
+    total = ZERO
+    for j, entry in enumerate(rows[0]):
+        if entry.is_zero():
+            continue
+        minor = PolyMatrix(tuple(row[:j] + row[j + 1 :] for row in rows[1:]))
+        term = entry * determinant_cofactor(minor)
+        total = total + (-term if j % 2 else term)
+    return total

@@ -21,7 +21,9 @@ from penney.oracle import (
     SingularSystemError,
 )
 from penney.patterns import SourceModel, ValidationError, parse_pattern, validate_pattern_set
+from penney.polyalg import Polynomial, RationalFunction
 from penney.solver import solve_game
+from refalgebra import rational_derivative
 from specgen import random_spec
 
 
@@ -201,11 +203,13 @@ class TestSimulate:
     def test_mean_tosses_within_three_standard_errors(self, example_spec):
         report = simulate(example_spec, 20000, seed=3)
         solution = solve_game(example_spec)
-        total_pgf = solution.pgfs[0]
-        for pgf in solution.pgfs[1:]:
-            total_pgf = total_pgf + pgf
-        mean = total_pgf.derivative().limit(1)
-        second_factorial = total_pgf.derivative().derivative().limit(1)
+        denominator = solution.pgfs[0].denom
+        assert all(pgf.denom == denominator for pgf in solution.pgfs)
+        total_pgf = RationalFunction(
+            sum((pgf.numer for pgf in solution.pgfs), Polynomial()), denominator
+        )
+        mean = rational_derivative(total_pgf).evaluate(1)
+        second_factorial = rational_derivative(rational_derivative(total_pgf)).evaluate(1)
         variance = second_factorial + mean - mean * mean
         assert mean == F(31, 6) and variance == F(103, 12)
         tolerance = 3 * math.sqrt(variance / 20000)

@@ -68,6 +68,7 @@ from exampledata import (
     correlation_grid,
     det3,
 )
+from refalgebra import determinant, rational_derivative
 from specgen import BIAS_MENU, random_pair, random_single, random_spec, sized_spec
 
 TEST_BIASES = (F(1, 2), F(1, 3), F(1, 4), F(2, 5))
@@ -105,7 +106,7 @@ def conway_reference(spec):
     grid = conway_matrix(spec)
 
     def det(rows):
-        return PolyMatrix([[Polynomial.constant(v) for v in row] for row in rows]).determinant()
+        return determinant(PolyMatrix([[Polynomial.constant(v) for v in row] for row in rows]))
 
     column_dets = [
         det([row[:j] + (F(1),) + row[j + 1 :] for row in grid]).coefficient(0)
@@ -202,7 +203,7 @@ class TestCorrelationPolynomial:
     @pytest.mark.parametrize("p", TEST_BIASES)
     def test_determinant_at_one_matches_conway_determinant(self, p):
         spec = showcase(p)
-        det_at_one = correlation_matrix(spec).determinant().evaluate(1)
+        det_at_one = determinant(correlation_matrix(spec)).evaluate(1)
         product = F(1)
         for pattern in spec.patterns:
             product *= pattern_probability(pattern, spec.model)
@@ -299,10 +300,10 @@ class TestIntegerCore:
             matrix = correlation_matrix(spec)
             column = completion_monomials(spec)
             numerators = [
-                matrix.replace_column(j, column).determinant()
+                determinant(matrix.replace_column(j, column))
                 for j in range(1, spec.player_count + 1)
             ]
-            det_corr = matrix.determinant()
+            det_corr = determinant(matrix)
             denominator = sum(numerators, Polynomial()) + (ONE - S) * det_corr
             solution = solve_game(spec)
             assert [pgf.numer for pgf in solution.pgfs] == numerators
@@ -321,6 +322,16 @@ class TestIntegerCore:
             assert solution.expected_duration == expected_duration(spec) == duration
             assert solution.conditional_durations == conditionals
             assert conditional_expected_duration(spec, spec.player_count) == conditionals[-1]
+
+    def test_public_pgfs_give_the_values_at_one(self, wide_specs):
+        # E[T | j] = G_j'(1) / G_j(1) from the lazy Z[u] pgfs, against the dual solve
+        for spec in wide_specs:
+            solution = solve_game(spec)
+            conditionals = tuple(
+                rational_derivative(pgf).evaluate(1) / pgf.evaluate(1) for pgf in solution.pgfs
+            )
+            assert conditionals == solution.conditional_durations
+            assert solution.tail_gf.evaluate(1) == solution.expected_duration
 
     def test_matches_conway_route(self, wide_specs):
         rng = random.Random(32)
@@ -470,8 +481,8 @@ class TestDualSolve:
         monkeypatch.setattr(solver, "_solve_integer", counted)
         solution = solve_game(example_spec)
         assert calls == []
-        assert solution.pgfs[0].limit(1) == F(5, 12)
-        assert solution.tail_gf.limit(1) == solution.expected_duration
+        assert solution.pgfs[0].evaluate(1) == F(5, 12)
+        assert solution.tail_gf.evaluate(1) == solution.expected_duration
         solution.win_series(3)
         assert calls == [example_spec]
         assert solution == solve_game(example_spec)
@@ -501,7 +512,7 @@ class TestWinningProbabilities:
             spec = random_spec(rng)
             probs = winning_probabilities(spec)
             for player in range(1, spec.player_count + 1):
-                assert winning_pgf(spec, player).limit(1) == probs[player - 1]
+                assert winning_pgf(spec, player).evaluate(1) == probs[player - 1]
 
 
 class TestTwoPlayerOdds:
@@ -573,7 +584,7 @@ class TestDurations:
         rng = random.Random(19)
         for _ in range(20):
             spec = random_spec(rng)
-            assert solve_game(spec).tail_gf.limit(1) == expected_duration(spec)
+            assert solve_game(spec).tail_gf.evaluate(1) == expected_duration(spec)
 
 
 class TestGameDistribution:
@@ -797,9 +808,9 @@ class TestStructuralIdentities:
             m = spec.player_count
             matrix = correlation_matrix(spec)
             column = completion_monomials(spec)
-            det_corr = matrix.determinant()
+            det_corr = determinant(matrix)
             column_dets = [
-                matrix.replace_column(j, column).determinant() for j in range(1, m + 1)
+                determinant(matrix.replace_column(j, column)) for j in range(1, m + 1)
             ]
             full = PolyMatrix(
                 [
@@ -807,12 +818,12 @@ class TestStructuralIdentities:
                     for i in range(m)
                 ]
             )
-            assert full.determinant() == one_minus_s**m * det_corr + one_minus_s ** (
+            assert determinant(full) == one_minus_s**m * det_corr + one_minus_s ** (
                 m - 1
             ) * sum(column_dets, Polynomial())
             for j in range(1, m + 1):
                 assert (
-                    full.replace_column(j, column).determinant()
+                    determinant(full.replace_column(j, column))
                     == one_minus_s ** (m - 1) * column_dets[j - 1]
                 )
 
@@ -840,10 +851,12 @@ class TestStructuralIdentities:
         for _ in range(20):
             spec = random_spec(rng)
             solution = solve_game(spec)
-            total = solution.pgfs[0]
-            for pgf in solution.pgfs[1:]:
-                total = total + pgf
-            assert (1 - total).equivalent(RationalFunction(ONE - S) * solution.tail_gf)
+            # every pgf and the tail share the denominator Q, so the identity
+            # 1 - sum_j N_j / Q = (1 - s) * det M / Q is one on numerators
+            denominator = solution.tail_gf.denom
+            assert all(pgf.denom == denominator for pgf in solution.pgfs)
+            total = sum((pgf.numer for pgf in solution.pgfs), Polynomial())
+            assert denominator - total == (ONE - S) * solution.tail_gf.numer
 
     def test_solver_denominators_are_one_at_origin(self):
         # series extraction relies on this; it pins the identity-at-zero shape
