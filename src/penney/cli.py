@@ -8,6 +8,7 @@ advisory renderings at --digits precision, rounded half-even.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -348,13 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--series", type=int, default=None, metavar="N", help="also print P(win at toss k), k<=N"
     )
-    solve.set_defaults(handler=cmd_solve)
 
     sim = sub.add_parser("simulate", parents=[common], help="seeded Monte Carlo cross-check")
     sim.add_argument("--patterns", required=True, help="comma-separated patterns, one per player")
     sim.add_argument("--trials", type=int, default=100000, help="number of games to play")
     sim.add_argument("--seed", type=int, default=0, help="generator seed")
-    sim.set_defaults(handler=cmd_simulate)
 
     best = sub.add_parser(
         "best-response", parents=[common], help="exhaustive best reply against fixed opponents"
@@ -362,12 +361,17 @@ def build_parser() -> argparse.ArgumentParser:
     best.add_argument("--opponents", required=True, help="comma-separated opponent patterns")
     best.add_argument("--length", type=int, required=True, help="length of the reply pattern")
     best.add_argument("--verbose", action="store_true", help="print the full ranked table")
-    best.set_defaults(handler=cmd_best_response)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs more than a light request."""
+    return build_parser()
+
+
 def main(argv: "list[str] | None" = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.digits < 0:
         parser.error("--digits must be nonnegative")
@@ -393,8 +397,10 @@ def main(argv: "list[str] | None" = None) -> int:
 
 def _answer(args: argparse.Namespace) -> int:
     """Run the command's handler and print its document; the exit code."""
+    # looked up per call, not stored in the cached parser, so a replaced handler is used
+    handlers = {"solve": cmd_solve, "simulate": cmd_simulate, "best-response": cmd_best_response}
     try:
-        doc = args.handler(args)
+        doc = handlers[args.command](args)
     except ValidationError as exc:
         print(f"penney: {exc}", file=sys.stderr)
         return 2

@@ -40,8 +40,15 @@ raises rather than rounds, because they print in linear time where `int`
 printing is quadratic in CPython.
 
 Best responses need only the values: `response_table` scores each candidate
-by the generalised Conway formula, solving its game's M(1) x = c(1) with
-`_cramer` over Z.
+by the generalised Conway formula, the ratio of two Cramer numerators of its
+game's M(1) x = c(1) over Z. Only the candidate's own row, column and
+autocorrelation change from one candidate to the next, so `_cramer`
+eliminates the opponents' block once per request and each candidate costs
+the bordered last step. The candidates are the leaves of one depth-first walk
+over the symbol trie: the row, the completion weight and the KMP borders grow
+one symbol per depth, the column is a table over the opponents' prefix
+automaton, and a subtree is cut where the walk completes an opponent. The
+table is ranked by exact integer keys rather than `Fraction` comparisons.
 """
 
 from __future__ import annotations
@@ -56,12 +63,12 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, TypeVar
 
+from .oracle import Automaton, build_automaton
 from .patterns import (
     GameSpec,
     Pattern,
     SourceModel,
     ValidationError,
-    _contains,
     overlap_indicator,
     pattern_probability,
     symbols_probability,
@@ -117,7 +124,9 @@ def _entry_at_one(
     the product of the weights of a's last len(a)-k symbols, as in
     `_scaled_correlation`. Times D**len(a) at s = 1 that is c * D**k, with
     slope (len(a)-k) * c * D**k. `powers[k]` is D**k. No coefficient list is
-    built, because `response_table` runs this for every candidate.
+    built. `solve_game` runs this for every pair of players, and
+    `response_table` once per request for the opponents' block and each
+    automaton state, never per candidate.
     """
     head, tail = a.symbols, b.symbols
     size = len(head)
@@ -582,6 +591,21 @@ def solve_game(spec: GameSpec) -> GameSolution:
     return GameSolution(spec, *_solve_at_one(spec))
 
 
+def _ranking(values: list[Fraction]) -> list[int]:
+    """Indices of `values`, largest first; equal values keep their order.
+
+    Each value n/d is keyed by the integer floor(n K / d), K the square of the
+    largest denominator. Two different values differ by at least 1/K, so
+    their keys differ in the same direction, and equal values get equal keys;
+    no `Fraction` is compared. The sort is stable, in reverse too.
+    """
+    if not values:
+        return []
+    scale = max(value.denominator for value in values) ** 2
+    keys = [value.numerator * scale // value.denominator for value in values]
+    return sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+
+
 def response_table(
     opponents: Iterable[Pattern], length: int, model: SourceModel
 ) -> list[tuple[Pattern, Fraction]]:
@@ -591,45 +615,155 @@ def response_table(
     order (the enumeration order), so the ranking is deterministic.
 
     Each score is the generalised Conway formula at s = 1: with M(1) x = c(1),
-    the newcomer wins with probability x_new / sum(x) = N_new / sum(N), N the
-    Cramer numerators. Row a of the system is scaled by D**len(a), which makes
-    it integer, so `_cramer` solves it over Z. The opponents are validated and
-    their rows built once; a candidate is admitted by checking only the pairs
-    it adds, and brings its column and its own row.
+    the newcomer wins with probability N_new / sum(N), N the Cramer
+    numerators. Row a of the system is scaled by D**len(a), which makes it
+    integer. With the opponents first, M = [[A, u], [v^T, alpha]] and
+    c = (w_b, w_c): u is the candidate's column, v its row, alpha its
+    autocorrelation and w_c its completion weight. `_cramer` eliminates A
+    once, giving d = det A, p = adj(A) w_b and adj(A) u; then per candidate
+    the bordered last step is
+
+        det M = d alpha - v . adj(A) u,   N_new = d w_c - v . p,
+        sum of the opponents' N = (det M sum(p) - sum(adj(A) u) N_new) / d.
+
+    The candidates are the leaves of one depth-first walk over the symbol
+    trie in alphabet order, the order of `itertools.product`. What depends on
+    the candidate's prefix grows by one symbol per depth: v, the completion
+    weight, and the KMP border table, whose chain gives alpha. What depends
+    on its suffix comes from the opponents' prefix automaton: u is a table
+    per state, and a subtree is cut where the walk completes an opponent. An
+    opponent contains the candidate when the candidate is in the table of
+    the opponents' substrings.
     """
     if length < 1:
         raise ValidationError("response length must be at least 1")
     fixed = list(opponents)
+    symbols = model.symbols
     if fixed:
-        validate_pattern_set(fixed, model)
+        automaton = build_automaton(validate_pattern_set(fixed, model))
+    else:
+        automaton = Automaton(((),), (tuple(0 for _ in symbols),), (None,))
     weights = _symbol_weights(model)
     top = max([length, *(a.length for a in fixed)])
     powers = [model.common_denominator**k for k in range(top + 1)]
+    block = [[_entry_at_one(a, b, weights, powers)[0] for b in fixed] for a in fixed]
 
-    def at_one(a: Pattern, b: Pattern) -> int:
-        """Entry (a, b) of M(1) times D**len(a)."""
-        return _entry_at_one(a, b, weights, powers)[0]
+    def solve_block(rhs: list[int]) -> tuple[int, list[int]]:
+        """det A and the Cramer numerators of A x = rhs, which are adj(A) rhs."""
+        rows = [[*row, r] for row, r in zip(block, rhs)]
+        return _cramer(rows, 1, operator.mul, operator.sub, _divide_int)
 
-    fixed_rows = [([at_one(a, b) for b in fixed], _completion_weight(a, weights)) for a in fixed]
-    ranked: list[tuple[Pattern, Fraction]] = []
-    for symbols in itertools.product(model.symbols, repeat=length):
-        if any(_contains(symbols, a.symbols) or _contains(a.symbols, symbols) for a in fixed):
-            continue
-        candidate = Pattern(symbols)
-        rows = [
-            [*row, at_one(a, candidate), weight] for a, (row, weight) in zip(fixed, fixed_rows)
-        ]
-        rows.append(
-            [at_one(candidate, b) for b in (*fixed, candidate)]
-            + [_completion_weight(candidate, weights)]
-        )
-        det, numerators = _cramer(rows, 1, operator.mul, operator.sub, _divide_int)
-        total = sum(numerators)
-        if not (det and numerators[-1] and total):
-            raise DegenerateGameError(f"candidate {candidate} makes the game degenerate at s = 1")
-        ranked.append((candidate, Fraction(numerators[-1], total)))
-    ranked.sort(key=lambda entry: entry[1], reverse=True)
-    return ranked
+    # A full solve meets A's pivots first, so a failure here is raised when the
+    # first candidate is scored; with no admissible candidate the table is empty.
+    failure: ArithmeticError | None = None
+    try:
+        det_a, completion = solve_block([_completion_weight(a, weights) for a in fixed])
+        if not det_a:
+            raise DegenerateGameError("a leading minor of the correlation matrix vanishes at s = 1")
+        # per open state: adj(A) u and its sum, u the column of a candidate ending there
+        columns: list[tuple[list[int], int] | None] = []
+        for prefix, winner in zip(automaton.prefixes, automaton.winner):
+            if winner is not None:
+                columns.append(None)
+                continue
+            suffix = Pattern(prefix) if prefix else None
+            column = [_entry_at_one(a, suffix, weights, powers)[0] if suffix else 0 for a in fixed]
+            adjugate_column = solve_block(column)[1]
+            columns.append((adjugate_column, sum(adjugate_column)))
+    except ArithmeticError as exc:
+        failure, det_a, completion, columns = exc, 0, [], []
+    completion_total = sum(completion)
+
+    # each substring of an opponent, with the opponents that end in it
+    substrings: dict[tuple[str, ...], list[int]] = {}
+    for j, b in enumerate(fixed):
+        for start in range(b.length):
+            for stop in range(start + 1, b.length + 1):
+                ends = substrings.setdefault(b.symbols[start:stop], [])
+                if stop == b.length:
+                    ends.append(j)
+
+    symbol_weights = [weights[s] for s in symbols]
+    transitions = automaton.transitions
+    stops = [winner is not None for winner in automaton.winner]
+    mul = operator.mul
+    # indexed by depth t along the current path c:
+    path = [0] * length  # the symbol index c[t]
+    prefix_weight = [1] * (length + 1)  # D**t P(c[:t])
+    self_entry = [0] * (length + 1)  # at_one(c[:t], c[:t]), summed over c[:t]'s borders
+    # borders[t][x]: the longest proper border of c[:t] followed by symbol x
+    borders = [[0] * len(symbols)] * (length + 1)
+    table: list[tuple[Pattern, Fraction]] = []
+
+    def extend(
+        depth: int,
+        state: int,
+        prefix: tuple[str, ...],
+        row: list[int],
+        row_weight: int,
+        inside: bool,
+    ) -> None:
+        """Visit the children of c[:depth] = `prefix`, at automaton `state`.
+
+        `inside` says whether `prefix` is a substring of an opponent. `row` is
+        v (at_one(c[:t], b) per opponent b) at the last depth t at which c[:t]
+        was one, and `row_weight` is D**t P(c[:t]). Past that depth no prefix
+        of c is a suffix of an opponent, so v only scales with the weight of
+        the symbols added.
+        """
+        child = depth + 1
+        power = powers[child]
+        weight_before = prefix_weight[depth]
+        border_row = borders[depth]
+        for index, target in enumerate(transitions[state]):
+            if stops[target]:
+                continue
+            weight = weight_before * symbol_weights[index]
+            border = border_row[index]
+            alpha = power
+            if border:
+                # c[:child] = c[:child-border] + c[:border], so the symbols after
+                # the border weigh as much as the first child - border
+                alpha += prefix_weight[child - border] * self_entry[border]
+            word = prefix + (symbols[index],)
+            ends = substrings.get(word) if inside else None
+            if child < length:
+                path[depth] = index
+                prefix_weight[child] = weight
+                self_entry[child] = alpha
+                child_borders = list(borders[border])
+                child_borders[path[border]] = border + 1
+                borders[child] = child_borders
+                if ends is None:
+                    extend(child, target, word, row, row_weight, False)
+                else:
+                    # `prefix` is inside too, so `row` is its own v
+                    child_row = [v * symbol_weights[index] for v in row]
+                    for j in ends:
+                        child_row[j] += power
+                    extend(child, target, word, child_row, weight, True)
+            elif ends is None:
+                if failure is not None:
+                    raise failure
+                adjugate_column, column_total = columns[target]
+                scale = weight // row_weight
+                det = det_a * alpha - scale * sum(map(mul, row, adjugate_column))
+                new = det_a * weight - scale * sum(map(mul, row, completion))
+                total = new + _divide_int(det * completion_total - column_total * new, det_a)
+                candidate = Pattern(word)
+                if not (det and new and total):
+                    raise DegenerateGameError(
+                        f"candidate {candidate} makes the game degenerate at s = 1"
+                    )
+                table.append((candidate, Fraction(new, total)))
+
+    try:
+        extend(0, automaton.start, (), [0] * len(fixed), 1, bool(fixed))
+    finally:
+        # `extend` reaches itself through its closure; breaking that cycle frees
+        # the walk's tables now rather than at the next full garbage collection
+        del extend
+    return [table[i] for i in _ranking([value for _, value in table])]
 
 
 def best_response(

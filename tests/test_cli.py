@@ -296,6 +296,23 @@ class TestGoldens:
         with pytest.raises(RuntimeError, match="Z\\[u\\]"):
             main(GOLDEN_COMMANDS["solve_series.json"])
 
+    def test_back_to_back_calls_share_no_state(self, capsys):
+        # `main` reuses one parser per process; no option may carry over to the next call
+        commands = [
+            ["best-response", "--opponents", "HTH", "--length", "3", "--verbose", "--json"],
+            ["best-response", "--opponents", "HTH", "--length", "3", "--json"],
+            ["solve", "--patterns", "HTH,TTH", "--series", "6"],
+            ["solve", "--patterns", "HTH,TTH"],
+        ]
+        outputs = []
+        for argv in commands:
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        for argv, output in zip(commands, outputs):
+            fresh = run_cli(*argv)
+            assert fresh.returncode == 0, fresh.stderr.decode()
+            assert output.encode() == fresh.stdout, argv
+
     def test_goldens_survive_optimized_interpreter(self):
         # python -O strips asserts; every library invariant must be an explicit check
         for name, argv in sorted(GOLDEN_COMMANDS.items()):

@@ -10,6 +10,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from penney import solver
 from penney.oracle import (
@@ -23,6 +25,7 @@ from penney.patterns import (
     Pattern,
     SourceModel,
     ValidationError,
+    _contains,
     overlap_indicator,
     parse_pattern,
     pattern_probability,
@@ -40,6 +43,7 @@ from penney.solver import (
     _dual_sub,
     _lowest_terms,
     _mul,
+    _ranking,
     _series_terms,
     _solve_at_one,
     _solve_integer,
@@ -400,11 +404,33 @@ class TestCramerKernel:
             solve_game(spec).pgfs
 
     def test_response_vanishing_minors_are_degenerate(self, fair, monkeypatch):
+        # no opponents: zero symbol weights make the candidate's Cramer numerator vanish
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_symbol_weights", lambda model: dict.fromkeys(model.symbols, 0))
+            with pytest.raises(DegenerateGameError, match="degenerate at s = 1"):
+                response_table([], 2, fair)
+        # one opponent: det A is the opponent's diagonal entry
         self._diagonal(monkeypatch, "_entry_at_one", lambda entry: (0, 0))
-        # no opponents: the candidate's diagonal entry is the whole determinant
-        with pytest.raises(DegenerateGameError, match="degenerate at s = 1"):
-            response_table([], 2, fair)
         with pytest.raises(DegenerateGameError, match="leading minor"):
+            response_table([parse_pattern("HH", fair)], 2, fair)
+
+    def test_response_opponents_minor_raises_only_with_a_candidate(self, fair, monkeypatch):
+        self._diagonal(monkeypatch, "_entry_at_one", lambda entry: (0, 0))
+        # two opponents: `_cramer` meets the vanishing order-1 minor of A as a divisor
+        pair = [parse_pattern(text, fair) for text in ("HH", "TT")]
+        with pytest.raises(DegenerateGameError, match="leading minor"):
+            response_table(pair, 3, fair)
+        # every reply equals, contains or lies inside an opponent: nothing to score
+        all_pairs = [parse_pattern(text, fair) for text in ("HH", "HT", "TH", "TT")]
+        assert response_table(all_pairs, 2, fair) == []
+        assert response_table([parse_pattern("H", fair), parse_pattern("T", fair)], 1, fair) == []
+
+    def test_response_bordered_step_checks_the_remainder(self, fair, monkeypatch):
+        real = solver._divide_int
+        # with one opponent A's elimination divides nothing, so the only division is
+        # the bordered step's, sum(N_opponents) * det A / det A, here with det A = 6
+        monkeypatch.setattr(solver, "_divide_int", lambda a, d: real(a + 1, d))
+        with pytest.raises(ArithmeticError, match="not divisible"):
             response_table([parse_pattern("HH", fair)], 2, fair)
 
 
@@ -791,12 +817,69 @@ class TestBestResponse:
                 checked += 1
         assert checked == 248
 
+    def test_integer_ranking_matches_fraction_order(self):
+        big = 10**30
+        fibonacci = [1, 2]
+        while len(fibonacci) < 40:
+            fibonacci.append(fibonacci[-1] + fibonacci[-2])
+        values = [
+            # exact ties
+            F(1, 2), F(2, 4), F(big, 2 * big), F(1), F(7, 7),
+            # Farey neighbours at the largest denominator: they differ by 1/(big (big - 1))
+            F(big - 1, big), F(big - 2, big - 1), F(1, big), F(1, big - 1),
+            # convergents of the golden ratio, alternating ever closer around it
+            *(F(a, b) for a, b in zip(fibonacci, fibonacci[1:])),
+            F(3 * fibonacci[-2], 3 * fibonacci[-1]),  # a tie with the last of them
+        ]
+        rng = random.Random(8)
+        for _ in range(20):
+            rng.shuffle(values)
+            expected = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+            assert _ranking(values) == expected
+        assert _ranking([]) == []
+
     def test_always_beats_any_length_three_opponent(self, fair):
         # the classic nontransitivity: every length-3 pattern is beaten by some reply
         for bits in range(8):
             text = "".join("H" if bits & (1 << k) else "T" for k in range(3))
             _, probability = best_response([parse_pattern(text, fair)], 3, fair)
             assert probability > F(1, 2)
+
+
+# Alphabets of the best-response envelope, each with the longest reply that
+# keeps |alphabet|**length <= 256.
+ENVELOPE_ALPHABETS = (
+    ("H:1/2,T:1/2", 8),
+    ("H:1/3,T:2/3", 8),
+    ("x:1/4,yy:3/4", 8),
+    ("a:1/2,b:1/3,c:1/6", 5),
+    ("a:1/5,b:1/5,c:3/5", 5),
+)
+
+
+@st.composite
+def response_games(draw):
+    """(opponents, length, model): 0 to 3 substring-free opponents of lengths
+    1 to 7 and a reply length that may be shorter than, equal to or longer
+    than any of them. A drawn opponent that contains or lies inside an
+    earlier one is dropped."""
+    text, longest = draw(st.sampled_from(ENVELOPE_ALPHABETS))
+    model = SourceModel.from_text(text)
+    kept: list[tuple[str, ...]] = []
+    for _ in range(draw(st.integers(0, 3))):
+        symbols = tuple(draw(st.lists(st.sampled_from(model.symbols), min_size=1, max_size=7)))
+        if not any(_contains(symbols, p) or _contains(p, symbols) for p in kept):
+            kept.append(symbols)
+    return [Pattern(p) for p in kept], draw(st.integers(1, longest)), model
+
+
+@settings(derandomize=True, max_examples=800, deadline=None, database=None)
+@given(response_games())
+def test_response_table_envelope(game):
+    opponents, length, model = game
+    assert response_table(opponents, length, model) == reference_response_table(
+        opponents, length, model
+    )
 
 
 class TestStructuralIdentities:
