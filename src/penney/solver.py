@@ -63,7 +63,6 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, TypeVar
 
-from .oracle import Automaton, build_automaton
 from .patterns import (
     GameSpec,
     Pattern,
@@ -606,6 +605,43 @@ def _ranking(values: list[Fraction]) -> list[int]:
     return sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
 
 
+def _prefix_automaton(
+    patterns: list[Pattern], symbols: tuple[str, ...]
+) -> tuple[list[tuple[str, ...]], list[list[int]], list[bool]]:
+    """The patterns' prefixes, their transitions and which of them are whole patterns.
+
+    The successor of prefix q on symbol x is the longest suffix of q + x that
+    is a prefix of some pattern. States are taken shortest first, so each
+    state's failure link, the longest proper suffix of it that is a prefix,
+    already has its row (Aho-Corasick). With no pattern, the empty prefix
+    loops to itself. In a substring-free set a walk has completed a pattern
+    exactly when it reaches that whole pattern.
+    """
+    prefixes: list[tuple[str, ...]] = [()]
+    index = {(): 0}
+    for pattern in patterns:
+        for k in range(1, pattern.length + 1):
+            prefix = pattern.symbols[:k]
+            if prefix not in index:
+                index[prefix] = len(prefixes)
+                prefixes.append(prefix)
+    transitions: list[list[int]] = [[]] * len(prefixes)
+    links = [0] * len(prefixes)
+    for state in sorted(range(len(prefixes)), key=lambda q: len(prefixes[q])):
+        prefix, fallback = prefixes[state], transitions[links[state]]
+        row = []
+        for x, symbol in enumerate(symbols):
+            target = index.get(prefix + (symbol,))
+            if target is None:
+                target = fallback[x] if prefix else 0
+            else:
+                links[target] = fallback[x] if prefix else 0
+            row.append(target)
+        transitions[state] = row
+    whole = {pattern.symbols for pattern in patterns}
+    return prefixes, transitions, [prefix in whole for prefix in prefixes]
+
+
 def response_table(
     opponents: Iterable[Pattern], length: int, model: SourceModel
 ) -> list[tuple[Pattern, Fraction]]:
@@ -630,19 +666,18 @@ def response_table(
     trie in alphabet order, the order of `itertools.product`. What depends on
     the candidate's prefix grows by one symbol per depth: v, the completion
     weight, and the KMP border table, whose chain gives alpha. What depends
-    on its suffix comes from the opponents' prefix automaton: u is a table
-    per state, and a subtree is cut where the walk completes an opponent. An
-    opponent contains the candidate when the candidate is in the table of
-    the opponents' substrings.
+    on its suffix comes from the opponents' prefix automaton
+    (`_prefix_automaton`): u is a table per state, and a subtree is cut where
+    the walk completes an opponent. An opponent contains the candidate when
+    the candidate is in the table of the opponents' substrings.
     """
     if length < 1:
         raise ValidationError("response length must be at least 1")
     fixed = list(opponents)
-    symbols = model.symbols
     if fixed:
-        automaton = build_automaton(validate_pattern_set(fixed, model))
-    else:
-        automaton = Automaton(((),), (tuple(0 for _ in symbols),), (None,))
+        validate_pattern_set(fixed, model)
+    symbols = model.symbols
+    prefixes, transitions, stops = _prefix_automaton(fixed, symbols)
     weights = _symbol_weights(model)
     top = max([length, *(a.length for a in fixed)])
     powers = [model.common_denominator**k for k in range(top + 1)]
@@ -662,8 +697,8 @@ def response_table(
             raise DegenerateGameError("a leading minor of the correlation matrix vanishes at s = 1")
         # per open state: adj(A) u and its sum, u the column of a candidate ending there
         columns: list[tuple[list[int], int] | None] = []
-        for prefix, winner in zip(automaton.prefixes, automaton.winner):
-            if winner is not None:
+        for prefix, stop in zip(prefixes, stops):
+            if stop:
                 columns.append(None)
                 continue
             suffix = Pattern(prefix) if prefix else None
@@ -684,8 +719,8 @@ def response_table(
                     ends.append(j)
 
     symbol_weights = [weights[s] for s in symbols]
-    transitions = automaton.transitions
-    stops = [winner is not None for winner in automaton.winner]
+    # per state: the (symbol index, successor) moves that complete no opponent
+    moves = [[(x, target) for x, target in enumerate(row) if not stops[target]] for row in transitions]
     mul = operator.mul
     # indexed by depth t along the current path c:
     path = [0] * length  # the symbol index c[t]
@@ -695,53 +730,50 @@ def response_table(
     borders = [[0] * len(symbols)] * (length + 1)
     table: list[tuple[Pattern, Fraction]] = []
 
-    def extend(
-        depth: int,
-        state: int,
-        prefix: tuple[str, ...],
-        row: list[int],
-        row_weight: int,
-        inside: bool,
-    ) -> None:
-        """Visit the children of c[:depth] = `prefix`, at automaton `state`.
-
-        `inside` says whether `prefix` is a substring of an opponent. `row` is
-        v (at_one(c[:t], b) per opponent b) at the last depth t at which c[:t]
-        was one, and `row_weight` is D**t P(c[:t]). Past that depth no prefix
-        of c is a suffix of an opponent, so v only scales with the weight of
-        the symbols added.
-        """
+    # A frame is an inner node c[:depth] = `prefix` of the trie, at automaton
+    # `state`. `inside` says whether `prefix` is a substring of an opponent.
+    # `row` is v (at_one(c[:t], b) per opponent b) at the last depth t at which
+    # c[:t] was one, and `row_weight` is D**t P(c[:t]). Past that depth no
+    # prefix of c is a suffix of an opponent, so v only scales with the weight
+    # of the symbols added. The node's own entries of the tables above (its
+    # last symbol, weight, longest proper border and alpha) are written when it
+    # is popped; the entries below `depth` are then its ancestors', since
+    # every frame pushed after it is deeper in the trie. Leaves are scored
+    # without a frame.
+    stack = [(0, 0, (), [0] * len(fixed), 1, bool(fixed), 0, 1, 0, 0)]
+    while stack:
+        depth, state, prefix, row, row_weight, inside, last, weight, border, alpha = stack.pop()
+        if depth:
+            path[depth - 1] = last
+            prefix_weight[depth] = weight
+            self_entry[depth] = alpha
+            node_borders = list(borders[border])
+            node_borders[path[border]] = border + 1
+            borders[depth] = node_borders
+        weight_before = weight
         child = depth + 1
         power = powers[child]
-        weight_before = prefix_weight[depth]
         border_row = borders[depth]
-        for index, target in enumerate(transitions[state]):
-            if stops[target]:
-                continue
-            weight = weight_before * symbol_weights[index]
-            border = border_row[index]
+        children = []
+        for x, target in moves[state]:
+            weight = weight_before * symbol_weights[x]
+            border = border_row[x]
             alpha = power
             if border:
                 # c[:child] = c[:child-border] + c[:border], so the symbols after
                 # the border weigh as much as the first child - border
                 alpha += prefix_weight[child - border] * self_entry[border]
-            word = prefix + (symbols[index],)
+            word = prefix + (symbols[x],)
             ends = substrings.get(word) if inside else None
             if child < length:
-                path[depth] = index
-                prefix_weight[child] = weight
-                self_entry[child] = alpha
-                child_borders = list(borders[border])
-                child_borders[path[border]] = border + 1
-                borders[child] = child_borders
                 if ends is None:
-                    extend(child, target, word, row, row_weight, False)
+                    children.append((child, target, word, row, row_weight, False, x, weight, border, alpha))
                 else:
                     # `prefix` is inside too, so `row` is its own v
-                    child_row = [v * symbol_weights[index] for v in row]
+                    child_row = [v * symbol_weights[x] for v in row]
                     for j in ends:
                         child_row[j] += power
-                    extend(child, target, word, child_row, weight, True)
+                    children.append((child, target, word, child_row, weight, True, x, weight, border, alpha))
             elif ends is None:
                 if failure is not None:
                     raise failure
@@ -756,13 +788,8 @@ def response_table(
                         f"candidate {candidate} makes the game degenerate at s = 1"
                     )
                 table.append((candidate, Fraction(new, total)))
-
-    try:
-        extend(0, automaton.start, (), [0] * len(fixed), 1, bool(fixed))
-    finally:
-        # `extend` reaches itself through its closure; breaking that cycle frees
-        # the walk's tables now rather than at the next full garbage collection
-        del extend
+        # popped last child first, so the walk keeps alphabet order
+        stack.extend(reversed(children))
     return [table[i] for i in _ranking([value for _, value in table])]
 
 

@@ -43,6 +43,7 @@ from penney.solver import (
     _dual_sub,
     _lowest_terms,
     _mul,
+    _prefix_automaton,
     _ranking,
     _series_terms,
     _solve_at_one,
@@ -407,6 +408,13 @@ class TestCramerKernel:
         # no opponents: zero symbol weights make the candidate's Cramer numerator vanish
         with monkeypatch.context() as patch:
             patch.setattr(solver, "_symbol_weights", lambda model: dict.fromkeys(model.symbols, 0))
+            with pytest.raises(DegenerateGameError, match="degenerate at s = 1"):
+                response_table([], 2, fair)
+        # no opponents, D = 0 with weights 1: alpha and so det M vanish, while
+        # N_new = 1 and the total is 1
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_symbol_weights", lambda model: dict.fromkeys(model.symbols, 1))
+            patch.setattr(SourceModel, "common_denominator", 0)
             with pytest.raises(DegenerateGameError, match="degenerate at s = 1"):
                 response_table([], 2, fair)
         # one opponent: det A is the opponent's diagonal entry
@@ -837,6 +845,39 @@ class TestBestResponse:
             expected = sorted(range(len(values)), key=values.__getitem__, reverse=True)
             assert _ranking(values) == expected
         assert _ranking([]) == []
+
+    def test_long_reply_against_a_pruning_opponent(self, fair):
+        # only T^L avoids H; the walk keeps no call stack per symbol
+        table = response_table([parse_pattern("H", fair)], 3000, fair)
+        assert [(p.symbols, w) for p, w in table] == [(("T",) * 3000, F(1, 2**3000))]
+
+    def test_prefix_automaton_matches_the_oracle(self):
+        rng = random.Random(31)
+        checked = 0
+        while checked < 200:
+            text, _ = RESPONSE_ALPHABETS[checked % len(RESPONSE_ALPHABETS)]
+            model = SourceModel.from_text(text)
+            opponents = [
+                Pattern(rng.choice(model.symbols) for _ in range(rng.randint(1, 6)))
+                for _ in range(rng.randint(1, 3))
+            ]
+            try:
+                spec = validate_pattern_set(opponents, model)
+            except ValidationError:
+                continue
+            prefixes, transitions, stops = _prefix_automaton(opponents, model.symbols)
+            automaton = build_automaton(spec)
+            states = {prefix: k for k, prefix in enumerate(automaton.prefixes)}
+            assert sorted(prefixes) == sorted(automaton.prefixes)
+            for prefix, row, stop in zip(prefixes, transitions, stops):
+                state = states[prefix]
+                assert stop == (automaton.winner[state] is not None)
+                if not stop:
+                    assert [prefixes[t] for t in row] == [
+                        automaton.prefixes[t] for t in automaton.transitions[state]
+                    ]
+            checked += 1
+        assert _prefix_automaton([], model.symbols) == ([()], [[0] * len(model.symbols)], [False])
 
     def test_always_beats_any_length_three_opponent(self, fair):
         # the classic nontransitivity: every length-3 pattern is beaten by some reply
