@@ -11,9 +11,9 @@ generating function
 where M(s) is the correlation matrix and M_j replaces column j by the
 completion monomials P(A_i) * s^len(A_i).
 
-All of it comes from one elimination, `_cramer`: a fraction-free
-Gauss-Jordan pass on [M | c] with no pivoting, run over whichever ring the
-caller needs.
+The values and the generating functions come from one elimination,
+`_cramer`: a fraction-free Gauss-Jordan pass on [M | c] with row swaps, run
+over whichever ring the caller needs. The win-time series need none.
 
 Win probabilities, the expected game length and the conditional lengths need
 only values at s = 1. With D the least common multiple of the
@@ -21,23 +21,22 @@ symbol-probability denominators, row a of M(1) x = c(1) scaled by D**len(a)
 is integer, and so is its derivative in s. `_cramer` over the dual numbers
 Z[eps]/eps**2 therefore yields det M(1), every Cramer numerator N_j(1) and
 their slopes in one pass over Z. The shared denominator
-Q = sum_j N_j + (1 - s) det M has Q(1) = sum_j N_j(1) != 0 and
+Q = sum_j N_j + (1 - s) det M has Q(1) = sum_j N_j(1) and
 Q'(1) = sum_j N_j'(1) - det M(1).
 
-The generating functions themselves are solved only when read
-(`GameSolution.pgfs`, `tail_gf`, `win_series`). The substitution u = s/D
-turns M and the completion column into integer polynomials, and `_cramer`
-over Z[u] yields det M and every Cramer numerator together. Since M(0) = I,
-every division is exact with a pivot whose constant term is 1.
+The win-time series are the coefficients of the paper's own system
+P(A_i) s**len(A_i) f(s) = sum_j C_ij(s) g_j(s), f the tail generating
+function. Scaled by D**k they are integers, given by a recurrence with no
+division (`_series_terms`) and reduced by stripping the factors of D they
+share with D**k. They are exact `Decimal`s in a context that raises rather
+than rounds, because they print in linear time where `int` printing is
+quadratic in CPython.
 
-The win-time distributions come from the same numerators. Because the
-shared denominator Q has constant term 1 in u, N_j(u) / Q(u) has integer
-Taylor coefficients c_k = N_{j,k} - sum_{i>=1} Q_i c_{k-i}, and P(player j
-wins at toss k) = c_k / D**k. `_series_terms` runs that recurrence with no
-division and reduces each ratio by stripping the factors of D that c_k
-shares with D**k. Its integers are exact `Decimal`s, held in a context that
-raises rather than rounds, because they print in linear time where `int`
-printing is quadratic in CPython.
+The generating functions themselves are solved only when read
+(`GameSolution.pgfs`, `tail_gf`). The substitution u = s/D turns M and the
+completion column into integer polynomials, and `_cramer` over Z[u] yields
+det M and every Cramer numerator together. Since M(0) = I, every division is
+exact with a pivot whose constant term is 1.
 
 Best responses need only the values: `response_table` scores each candidate
 by the generalised Conway formula, the ratio of two Cramer numerators of its
@@ -81,7 +80,7 @@ IntPoly = list[int]
 
 
 class DegenerateGameError(ArithmeticError):
-    """The pgf denominator vanished at s = 1; impossible for validated specs."""
+    """M(1) is singular, or a pgf denominator vanishes at s = 1; not seen for validated specs."""
 
 
 def _symbol_weights(model: SourceModel) -> dict[str, int]:
@@ -256,20 +255,27 @@ def _cramer(
     mul: Callable[[R, R], R],
     sub: Callable[[R, R], R],
     divide: Callable[[R, R], R],
+    nonzero: Callable[[R], object] = bool,
 ) -> tuple[R, list[R]]:
     """One fraction-free Gauss-Jordan pass on an m-by-(m+1) matrix [A | c].
 
     After step k every entry is a (k+1)-by-(k+1) minor (Sylvester's identity),
-    so each update (pivot * a_ij - a_ik * a_kj) / previous pivot is exact.
-    There is no pivoting: the pivots are A's leading principal minors, and
-    `divide` checks both that the previous one is usable and that the
-    division is exact. Returns det A, the last pivot, which no division
-    checks, and the last column, whose entry i is det A with column i
-    replaced by c: Cramer's numerators. `rows` is overwritten.
+    so each update (pivot * a_ij - a_ik * a_kj) / previous pivot is exact, and
+    `divide` checks that it is. Where a pivot is zero, judged by `nonzero`,
+    the first later row whose entry in that column is nonzero is swapped in;
+    if none is, A is singular and `DegenerateGameError` is raised. Returns
+    det A, the last pivot, and the last column, whose entry i is det A with
+    column i replaced by c: Cramer's numerators. Each swap flips the sign of
+    all of them together, so their ratios are A's. `rows` is overwritten.
     """
     m = len(rows)
     previous = one
     for k in range(m):
+        if not nonzero(rows[k][k]):
+            swap = next((i for i in range(k + 1, m) if nonzero(rows[i][k])), None)
+            if swap is None:
+                raise DegenerateGameError("singular matrix: no row gives a nonzero leading minor")
+            rows[k], rows[swap] = rows[swap], rows[k]
         pivot_row = rows[k]
         pivot = pivot_row[k]
         for i, row in enumerate(rows):
@@ -318,35 +324,48 @@ _EXACT = decimal.Context(
 )
 
 
-def _series_terms(
-    scale: int, numerators: list[IntPoly], denominator: IntPoly, horizon: int
-) -> list[list[tuple[Decimal, Decimal]]]:
-    """Per numerator N_j: P(toss k) = n / d in lowest terms for 0 <= k <= horizon.
+def _series_terms(spec: GameSpec, horizon: int) -> list[list[tuple[Decimal, Decimal]]]:
+    """Per player i: P(i wins at toss k) = n / d in lowest terms for 0 <= k <= horizon.
 
-    The Taylor coefficients of N_j(u) / Q(u) are the integers
-    c_k = N_{j,k} - sum_{i>=1} Q_i c_{k-i}, since Q(0) = 1, and the coefficient
-    of s**k is c_k / D**k. The integers are exact Decimals computed in `_EXACT`,
-    whatever the caller's context.
+    The paper's recurrence, over G_{i,k} = D**k P(i wins at toss k) and
+    F_k = D**k P(no win by toss k), from F_0 = 1 and G_{i,0} = 0:
+
+        G_{i,k} = w_i F_{k-len(A_i)} - sum_j sum_{t>=1} C_ij[t] G_{j,k-t},
+        F_k = D F_{k-1} - sum_i G_{i,k},
+
+    with w_i = `_completion_weight(A_i)` and C_ij[t] the coefficients of
+    `_scaled_correlation(A_i, A_j)`. Every term is an integer, so nothing is
+    divided. The integers are exact Decimals computed in `_EXACT`, whatever
+    the caller's context.
     """
-    if not denominator or denominator[0] != 1:
-        raise DegenerateGameError("the pgf denominator is not 1 at the origin")
+    weights = _symbol_weights(spec.model)
+    scale = spec.model.common_denominator
+    # entry pad + k is toss k; the pad of zeros stands for the tosses before 0
+    pad = max(a.length for a in spec.patterns)
     with decimal.localcontext(_EXACT):
-        steps = [(i, Decimal(q)) for i, q in enumerate(denominator) if i and q]
-        powers, base = [Decimal(1)], Decimal(scale)
-        for _ in range(horizon):
-            powers.append(powers[-1] * base)
-        terms = []
-        for numerator in numerators:
-            coeffs: list[Decimal] = []
-            for k in range(horizon + 1):
-                acc = Decimal(numerator[k] if k < len(numerator) else 0)
-                for i, q in steps:
-                    if i > k:
-                        break
-                    acc -= q * coeffs[k - i]
-                coeffs.append(acc)
-            terms.append([_lowest_terms(c, power, scale) for c, power in zip(coeffs, powers)])
-    return terms
+        zero, base = Decimal(0), Decimal(scale)
+        wins = [[zero] * (pad + 1) for _ in spec.patterns]
+        tail = [zero] * pad + [Decimal(1)]
+        players = []
+        for a, own in zip(spec.patterns, wins):
+            overlaps = [
+                (row, t, Decimal(c))
+                for b, row in zip(spec.patterns, wins)
+                for t, c in enumerate(_scaled_correlation(a, b, weights))
+                if t and c
+            ]
+            players.append((own, a.length, Decimal(_completion_weight(a, weights)), overlaps))
+        for n in range(pad + 1, pad + horizon + 1):
+            total = zero
+            for own, length, weight, overlaps in players:
+                acc = weight * tail[n - length]
+                for row, t, c in overlaps:
+                    acc -= c * row[n - t]
+                own.append(acc)
+                total += acc
+            tail.append(base * tail[-1] - total)
+        powers = list(itertools.accumulate([base] * horizon, operator.mul, initial=Decimal(1)))
+        return [[_lowest_terms(*pair, scale) for pair in zip(row[pad:], powers)] for row in wins]
 
 
 def _lowest_terms(num: Decimal, den: Decimal, scale: int) -> tuple[Decimal, Decimal]:
@@ -366,26 +385,6 @@ def _lowest_terms(num: Decimal, den: Decimal, scale: int) -> tuple[Decimal, Deci
         num //= common
         den //= common
     return num, den
-
-
-def _values_at_one(
-    scale: int, numerators: list[IntPoly], det_corr: IntPoly, denominator: IntPoly
-) -> tuple[tuple[Fraction, ...], Fraction, tuple[Fraction, ...]]:
-    """Win probabilities, E[T] and E[T | j] from the Z[u] route, by evaluation at s = 1.
-
-    A polynomial in u with coefficients c_k has, at s = 1, value sum c_k / D**k
-    and derivative in s sum k c_k / D**k. Scaling every value and slope by the
-    same D**n keeps them integers, and the scale cancels in each ratio.
-    """
-    top = max(len(p) for p in (*numerators, det_corr, denominator))
-    powers = [scale ** (top - k) for k in range(top)]
-
-    def at_one(coeffs: IntPoly) -> tuple[int, int]:
-        terms = [c * w for c, w in zip(coeffs, powers)]
-        return sum(terms), sum(k * t for k, t in enumerate(terms))
-
-    q, q_slope = at_one(denominator)
-    return _ratios_at_one(q, q_slope, at_one(det_corr)[0], [at_one(n) for n in numerators])
 
 
 def _ratios_at_one(
@@ -419,9 +418,9 @@ def _solve_at_one(
     each N_j(1) with their slopes, all under the scale D**(sum of lengths);
     then Q(1) = sum N_j(1) and Q'(1) = sum N_j'(1) - det M(1).
 
-    The pivots are the leading minors of M(1), each the M(1) of the game of
-    the first k players. No proof is known that none can vanish, so when one
-    does the values come from the Z[u] route instead.
+    The solve fails only where M(1) is singular, and no route does better:
+    det M / Q, the tail generating function, is E[T] >= 1 at s = 1, so
+    det M(1) = E[T] Q(1) and Q(1) = 0 leaves no win probability either.
     """
     weights = _symbol_weights(spec.model)
     scale = spec.model.common_denominator
@@ -433,11 +432,9 @@ def _solve_at_one(
             [_entry_at_one(a, b, weights, powers) for b in spec.patterns]
             + [(weight, a.length * weight)]
         )
-    try:
-        (det_corr, _), numerators = _cramer(rows, (1, 0), _dual_mul, _dual_sub, _dual_divide)
-    except DegenerateGameError:
-        # within `_cramer` only a zero pivot raises this; remainder errors propagate
-        return _values_at_one(*_solve_integer(spec))
+    (det_corr, _), numerators = _cramer(
+        rows, (1, 0), _dual_mul, _dual_sub, _dual_divide, operator.itemgetter(0)
+    )
     q = sum(n for n, _ in numerators)
     q_slope = sum(slope for _, slope in numerators) - det_corr
     return _ratios_at_one(q, q_slope, det_corr, numerators)
@@ -512,7 +509,7 @@ def game_distribution(spec: GameSpec, horizon: int) -> list[list[Fraction]]:
     """Per player: exact P(that player wins at toss k) for 0 <= k <= horizon.
 
     The Fractions are built from the (n, d) pairs of `GameSolution.win_series`,
-    the integer recurrence over the shared denominator.
+    the paper's recurrence in integers; no generating function is solved.
     """
     return [
         [Fraction(int(n), int(d)) for n, d in player]
@@ -540,9 +537,9 @@ class GameSolution:
     """All solved outputs of one game.
 
     The fields are the values at s = 1, from `solve_game`'s dual-number solve
-    over Z; equality and repr rest on them. The generating functions come
-    from the Z[u] elimination, which runs when one of them is first read and
-    is then cached.
+    over Z; equality and repr rest on them. `win_series` runs the paper's
+    recurrence. The generating functions come from the Z[u] elimination,
+    which runs when one of them is first read and is then cached.
     """
 
     spec: GameSpec
@@ -551,14 +548,14 @@ class GameSolution:
     conditional_durations: tuple[Fraction, ...]
 
     @functools.cached_property
-    def integer_pgfs(self) -> tuple[int, list[IntPoly], IntPoly, IntPoly]:
+    def _integer_pgfs(self) -> tuple[int, list[IntPoly], IntPoly, IntPoly]:
         """D, the Cramer numerators, det M and the shared denominator over Z[u], u = s/D."""
         return _solve_integer(self.spec)
 
     @functools.cached_property
     def pgfs(self) -> tuple[RationalFunction, ...]:
         """Per player: the generating function of P(that player wins at toss n)."""
-        scale, numerators, _, denominator = self.integer_pgfs
+        scale, numerators, _, denominator = self._integer_pgfs
         shared = _in_s(denominator, scale)
         return tuple(RationalFunction(_in_s(n, scale), shared) for n in numerators)
 
@@ -569,7 +566,7 @@ class GameSolution:
         It is det M(s) over the shared pgf denominator; its value at 1 is the
         expected duration.
         """
-        scale, _, det_corr, denominator = self.integer_pgfs
+        scale, _, det_corr, denominator = self._integer_pgfs
         return RationalFunction(_in_s(det_corr, scale), _in_s(denominator, scale))
 
     def win_series(self, horizon: int) -> list[list[tuple[Decimal, Decimal]]]:
@@ -581,8 +578,7 @@ class GameSolution:
         """
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
-        scale, numerators, _, denominator = self.integer_pgfs
-        return _series_terms(scale, numerators, denominator, horizon)
+        return _series_terms(self.spec, horizon)
 
 
 def solve_game(spec: GameSpec) -> GameSolution:
@@ -684,17 +680,16 @@ def response_table(
     block = [[_entry_at_one(a, b, weights, powers)[0] for b in fixed] for a in fixed]
 
     def solve_block(rhs: list[int]) -> tuple[int, list[int]]:
-        """det A and the Cramer numerators of A x = rhs, which are adj(A) rhs."""
+        """det A and adj(A) rhs, up to a sign that the bordered step's ratios
+        cancel: `_cramer`'s row swaps depend on A alone, so it is one sign."""
         rows = [[*row, r] for row, r in zip(block, rhs)]
         return _cramer(rows, 1, operator.mul, operator.sub, _divide_int)
 
-    # A full solve meets A's pivots first, so a failure here is raised when the
-    # first candidate is scored; with no admissible candidate the table is empty.
+    # A singular A, the opponents' own M(1), is raised when the first candidate
+    # is scored; with no admissible candidate the table is empty.
     failure: ArithmeticError | None = None
     try:
         det_a, completion = solve_block([_completion_weight(a, weights) for a in fixed])
-        if not det_a:
-            raise DegenerateGameError("a leading minor of the correlation matrix vanishes at s = 1")
         # per open state: adj(A) u and its sum, u the column of a candidate ending there
         columns: list[tuple[list[int], int] | None] = []
         for prefix, stop in zip(prefixes, stops):

@@ -31,15 +31,13 @@ from penney.patterns import (
     validate_pattern_set,
 )
 from penney.solver import (
-    _solve_at_one,
-    _solve_integer,
-    _values_at_one,
     conditional_expected_duration,
     expected_duration,
     game_distribution,
     solve_game,
     winning_probabilities,
 )
+from refalgebra import rational_derivative
 from specgen import random_spec
 
 
@@ -149,8 +147,14 @@ def game_specs(draw, max_players=8, max_length=12):
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(game_specs())
 def test_dual_solve_envelope(spec):
-    values = _solve_at_one(spec)
-    assert values == _values_at_one(*_solve_integer(spec))
+    # the dual-number solve against the lazy Z[u] pgfs and, when small, the oracle
+    solution = solve_game(spec)
+    values = (solution.win_probs, solution.expected_duration, solution.conditional_durations)
+    assert values == (
+        tuple(pgf.evaluate(1) for pgf in solution.pgfs),
+        solution.tail_gf.evaluate(1),
+        tuple(rational_derivative(pgf).evaluate(1) / pgf.evaluate(1) for pgf in solution.pgfs),
+    )
     if sum(p.length for p in spec.patterns) <= ORACLE_TOTAL_LENGTH:
         automaton = build_automaton(spec)
         assert values == (
@@ -158,3 +162,20 @@ def test_dual_solve_envelope(spec):
             expected_absorption_time(automaton, spec.model),
             conditional_absorption_times(automaton, spec.model),
         )
+
+
+SERIES_HORIZON = 40
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(game_specs())
+def test_series_envelope(spec):
+    # the paper's recurrence against the lazy Z[u] pgfs and, when small, the oracle
+    solution = solve_game(spec)
+    series = [
+        [F(int(n), int(d)) for n, d in player] for player in solution.win_series(SERIES_HORIZON)
+    ]
+    assert series == [pgf.series(SERIES_HORIZON) for pgf in solution.pgfs]
+    if sum(p.length for p in spec.patterns) <= ORACLE_TOTAL_LENGTH:
+        automaton = build_automaton(spec)
+        assert series == step_distribution(automaton, spec.model, SERIES_HORIZON)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from penney import solver
+from penney import cli, solver
 from penney.oracle import (
     absorption_probabilities,
     build_automaton,
@@ -45,11 +45,9 @@ from penney.solver import (
     _mul,
     _prefix_automaton,
     _ranking,
-    _series_terms,
     _solve_at_one,
     _solve_integer,
     _sub,
-    _values_at_one,
     best_response,
     completion_monomials,
     conditional_expected_duration,
@@ -367,9 +365,46 @@ class TestCramerKernel:
             [[1, 0, -1], [0, 0, 1]],
         )
 
-    def test_integer_vanishing_leading_minor_is_degenerate(self):
-        with pytest.raises(DegenerateGameError, match="leading minor"):
-            _cramer([[0, 1, 1], [1, 1, 1]], 1, operator.mul, operator.sub, _divide_int)
+    RINGS = {
+        "integers": (1, operator.mul, operator.sub, _divide_int, bool),
+        "duals": ((1, 0), _dual_mul, _dual_sub, _dual_divide, operator.itemgetter(0)),
+    }
+
+    @pytest.mark.parametrize(
+        "ring, rows, det, numerators",
+        [
+            # [[0, 1], [1, 1]] by c = [1, 1]: det -1, numerators 0 and -1
+            ("integers", [[0, 1, 1], [1, 1, 1]], -1, [0, -1]),
+            # a pivot (0, 1) has a zero real part, so it is zero in Z[eps]/eps**2
+            (
+                "duals",
+                [[(0, 1), (1, 0), (1, 1)], [(1, 2), (1, 1), (1, 0)]],
+                (-1, -1),
+                [(0, 2), (-1, -2)],
+            ),
+        ],
+        ids=["integers", "duals"],
+    )
+    def test_zero_pivot_swaps_rows(self, ring, rows, det, numerators):
+        # a swap flips the sign of det and of every numerator together
+        result = _cramer(rows, *self.RINGS[ring])
+        negate = (lambda x: -x) if ring == "integers" else (lambda x: (-x[0], -x[1]))
+        flipped = (negate(det), [negate(n) for n in numerators])
+        assert result in [(det, numerators), flipped]
+
+    @pytest.mark.parametrize(
+        "ring, rows",
+        [
+            ("integers", [[1, 2, 1], [2, 4, 1]]),
+            ("integers", [[0, 1, 1], [0, 2, 1]]),
+            # det (0, 1): the slope cannot stand in for a zero value
+            ("duals", [[(1, 0), (1, 0), (1, 0)], [(1, 0), (1, 1), (1, 1)]]),
+        ],
+        ids=["integers", "integers-zero-column", "duals"],
+    )
+    def test_singular_matrix_is_degenerate(self, ring, rows):
+        with pytest.raises(DegenerateGameError, match="singular"):
+            _cramer(rows, *self.RINGS[ring])
 
     def test_integer_division_checks_the_remainder(self):
         assert _divide_int(-6, 3) == -2
@@ -465,32 +500,20 @@ class TestDualSolve:
             _dual_divide((0, 1), (0, 1))
 
     def test_matches_integer_route(self, wide_specs):
+        # the values of the lazy Z[u] pgfs at s = 1, and E[T | j] = g_j'(1) / g_j(1)
         for spec in wide_specs:
-            values = _values_at_one(*_solve_integer(spec))
-            assert _solve_at_one(spec) == values
             solution = solve_game(spec)
+            values = (
+                tuple(pgf.evaluate(1) for pgf in solution.pgfs),
+                solution.tail_gf.evaluate(1),
+                tuple(rational_derivative(g).evaluate(1) / g.evaluate(1) for g in solution.pgfs),
+            )
+            assert _solve_at_one(spec) == values
             assert (
                 solution.win_probs,
                 solution.expected_duration,
                 solution.conditional_durations,
             ) == values
-
-    def test_vanishing_leading_minor_falls_back(self, example_spec, monkeypatch):
-        real = solver._entry_at_one
-        first = example_spec.patterns[0]
-
-        def patched(a, b, *args):
-            value, slope = real(a, b, *args)
-            return (0, slope) if a == b == first else (value, slope)
-
-        monkeypatch.setattr(solver, "_entry_at_one", patched)
-        solution = solve_game(example_spec)
-        assert solution.win_probs == (F(5, 12), F(1, 3), F(1, 4))
-        assert (
-            solution.win_probs,
-            solution.expected_duration,
-            solution.conditional_durations,
-        ) == _values_at_one(*_solve_integer(example_spec))
 
     def test_only_a_vanishing_minor_falls_back(self, example_spec, monkeypatch):
         def inexact(a, d):
@@ -504,7 +527,7 @@ class TestDualSolve:
         with pytest.raises(ArithmeticError, match="not divisible"):
             solve_game(example_spec)
 
-    def test_pgfs_are_solved_when_read(self, example_spec, monkeypatch):
+    def test_pgfs_are_solved_when_read(self, example_spec, monkeypatch, capsys):
         calls = []
         real = solver._solve_integer
 
@@ -514,11 +537,23 @@ class TestDualSolve:
 
         monkeypatch.setattr(solver, "_solve_integer", counted)
         solution = solve_game(example_spec)
+        # every CLI answer and the win-time series come without the Z[u] elimination
+        series = solution.win_series(5)
+        assert game_distribution(example_spec, 5)[0][3] == F(1, 8)
+        for argv in (
+            ["solve", "--patterns", "THH,HTH,HHT", "--series", "5"],
+            ["simulate", "--patterns", "THH,HTH,HHT", "--trials", "100"],
+            ["best-response", "--opponents", "THH,HTH", "--length", "3"],
+        ):
+            assert cli.main(argv) == 0
+        capsys.readouterr()
         assert calls == []
         assert solution.pgfs[0].evaluate(1) == F(5, 12)
         assert solution.tail_gf.evaluate(1) == solution.expected_duration
-        solution.win_series(3)
         assert calls == [example_spec]
+        assert [[F(int(n), int(d)) for n, d in player] for player in series] == [
+            pgf.series(5) for pgf in solution.pgfs
+        ]
         assert solution == solve_game(example_spec)
         assert "pgfs" not in repr(solution)
 
@@ -691,10 +726,6 @@ class TestSeriesKernel:
         assert self.reduce(2**2 * 5, 6**3, 6) == (5, 54)
         assert self.reduce(9 * 7, 4**3, 4) == (63, 64)
         assert self.reduce(2 * 7, 4**3, 4) == (7, 32)
-
-    def test_denominator_must_be_one_at_origin(self):
-        with pytest.raises(DegenerateGameError):
-            _series_terms(2, [[0, 1]], [2, 1], 3)
 
     def test_ignores_the_callers_decimal_context(self, wide_specs):
         solution = solve_game(wide_specs[1])
