@@ -125,7 +125,8 @@ def _check_candidate_count(model: SourceModel, length: int) -> None:
         )
 
 
-# The most games simulate plays: about 14 minutes at ~120k games per second.
+# The most games simulate plays: about 3 minutes for THH,HTH,HHT on a fair
+# coin, at ~530k games per second (one core of a 2-vCPU Xeon, Python 3.11).
 MAX_TRIALS = 10**8
 
 

@@ -8,10 +8,12 @@ correlation-polynomial machinery; they share only the pattern and model types.
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Optional, Sequence
+from itertools import accumulate, compress
+from typing import Iterator, Optional, Sequence
 
 from .patterns import GameSpec, SourceModel, ValidationError
 
@@ -253,57 +255,182 @@ def _stream_states(seed: int, streams: int) -> list[int]:
     return states
 
 
+# Draws come in blocks of _LANES, all packed into one int, one _LANE_BYTES-byte
+# lane per draw: a 64-bit draw times a constant below 2**66 still fits in its
+# lane, so whole-int arithmetic acts on every lane at once.
+_LANES = 4096
+_LANE_BYTES = 24
+
+
+@functools.cache
+def _lane_constants() -> tuple[int, int, int]:
+    """A 1 in every lane, 2**64 - 1 in every lane, and (i + 1) * gamma mod
+    2**64 in lane i: the splitmix64 counters of a block, less the state."""
+    ones = int.from_bytes((b"\x01" + bytes(_LANE_BYTES - 1)) * _LANES, "little")
+    counters = b"".join(
+        ((i + 1) * _GAMMA & _MASK64).to_bytes(_LANE_BYTES, "little") for i in range(_LANES)
+    )
+    return ones, ones * _MASK64, int.from_bytes(counters, "little")
+
+
+def _lane_bytes(value: int) -> bytes:
+    """Byte 8 of every lane, bits 64 to 71, lane 0 first."""
+    return value.to_bytes(_LANES * _LANE_BYTES, "little")[8::_LANE_BYTES]
+
+
+# Above 256 symbols a toss takes several bytes of 7 bits each, and only its
+# first byte has the top bit set, so a match of whole encoded tosses can only
+# start where a toss starts.
+_LEAD_UNIT = bytes(0x80 | b & 0x7F for b in range(256))
+_TRAIL_UNIT = bytes(b & 0x7F for b in range(256))
+
+
+def _unit_tables(symbols: int) -> list[bytes]:
+    """One byte translation per byte of a toss, most significant first: byte j
+    of the toss of index i is tables[j][(i >> 7 * (width - 1 - j)) & 0xFF]."""
+    if symbols <= 256:
+        return [bytes(range(256))]
+    width = -(-(symbols - 1).bit_length() // 7)
+    return [_LEAD_UNIT] + [_TRAIL_UNIT] * (width - 1)
+
+
+def _encode(indices: Sequence[int], tables: Sequence[bytes]) -> bytes:
+    """Tosses of the given symbol indices as bytes, as `_unit_tables` sets out."""
+    width = len(tables)
+    return bytes(
+        table[index >> 7 * (width - 1 - j) & 0xFF]
+        for index in indices
+        for j, table in enumerate(tables)
+    )
+
+
+def _toss_blocks(
+    state: int, common: int, complements: Sequence[int], tables: Sequence[bytes]
+) -> Iterator[bytes]:
+    """The accepted tosses of the stream that starts at `state`, `_LANES`
+    draws at a time, each toss as the `_encode` of its symbol index.
+    `complements` holds 2**64 - b in every lane for each inner cumulative
+    bound b of the symbol probabilities scaled by D = `common`.
+
+    Draw i of the stream is mix64(state + (i + 1) * gamma), so a block of
+    counters is one add away from the last. Every lane is masked to 64 bits
+    before each multiply, so no product carries into the next lane. A draw
+    z is rejected when z + (2**64 mod D) carries past 64 bits; one add and
+    one AND tell whether a block has any such lane. The residue
+    r = z - D * floor(z / D) comes from one Barrett step with
+    k = 64 + D.bit_length(), exact for every z < 2**64, and the symbol
+    index is the number of inner bounds b with r >= b, each found as the
+    carry of r + (2**64 - b).
+    """
+    ones, mask, counters = _lane_constants()
+    carry = ones << 64
+    step = (_LANES * _GAMMA & _MASK64) * ones
+    reject = (1 << 64) % common * ones
+    shift = 64 + common.bit_length()
+    barrett = -(-(1 << shift) // common)
+    width = len(tables)
+    x = (counters + state * ones) & mask
+    while True:
+        z = ((x ^ x >> 30) & mask) * _MIX1 & mask
+        z = ((z ^ z >> 27) & mask) * _MIX2 & mask
+        z = (z ^ z >> 31) & mask
+        x = (x + step) & mask
+        r = z - ((z * barrett >> shift) & mask) * common
+        # the index sits at bit 64 of each lane, where the carries land
+        index = 0
+        for complement in complements:
+            index += (r + complement) & carry
+        units = [
+            _lane_bytes(index >> 7 * (width - 1 - j)).translate(table)
+            for j, table in enumerate(tables)
+        ]
+        rejected = (z + reject) & carry
+        if rejected:
+            kept = _lane_bytes(rejected ^ carry)
+            units = [bytes(compress(unit, kept)) for unit in units]
+        tosses = bytearray(width * len(units[0]))
+        for j, unit in enumerate(units):
+            tosses[j::width] = unit
+        yield bytes(tosses)
+
+
+def _play_stream(
+    blocks: Iterator[bytes], games: int, finder: re.Pattern, width: int, keep: int, wins: list[int]
+) -> int:
+    """Play `games` games on a stream's tosses; count each winner in `wins`
+    and return the tosses played.
+
+    In a substring-free set the pattern occurrence that starts first also
+    ends first, and no other starts there, so each leftmost match of the
+    alternation is one game, and the next game starts at its end. Matches
+    inside the scanned text are final: an occurrence that runs past its end
+    ends later. Of an unfinished game only the last `keep` bytes can still
+    begin a match, so only they are carried into the next block.
+    """
+    played = 0
+    pending = b""
+    while True:
+        text = pending + next(blocks)
+        end = 0
+        for match in finder.finditer(text):
+            wins[match.lastindex - 1] += 1
+            end = match.end()
+            games -= 1
+            if not games:
+                return played + end // width
+        cut = max(end, len(text) - keep)
+        played += cut // width
+        pending = text[cut:]
+
+
 def simulate(spec: GameSpec, trials: int, seed: int = 0, streams: int = 1) -> SimulationReport:
     """Play `trials` games to completion with a deterministic seeded generator.
 
     Symbols are drawn by exact integer-interval inversion: each probability is
-    scaled to the common denominator L and a 64-bit splitmix64 draw is reduced
-    mod L, with rejection of the top sliver of the 64-bit range so rational
-    biases like 1/3 carry no modulo bias. Trials are split into contiguous
-    blocks across `streams` independent substreams, so the report is
-    bit-identical for a fixed (seed, streams).
+    scaled to the common denominator D and a 64-bit splitmix64 draw is reduced
+    mod D, with rejection of the top sliver of the 64-bit range so rational
+    biases like 1/3 carry no modulo bias; D may be at most 2**64. Trials are
+    split into contiguous blocks across `streams` independent substreams, so
+    the report is bit-identical for a fixed (seed, streams). Draws are made a
+    block at a time as whole-int lane arithmetic (`_toss_blocks`), and games
+    are found by one regular-expression scan of the tosses (`_play_stream`);
+    the counts are those of playing toss by toss on the prefix automaton.
     """
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     if streams < 1:
         raise ValidationError("streams must be at least 1")
-    automaton = build_automaton(spec)
     model = spec.model
-
     common = model.common_denominator
+    if common > 1 << 64:
+        raise ValidationError(
+            f"the probabilities' common denominator {common} is above 2^64, "
+            "more than a 64-bit draw can split exactly"
+        )
     bounds = list(accumulate(int(p * common) for p in model.probs))
     if bounds[-1] != common:
         raise InvariantError("scaled symbol probabilities do not sum to the common denominator")
-    reject_from = (1 << 64) - ((1 << 64) % common)
 
-    transitions = automaton.transitions
-    winner = automaton.winner
-    start = automaton.start
+    tables = _unit_tables(len(model.symbols))
+    finder = re.compile(
+        b"|".join(
+            b"(" + re.escape(_encode([model.index(s) for s in p.symbols], tables)) + b")"
+            for p in spec.patterns
+        )
+    )
+    width = len(tables)
+    keep = width * (max(p.length for p in spec.patterns) - 1)
+    # one packed constant per symbol but the last, _LANES * _LANE_BYTES bytes each
+    ones = _lane_constants()[0]
+    complements = [((1 << 64) - bound) * ones for bound in bounds[:-1]]
     wins = [0] * spec.player_count
     total_tosses = 0
-
     base, extra = divmod(trials, streams)
     for k, state in enumerate(_stream_states(seed, streams)):
-        for _ in range(base + (1 if k < extra else 0)):
-            u = start
-            steps = 0
-            while True:
-                state = (state + _GAMMA) & _MASK64
-                z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-                z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-                z ^= z >> 31
-                if z >= reject_from:
-                    continue
-                r = z % common
-                symbol = 0
-                while r >= bounds[symbol]:
-                    symbol += 1
-                steps += 1
-                u = transitions[u][symbol]
-                if winner[u] is not None:
-                    wins[winner[u]] += 1
-                    total_tosses += steps
-                    break
+        games = base + (1 if k < extra else 0)
+        if games:
+            blocks = _toss_blocks(state, common, complements, tables)
+            total_tosses += _play_stream(blocks, games, finder, width, keep, wins)
 
     empirical = tuple(Fraction(w, trials) for w in wins)
     return SimulationReport(trials, tuple(wins), total_tosses, seed, streams, empirical)

@@ -221,9 +221,8 @@ def _divide_exact(a: IntPoly, d: IntPoly) -> IntPoly:
 
 
 def _divide_int(a: int, d: int) -> int:
-    """Quotient a / d in Z; raises unless d is nonzero and divides a."""
-    if not d:
-        raise DegenerateGameError("a leading minor of the correlation matrix vanishes at s = 1")
+    """Quotient a / d in Z, for a divisor d that `_cramer` has checked is
+    nonzero; raises unless d divides a."""
     quotient, remainder = divmod(a, d)
     if remainder:
         raise ArithmeticError("elimination step is not divisible by the previous pivot")
@@ -395,9 +394,8 @@ def _ratios_at_one(
     With Q(1), Q'(1), det M(1) and each (N_j(1), N_j'(1)) all under one common
     scale: win_j = N_j(1)/Q(1), E[T] = det M(1)/Q(1) and
     E[T | j] = g_j'(1)/win_j = (N_j'(1) Q(1) - N_j(1) Q'(1)) / (Q(1) N_j(1)).
+    Q(1) is nonzero, since `_cramer` has found det M(1) = E[T] Q(1) nonzero.
     """
-    if q == 0:
-        raise DegenerateGameError("the pgf denominator vanishes at s = 1; hypotheses violated")
     wins, conditionals = [], []
     for player, (n, n_slope) in enumerate(numerators, start=1):
         if n == 0:

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from penney.oracle import (
     InvariantError,
@@ -20,10 +22,18 @@ from penney.oracle import (
     step_distribution,
     SingularSystemError,
 )
-from penney.patterns import SourceModel, ValidationError, parse_pattern, validate_pattern_set
+from penney.patterns import (
+    Pattern,
+    SourceModel,
+    ValidationError,
+    _contains,
+    parse_pattern,
+    validate_pattern_set,
+)
 from penney.polyalg import Polynomial, RationalFunction
-from penney.solver import solve_game
+from penney.solver import expected_duration, solve_game
 from refalgebra import rational_derivative
+from refsim import reference_simulate
 from specgen import random_spec
 
 
@@ -216,9 +226,87 @@ class TestSimulate:
         assert abs(float(report.mean_tosses - mean)) <= tolerance
 
     def test_biased_coin_uses_rejection_path(self):
+        # D = 3 rejects only the draw z = 2**64 - 1, so no draw here is
+        # rejected; the mean checks that 1/3 is drawn without modulo bias.
+        # `test_rejection_drops_about_half_the_draws` takes the rejection path.
         model = SourceModel(("H", "T"), (F(1, 3), F(2, 3)))
         spec = validate_pattern_set([parse_pattern("HH", model)], model)
         report = simulate(spec, 30000, seed=1)
         exact = expected_absorption_time(build_automaton(spec), model)
         assert exact == 12
         assert abs(float(report.mean_tosses - exact)) < 0.5
+
+    def test_rejection_drops_about_half_the_draws(self):
+        # D = 2**63 + 1 rejects every draw z >= 2**64 - (2**63 - 1), about half of them
+        model = SourceModel.from_text(
+            "a:4611686018427387904/9223372036854775809,b:4611686018427387905/9223372036854775809"
+        )
+        assert model.common_denominator == 2**63 + 1
+        patterns = [parse_pattern(t, model) for t in ("aab", "bba", "abab")]
+        spec = validate_pattern_set(patterns, model)
+        report = simulate(spec, 2000, seed=3, streams=3)
+        assert report == reference_simulate(spec, 2000, seed=3, streams=3)
+        assert report.wins == (930, 897, 173)
+        assert report.total_tosses == 9302
+
+    def test_denominator_above_64_bits_is_refused(self):
+        # no 64-bit draw could be accepted: every one would be rejected
+        model = SourceModel(("H", "T"), (F(1, 2**64 + 1), F(2**64, 2**64 + 1)))
+        spec = validate_pattern_set([parse_pattern("HT", model)], model)
+        with pytest.raises(ValidationError, match="2\\^64"):
+            simulate(spec, 1)
+
+
+WIDE_ALPHABET = SourceModel([f"s{i:03d}" for i in range(300)], [F(1, 300)] * 300)
+# Alphabets sampled by the equivalence test, each with its longest pattern:
+# biases that reject almost no draws and one that rejects about half,
+# multi-character labels, a rare symbol, and more than 256 symbols, whose
+# tosses take two bytes each.
+SIMULATION_ALPHABETS = (
+    (SourceModel.fair_coin(), 8),
+    (SourceModel(("H", "T"), (F(1, 3), F(2, 3))), 8),
+    (SourceModel.from_text("a:1/2,b:1/3,c:1/6"), 5),
+    (SourceModel.from_text("x:1/4,yy:3/4"), 6),
+    (SourceModel(("H", "T"), (F(1, 1000), F(999, 1000))), 3),
+    (WIDE_ALPHABET, 2),
+    (SourceModel(("a", "b"), (F(2**62, 2**63 + 1), F(2**62 + 1, 2**63 + 1))), 8),
+)
+# Expected tosses one drawn case may play, over all its games.
+SIMULATION_BUDGET = 20_000
+
+
+@st.composite
+def simulation_cases(draw):
+    """A substring-free game over one of SIMULATION_ALPHABETS, with a seed,
+    1 to 7 streams and as many trials as SIMULATION_BUDGET allows, at most 60,
+    so that some streams may play no game."""
+    model, longest = draw(st.sampled_from(SIMULATION_ALPHABETS))
+    kept: list[tuple[str, ...]] = []
+    for _ in range(draw(st.integers(1, 4))):
+        length = draw(st.integers(1, longest))
+        symbols = tuple(
+            draw(st.lists(st.sampled_from(model.symbols), min_size=length, max_size=length))
+        )
+        if not any(_contains(symbols, p) or _contains(p, symbols) for p in kept):
+            kept.append(symbols)
+    spec = validate_pattern_set([Pattern(p) for p in kept], model)
+    mean = expected_duration(spec)
+    assume(mean <= SIMULATION_BUDGET)
+    trials = draw(st.integers(1, max(1, min(60, int(SIMULATION_BUDGET / mean)))))
+    return spec, trials, draw(st.integers(0, 2**64 - 1)), draw(st.integers(1, 7))
+
+
+_LONG_GAME = validate_pattern_set([Pattern("H" * 13)], SourceModel.fair_coin())
+# s001 is the two bytes 0x80 0x01. Were the lead byte 0x00, the pair would also
+# straddle a toss whose index is a multiple of 128 and a toss from 128 to 255.
+_WIDE_GAME = validate_pattern_set([Pattern(["s001"])], WIDE_ALPHABET)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(simulation_cases())
+# 16382 tosses per game on average, so games cross the edges of the draw blocks
+@example((_LONG_GAME, 5, 11, 2))
+@example((_WIDE_GAME, 40, 5, 3))
+def test_simulate_matches_the_scalar_loop(case):
+    spec, trials, seed, streams = case
+    assert simulate(spec, trials, seed, streams) == reference_simulate(spec, trials, seed, streams)

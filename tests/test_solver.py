@@ -496,8 +496,11 @@ class TestDualSolve:
             _dual_divide((7, 0), (3, 0))
         with pytest.raises(ArithmeticError, match="not divisible"):
             _dual_divide((6, 8), (3, 2))
-        with pytest.raises(DegenerateGameError, match="leading minor"):
-            _dual_divide((0, 1), (0, 1))
+        # a divisor with a zero value never reaches `_dual_divide`: `_cramer`
+        # refuses it as a pivot, here det (0, 1), whose slope cannot stand in
+        rows = [[(1, 0), (1, 0), (1, 0)], [(1, 0), (1, 1), (1, 1)]]
+        with pytest.raises(DegenerateGameError, match="singular"):
+            _cramer(rows, (1, 0), _dual_mul, _dual_sub, _dual_divide, operator.itemgetter(0))
 
     def test_matches_integer_route(self, wide_specs):
         # the values of the lazy Z[u] pgfs at s = 1, and E[T | j] = g_j'(1) / g_j(1)
@@ -515,13 +518,14 @@ class TestDualSolve:
                 solution.conditional_durations,
             ) == values
 
-    def test_only_a_vanishing_minor_falls_back(self, example_spec, monkeypatch):
+    def test_inexact_division_propagates(self, example_spec, monkeypatch):
         def inexact(a, d):
             raise ArithmeticError("elimination step is not divisible by the previous pivot")
 
         def refuse(spec):
             raise RuntimeError("the Z[u] elimination ran")
 
+        # the error reaches the caller as it is, and no other route is tried
         monkeypatch.setattr(solver, "_divide_int", inexact)
         monkeypatch.setattr(solver, "_solve_integer", refuse)
         with pytest.raises(ArithmeticError, match="not divisible"):
