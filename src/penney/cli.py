@@ -15,6 +15,7 @@ import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from typing import NamedTuple, TextIO
 
 from . import __version__
 from .oracle import simulate
@@ -31,6 +32,12 @@ def format_rational(value: Fraction) -> str:
 def format_ratio(num: Decimal, den: Decimal) -> str:
     """`str(Fraction(num, den))` for a pair already in lowest terms, den > 0."""
     return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _ratio_width(num: Decimal, den: Decimal) -> int:
+    """len(format_ratio(num, den)), from the digit counts of the two integers."""
+    width = num.adjusted() + 1
+    return width if den == 1 else width + den.adjusted() + 2
 
 
 def format_decimal(value: Fraction, digits: int) -> str:
@@ -138,6 +145,18 @@ def _check_trial_count(trials: int) -> None:
         )
 
 
+class Series(NamedTuple):
+    """The series block of a solve document: P(player j wins at toss k) = n/d
+    for k <= horizon, as the (n, d) integers of `GameSolution.win_series`.
+
+    `write_document` prints it in batches; its text is never held whole.
+    """
+
+    horizon: int
+    patterns: list[str]
+    terms: list[list[tuple[Decimal, Decimal]]]
+
+
 def cmd_solve(args) -> dict:
     model, patterns = _parse_inputs(args)
     if args.series is not None:
@@ -167,19 +186,7 @@ def cmd_solve(args) -> dict:
     doc["expected_duration"] = format_rational(solution.expected_duration)
     doc["expected_duration_decimal"] = format_decimal(solution.expected_duration, digits)
     if args.series is not None:
-        doc["series"] = {
-            "horizon": args.series,
-            "players": [
-                {
-                    "player": i,
-                    "pattern": str(pattern),
-                    "coefficients": [format_ratio(n, d) for n, d in terms],
-                }
-                for i, (pattern, terms) in enumerate(
-                    zip(spec.patterns, solution.win_series(args.series)), start=1
-                )
-            ],
-        }
+        doc["series"] = Series(args.series, doc["patterns"], solution.win_series(args.series))
     return doc
 
 
@@ -258,12 +265,17 @@ def cmd_best_response(args) -> dict:
     return doc
 
 
+def _table_row(cells: list[str], widths: list[int]) -> str:
+    return "  ".join(cell.ljust(w) for cell, w in zip(cells, widths)).rstrip()
+
+
 def _table_rows(rows: list[list[str]]) -> str:
     widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
-    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows)
+    return "\n".join(_table_row(row, widths) for row in rows)
 
 
 def render_table(doc: dict) -> str:
+    """The document as text, without a solve document's series."""
     lines = [
         f"alphabet: {', '.join(f'{s}:{p}' for s, p in zip(doc['alphabet']['symbols'], doc['alphabet']['probabilities']))}"
     ]
@@ -285,15 +297,6 @@ def render_table(doc: dict) -> str:
         lines.append(
             f"expected game length: {doc['expected_duration']} ({doc['expected_duration_decimal']})"
         )
-        if "series" in doc:
-            horizon = doc["series"]["horizon"]
-            rows = [["toss"] + [p["pattern"] for p in doc["series"]["players"]]]
-            for k in range(horizon + 1):
-                rows.append(
-                    [str(k)] + [p["coefficients"][k] for p in doc["series"]["players"]]
-                )
-            lines.append(f"win distribution through toss {horizon}:")
-            lines.append(_table_rows(rows))
     elif command == "simulate":
         lines.append(f"trials: {doc['trials']}  seed: {doc['seed']}")
         rows = [["player", "pattern", "exact", "empirical", "|error|", "3-sigma", "ok"]]
@@ -326,6 +329,69 @@ def render_table(doc: dict) -> str:
                 rows.append([c["pattern"], c["win_probability"], c["win_probability_decimal"]])
             lines.append(_table_rows(rows))
     return "\n".join(lines)
+
+
+# Series terms per write: the text of one batch is built at a time, never the whole.
+_BATCH = 256
+
+
+def write_document(doc: dict, as_json: bool, out: TextIO) -> None:
+    """Write `doc` and a newline to `out`: `json.dumps(doc, indent=2)` or
+    `render_table(doc)`, with a solve document's Series as the last key.
+
+    The series is written in batches of terms, each formatted from its
+    integers; its coefficients are digits and '/', so need no JSON escaping.
+    """
+    series = doc.get("series")
+    head = {key: value for key, value in doc.items() if key != "series"}
+    if not as_json:
+        out.write(render_table(head))
+        if series is not None:
+            _write_series_table(series, out)
+    elif series is None:
+        out.write(json.dumps(head, indent=2))
+    else:
+        # drop the closing "\n}" to append the series as the last key
+        out.write(
+            f'{json.dumps(head, indent=2)[:-2]},\n  "series": {{\n'
+            f'    "horizon": {series.horizon},\n    "players": ['
+        )
+        for player, (pattern, terms) in enumerate(zip(series.patterns, series.terms), start=1):
+            out.write(
+                f'{"," if player > 1 else ""}\n      {{\n        "player": {player},\n'
+                f'        "pattern": {json.dumps(pattern)},\n        "coefficients": ['
+            )
+            lead = '\n          "'
+            for start in range(0, len(terms), _BATCH):
+                batch = terms[start : start + _BATCH]
+                out.write(lead + '",\n          "'.join(format_ratio(n, d) for n, d in batch) + '"')
+                lead = ',\n          "'
+            out.write("\n        ]\n      }")
+        out.write("\n    ]\n  }\n}")
+    # The newline goes alone, as `print` writes it. On an unbuffered stdout
+    # (python -u) a write cut short by the reader leaving returns without an
+    # error; only the next write raises BrokenPipeError.
+    out.write("\n")
+
+
+def _write_series_table(series: Series, out: TextIO) -> None:
+    """The series as table rows, one per toss; widths from the digit counts."""
+    widths = [max(4, len(str(series.horizon)))] + [
+        max(len(pattern), max(_ratio_width(n, d) for n, d in terms))
+        for pattern, terms in zip(series.patterns, series.terms)
+    ]
+    out.write(
+        f"\nwin distribution through toss {series.horizon}:"
+        f"\n{_table_row(['toss', *series.patterns], widths)}"
+    )
+    for start in range(0, series.horizon + 1, _BATCH):
+        out.write(
+            "".join(
+                "\n"
+                + _table_row([str(k), *(format_ratio(*terms[k]) for terms in series.terms)], widths)
+                for k in range(start, min(start + _BATCH, series.horizon + 1))
+            )
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,9 +474,8 @@ def _answer(args: argparse.Namespace) -> int:
     except ArithmeticError as exc:
         print(f"penney: internal error: {exc}", file=sys.stderr)
         return 1
-    text = json.dumps(doc, indent=2) if args.json else render_table(doc)
     try:
-        print(text)
+        write_document(doc, args.json, sys.stdout)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader left (`penney ... | head`). Point stdout at devnull so the

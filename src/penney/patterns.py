@@ -59,12 +59,12 @@ class SourceModel:
                 raise ValidationError(f"symbol label may not contain ':', ',' or spaces: {label!r}")
         if len(set(labels)) != len(labels):
             raise ValidationError("symbol labels must be distinct")
-        for a in labels:
-            for b in labels:
-                if a != b and b.startswith(a):
-                    raise ValidationError(
-                        f"ambiguous alphabet: {a!r} is a prefix of {b!r}"
-                    )
+        # labels between a and a longer label it begins have a as prefix too,
+        # so a prefix of any label is a prefix of the next label in sorted order
+        ordered = sorted(labels)
+        for a, b in zip(ordered, ordered[1:]):
+            if b.startswith(a):
+                raise ValidationError(f"ambiguous alphabet: {a!r} is a prefix of {b!r}")
         for label, p in zip(labels, values):
             if p <= 0:
                 raise ValidationError(

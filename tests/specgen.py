@@ -3,7 +3,8 @@
 Player counts are uniform in 1..4, lengths uniform in 1..5, coin biases come
 from a fixed menu of small rationals, and sets violating the substring-free
 hypothesis are simply regenerated. `sized_spec` draws one game of a given size
-over any alphabet, for checks beyond that binary envelope.
+over any alphabet, and the Hypothesis strategy `game_specs` draws games over
+2 to 4 symbols, for checks beyond that binary envelope.
 """
 
 from __future__ import annotations
@@ -11,7 +12,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from penney.patterns import GameSpec, Pattern, SourceModel, ValidationError, validate_pattern_set
+from hypothesis import strategies as st
+
+from penney.patterns import (
+    GameSpec,
+    Pattern,
+    SourceModel,
+    ValidationError,
+    _contains,
+    validate_pattern_set,
+)
 
 BIAS_MENU = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 5))
 
@@ -65,3 +75,25 @@ def sized_spec(rng: random.Random, model: SourceModel, players: int, max_length:
             return validate_pattern_set(patterns, model)
         except ValidationError:
             continue
+
+
+@st.composite
+def game_specs(draw, max_players=8, max_length=12):
+    """A game over 2 to 4 symbols with rational probabilities (integer weights
+    1..6 over their sum) and up to `max_players` patterns, whose lengths lie
+    within three of a drawn longest length of at most `max_length`. A drawn
+    pattern that contains or is contained in an earlier one is dropped, so
+    the set is substring-free."""
+    size = draw(st.integers(2, 4))
+    weights = draw(st.lists(st.integers(1, 6), min_size=size, max_size=size))
+    model = SourceModel("abcd"[:size], [Fraction(w, sum(weights)) for w in weights])
+    longest = draw(st.integers(1, max_length))
+    kept: list[tuple[str, ...]] = []
+    for _ in range(draw(st.integers(1, max_players))):
+        length = draw(st.integers(max(1, longest - 3), longest))
+        symbols = tuple(
+            draw(st.lists(st.sampled_from(model.symbols), min_size=length, max_size=length))
+        )
+        if not any(_contains(symbols, p) or _contains(p, symbols) for p in kept):
+            kept.append(symbols)
+    return validate_pattern_set([Pattern(p) for p in kept], model)

@@ -6,16 +6,21 @@ import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from childenv import child_env
 import penney.cli
 import penney.solver
 from penney.cli import format_decimal, main, sqrt_decimal
 from penney.oracle import SimulationReport
+from refcli import reference_text
+from specgen import game_specs
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -323,3 +328,84 @@ class TestGoldens:
             )
             assert result.returncode == 0, result.stderr.decode()
             assert result.stdout == (GOLDEN_DIR / name).read_bytes()
+
+
+
+def assert_streams_like_the_reference(argv: list[str]) -> None:
+    for form in ([], ["--json"]):
+        args = penney.cli.build_parser().parse_args(argv + form)
+        expected = reference_text(penney.cli.cmd_solve(args), args.json)
+        with redirect_stdout(io.StringIO()) as out:
+            assert main(argv + form) == 0
+        assert out.getvalue() == expected
+
+
+class TestSeriesStream:
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(game_specs(), st.one_of(st.sampled_from([0, 1]), st.integers(2, 60)))
+    def test_streamed_series_matches_the_document_route(self, spec, horizon):
+        alphabet = ",".join(f"{s}:{p}" for s, p in zip(spec.model.symbols, spec.model.probs))
+        patterns = ",".join(str(p) for p in spec.patterns)
+        assert_streams_like_the_reference(
+            ["solve", "--alphabet", alphabet, "--patterns", patterns, "--series", str(horizon)]
+        )
+
+    @pytest.mark.parametrize("horizon", [255, 256, 257, 700])
+    def test_series_across_batches_matches_the_document_route(self, horizon):
+        # the writer formats 256 tosses per write; these horizons end at and past a batch
+        assert_streams_like_the_reference(
+            GOLDEN_COMMANDS["solve_series_ternary.txt"][:-1] + [str(horizon)]
+        )
+
+    def test_goldens_match_the_document_route(self):
+        for name in ("solve_series.json", "solve_series_ternary.txt"):
+            args = penney.cli.build_parser().parse_args(GOLDEN_COMMANDS[name])
+            text = reference_text(penney.cli.cmd_solve(args), args.json)
+            assert text.encode() == (GOLDEN_DIR / name).read_bytes()
+
+    def test_closed_pipe_in_mid_series_exits_1(self):
+        # 12.6 MB of JSON, far more than a pipe buffers
+        argv = ["--alphabet", "H:1/3,T:2/3", "--patterns", "HTHTH,TTHHT,HHTTT", "--series", "3000"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "penney", "solve", *argv, "--json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+        ) as proc:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            _, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert stderr == b""
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("form", [[], ["--json"]])
+    def test_series_past_the_digit_limit_writes_nothing(self, form):
+        argv = ["solve", "--alphabet", "H:1/3,T:2/3", "--patterns", "HH", "--series", "9200"]
+        result = run_cli(*argv, *form)
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert b"3^9200" in result.stderr
+
+    def test_interrupt_in_mid_series_exits_130(self, capsys, monkeypatch):
+        argv = ["solve", "--patterns", "THH,HTH,HHT", "--series", "1000", "--json"]
+        assert main(argv) == 0
+        whole = capsys.readouterr().out
+
+        class InterruptedStream(io.StringIO):
+            # the head, the first player's opening and one batch of coefficients go through
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 3:
+                    raise KeyboardInterrupt
+                return super().write(text)
+
+        stream = InterruptedStream()
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(argv) == 130
+        assert capsys.readouterr().err == "penney: interrupted\n"
+        written = stream.getvalue()
+        assert '"coefficients": [\n          "0",' in written
+        assert len(written) < len(whole) and whole.startswith(written)

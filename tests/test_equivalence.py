@@ -10,7 +10,6 @@ import random
 from fractions import Fraction as F
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from penney.oracle import (
     absorption_probabilities,
@@ -23,7 +22,6 @@ from penney.oracle import (
 from penney.patterns import (
     Pattern,
     SourceModel,
-    _contains,
     overlap_indicator,
     parse_pattern,
     pattern_probability,
@@ -38,7 +36,7 @@ from penney.solver import (
     winning_probabilities,
 )
 from refalgebra import rational_derivative
-from specgen import random_spec
+from specgen import game_specs, random_spec
 
 
 def test_probabilities_and_durations_match():
@@ -120,28 +118,6 @@ def test_presummed_recurrence_replay():
 # Games whose total pattern length is at most this are also solved by the
 # chain oracle, whose exact elimination grows with the automaton.
 ORACLE_TOTAL_LENGTH = 24
-
-
-@st.composite
-def game_specs(draw, max_players=8, max_length=12):
-    """A game over 2 to 4 symbols with rational probabilities (integer weights
-    1..6 over their sum) and up to `max_players` patterns, whose lengths lie
-    within three of a drawn longest length of at most `max_length`. A drawn
-    pattern that contains or is contained in an earlier one is dropped, so
-    the set is substring-free."""
-    size = draw(st.integers(2, 4))
-    weights = draw(st.lists(st.integers(1, 6), min_size=size, max_size=size))
-    model = SourceModel("abcd"[:size], [F(w, sum(weights)) for w in weights])
-    longest = draw(st.integers(1, max_length))
-    kept: list[tuple[str, ...]] = []
-    for _ in range(draw(st.integers(1, max_players))):
-        length = draw(st.integers(max(1, longest - 3), longest))
-        symbols = tuple(
-            draw(st.lists(st.sampled_from(model.symbols), min_size=length, max_size=length))
-        )
-        if not any(_contains(symbols, p) or _contains(p, symbols) for p in kept):
-            kept.append(symbols)
-    return validate_pattern_set([Pattern(p) for p in kept], model)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -54,6 +55,22 @@ class TestSourceModel:
     def test_prefix_labels_rejected(self):
         with pytest.raises(ValidationError):
             SourceModel(("A", "AB"), (F(1, 2), F(1, 2)))
+
+    @pytest.mark.parametrize(
+        "labels", [("ab", "x", "y", "a"), ("abc", "b", "ac", "a"), ("ba", "c", "bb", "b", "d")]
+    )
+    def test_prefix_labels_apart_in_input_order_rejected(self, labels):
+        with pytest.raises(ValidationError) as caught:
+            SourceModel(labels, [F(1, len(labels))] * len(labels))
+        message = str(caught.value)
+        named = re.fullmatch(r"ambiguous alphabet: '(\w+)' is a prefix of '(\w+)'", message)
+        assert named is not None, message
+        a, b = named.groups()
+        assert a in labels and b in labels and a != b and b.startswith(a)
+
+    def test_labels_sharing_a_start_accepted(self):
+        labels = ("ab", "ba", "aab", "bb", "bc")
+        assert SourceModel(labels, [F(1, 5)] * 5).symbols == labels
 
     def test_float_probabilities_rejected(self):
         with pytest.raises(ValidationError):
