@@ -38,7 +38,7 @@ completion column into integer polynomials, and `_cramer` over Z[u] yields
 det M and every Cramer numerator together. Since M(0) = I, every division is
 exact with a pivot whose constant term is 1.
 
-Best responses need only the values: `response_table` scores each candidate
+Best responses need only the values: `_response_scores` scores each candidate
 by the generalised Conway formula, the ratio of two Cramer numerators of its
 game's M(1) x = c(1) over Z. Only the candidate's own row, column and
 autocorrelation change from one candidate to the next, so `_cramer`
@@ -46,8 +46,11 @@ eliminates the opponents' block once per request and each candidate costs
 the bordered last step. The candidates are the leaves of one depth-first walk
 over the symbol trie: the row, the completion weight and the KMP borders grow
 one symbol per depth, the column is a table over the opponents' prefix
-automaton, and a subtree is cut where the walk completes an opponent. The
-table is ranked by exact integer keys rather than `Fraction` comparisons.
+automaton, and a subtree is cut where the walk completes an opponent.
+`best_response` keeps only a running best, compared exactly by
+cross-multiplying the integer scores, and builds one `Pattern` and one
+`Fraction`; `response_table` keeps every row and ranks them by exact integer
+keys rather than `Fraction` comparisons.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ import operator
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .patterns import (
     GameSpec,
@@ -636,13 +639,12 @@ def _prefix_automaton(
     return prefixes, transitions, [prefix in whole for prefix in prefixes]
 
 
-def response_table(
+def _response_scores(
     opponents: Iterable[Pattern], length: int, model: SourceModel
-) -> list[tuple[Pattern, Fraction]]:
-    """All admissible patterns of `length`, ranked against the opponents.
-
-    Sorted by win probability descending; ties keep alphabet-lexicographic
-    order (the enumeration order), so the ranking is deterministic.
+) -> Iterator[tuple[tuple[str, ...], int, int]]:
+    """Every admissible pattern of `length` against the opponents, in alphabet
+    order, as (symbols, N_new, total): the newcomer wins with probability
+    N_new / total. Both are nonzero, and they carry one common sign.
 
     Each score is the generalised Conway formula at s = 1: with M(1) x = c(1),
     the newcomer wins with probability N_new / sum(N), N the Cramer
@@ -684,7 +686,7 @@ def response_table(
         return _cramer(rows, 1, operator.mul, operator.sub, _divide_int)
 
     # A singular A, the opponents' own M(1), is raised when the first candidate
-    # is scored; with no admissible candidate the table is empty.
+    # is scored; with no admissible candidate nothing is yielded.
     failure: ArithmeticError | None = None
     try:
         det_a, completion = solve_block([_completion_weight(a, weights) for a in fixed])
@@ -721,7 +723,6 @@ def response_table(
     self_entry = [0] * (length + 1)  # at_one(c[:t], c[:t]), summed over c[:t]'s borders
     # borders[t][x]: the longest proper border of c[:t] followed by symbol x
     borders = [[0] * len(symbols)] * (length + 1)
-    table: list[tuple[Pattern, Fraction]] = []
 
     # A frame is an inner node c[:depth] = `prefix` of the trie, at automaton
     # `state`. `inside` says whether `prefix` is a substring of an opponent.
@@ -747,6 +748,11 @@ def response_table(
         child = depth + 1
         power = powers[child]
         border_row = borders[depth]
+        if child == length:
+            # the same for every leaf of this frame: the weight that the symbols after
+            # `row`'s depth add, but the leaf's own, and v . p
+            frame_scale = weight_before // row_weight
+            row_completion = sum(map(mul, row, completion))
         children = []
         for x, target in moves[state]:
             weight = weight_before * symbol_weights[x]
@@ -771,28 +777,54 @@ def response_table(
                 if failure is not None:
                     raise failure
                 adjugate_column, column_total = columns[target]
-                scale = weight // row_weight
+                scale = frame_scale * symbol_weights[x]
                 det = det_a * alpha - scale * sum(map(mul, row, adjugate_column))
-                new = det_a * weight - scale * sum(map(mul, row, completion))
+                new = det_a * weight - scale * row_completion
                 total = new + _divide_int(det * completion_total - column_total * new, det_a)
-                candidate = Pattern(word)
                 if not (det and new and total):
                     raise DegenerateGameError(
-                        f"candidate {candidate} makes the game degenerate at s = 1"
+                        f"candidate {Pattern(word)} makes the game degenerate at s = 1"
                     )
-                table.append((candidate, Fraction(new, total)))
+                yield word, new, total
         # popped last child first, so the walk keeps alphabet order
         stack.extend(reversed(children))
+
+
+def response_table(
+    opponents: Iterable[Pattern], length: int, model: SourceModel
+) -> list[tuple[Pattern, Fraction]]:
+    """All admissible patterns of `length`, ranked against the opponents.
+
+    Sorted by win probability descending; ties keep alphabet-lexicographic
+    order (the enumeration order), so the ranking is deterministic. The
+    scores are `_response_scores`'.
+    """
+    table = [
+        (Pattern(word), Fraction(new, total))
+        for word, new, total in _response_scores(opponents, length, model)
+    ]
     return [table[i] for i in _ranking([value for _, value in table])]
 
 
 def best_response(
     opponents: Iterable[Pattern], length: int, model: SourceModel
 ) -> tuple[Pattern, Fraction]:
-    """The admissible pattern of `length` maximizing the new player's win chance."""
-    table = response_table(list(opponents), length, model)
-    if not table:
+    """The admissible pattern of `length` maximizing the new player's win
+    chance: `response_table(...)[0]`, without the table.
+
+    A running best over `_response_scores`, compared exactly by
+    cross-multiplication once each total is made positive. The strict `>`
+    keeps the first of equal scores in alphabet order, as the table's stable
+    ranking does. Only the winner becomes a `Pattern` and a `Fraction`.
+    """
+    best, best_new, best_total = None, 0, 1
+    for word, new, total in _response_scores(opponents, length, model):
+        if total < 0:
+            new, total = -new, -total
+        if best is None or new * best_total > best_new * total:
+            best, best_new, best_total = word, new, total
+    if best is None:
         raise ValidationError(
             f"no admissible pattern of length {length} against the given opponents"
         )
-    return table[0]
+    return Pattern(best), Fraction(best_new, best_total)

@@ -37,6 +37,16 @@ GOLDEN_COMMANDS = {
         "--json",
     ],
     "best_response.json": ["best-response", "--opponents", "HH", "--length", "2", "--json"],
+    "best_response_verbose.txt": [
+        "best-response",
+        "--alphabet",
+        "H:1/3,T:2/3",
+        "--opponents",
+        "HTHT,TTHH",
+        "--length",
+        "5",
+        "--verbose",
+    ],
     "solve_series.json": ["solve", "--patterns", "THH,HTH,HHT", "--series", "10", "--json"],
     "solve_series_ternary.txt": [
         "solve",
@@ -103,8 +113,9 @@ class TestExitCodes:
         assert result.returncode == 2
 
     def test_no_admissible_response_is_user_error(self, capsys):
-        assert main(["best-response", "--opponents", "H,T", "--length", "1"]) == 2
-        assert "no admissible" in capsys.readouterr().err
+        for verbose in ([], ["--verbose"]):
+            assert main(["best-response", "--opponents", "H,T", "--length", "1", *verbose]) == 2
+            assert "no admissible" in capsys.readouterr().err
 
     @needs_digit_limit
     def test_series_past_the_digit_limit_is_user_error(self, capsys):
@@ -127,14 +138,15 @@ class TestExitCodes:
         ],
     )
     def test_length_budget(self, capsys, monkeypatch, alphabet, opponent, length, admitted):
-        # a stub stands in for the enumeration, so no long reply is enumerated
+        # a stub stands in for the enumeration, so no long reply is enumerated;
+        # without --verbose the CLI keeps only the running best
         calls = []
 
         def stub(opponents, length, model):
             calls.append(length)
-            return [(opponents[0], F(1, 2))]
+            return opponents[0], F(1, 2)
 
-        monkeypatch.setattr(penney.cli, "response_table", stub)
+        monkeypatch.setattr(penney.cli, "best_response", stub)
         argv = ["best-response", "--alphabet", alphabet, "--opponents", opponent]
         code = main([*argv, "--length", str(length)])
         captured = capsys.readouterr()
@@ -329,6 +341,44 @@ class TestGoldens:
             assert result.returncode == 0, result.stderr.decode()
             assert result.stdout == (GOLDEN_DIR / name).read_bytes()
 
+
+# The child's own peak resident set in KiB, printed to stderr after the command.
+# It is read from VmHWM, the peak of the child's address space: ru_maxrss would
+# also hold the test process's size, which Linux folds into a child at exec.
+PEAK_RSS_CHILD = """
+import sys
+from penney.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(peak, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is Linux's")
+def test_best_response_keeps_no_table():
+    # 2^16 candidates: a table of them peaked at 54 MiB, the running best at 17 MiB
+    argv = [
+        "best-response",
+        "--alphabet",
+        "H:1/3,T:2/3",
+        "--opponents",
+        "TTTTTHTHTTHHHTTT,HTTHTHHHTTTHTTTT",
+        "--length",
+        "16",
+        "--json",
+    ]
+    result = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, *argv],
+        capture_output=True,
+        timeout=120,
+        env=child_env(),
+    )
+    assert result.returncode == 0, result.stderr.decode()
+    assert json.loads(result.stdout)["best"]["pattern"] == "TTTTTTTTTTTTTTHT"
+    peak_kib = int(result.stderr.decode().split()[-1])
+    assert peak_kib < 32 * 1024
 
 
 def assert_streams_like_the_reference(argv: list[str]) -> None:

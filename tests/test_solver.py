@@ -439,42 +439,57 @@ class TestCramerKernel:
             spec = validate_pattern_set([parse_pattern(t, fair) for t in ("HH", "TH")], fair)
             solve_game(spec).pgfs
 
+    # the ranked table and the running best share one scoring walk, and so its checks
+    SCORERS = (response_table, best_response)
+
     def test_response_vanishing_minors_are_degenerate(self, fair, monkeypatch):
-        # no opponents: zero symbol weights make the candidate's Cramer numerator vanish
-        with monkeypatch.context() as patch:
-            patch.setattr(solver, "_symbol_weights", lambda model: dict.fromkeys(model.symbols, 0))
-            with pytest.raises(DegenerateGameError, match="degenerate at s = 1"):
-                response_table([], 2, fair)
-        # no opponents, D = 0 with weights 1: alpha and so det M vanish, while
-        # N_new = 1 and the total is 1
-        with monkeypatch.context() as patch:
-            patch.setattr(solver, "_symbol_weights", lambda model: dict.fromkeys(model.symbols, 1))
-            patch.setattr(SourceModel, "common_denominator", 0)
-            with pytest.raises(DegenerateGameError, match="degenerate at s = 1"):
-                response_table([], 2, fair)
-        # one opponent: det A is the opponent's diagonal entry
-        self._diagonal(monkeypatch, "_entry_at_one", lambda entry: (0, 0))
-        with pytest.raises(DegenerateGameError, match="leading minor"):
-            response_table([parse_pattern("HH", fair)], 2, fair)
+        for score in self.SCORERS:
+            # no opponents: zero symbol weights make the candidate's Cramer numerator vanish
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    solver, "_symbol_weights", lambda model: dict.fromkeys(model.symbols, 0)
+                )
+                with pytest.raises(DegenerateGameError, match="degenerate at s = 1"):
+                    score([], 2, fair)
+            # no opponents, D = 0 with weights 1: alpha and so det M vanish, while
+            # N_new = 1 and the total is 1
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    solver, "_symbol_weights", lambda model: dict.fromkeys(model.symbols, 1)
+                )
+                patch.setattr(SourceModel, "common_denominator", 0)
+                with pytest.raises(DegenerateGameError, match="degenerate at s = 1"):
+                    score([], 2, fair)
+            # one opponent: det A is the opponent's diagonal entry
+            with monkeypatch.context() as patch:
+                self._diagonal(patch, "_entry_at_one", lambda entry: (0, 0))
+                with pytest.raises(DegenerateGameError, match="leading minor"):
+                    score([parse_pattern("HH", fair)], 2, fair)
 
     def test_response_opponents_minor_raises_only_with_a_candidate(self, fair, monkeypatch):
         self._diagonal(monkeypatch, "_entry_at_one", lambda entry: (0, 0))
         # two opponents: `_cramer` meets the vanishing order-1 minor of A as a divisor
         pair = [parse_pattern(text, fair) for text in ("HH", "TT")]
-        with pytest.raises(DegenerateGameError, match="leading minor"):
-            response_table(pair, 3, fair)
+        for score in self.SCORERS:
+            with pytest.raises(DegenerateGameError, match="leading minor"):
+                score(pair, 3, fair)
         # every reply equals, contains or lies inside an opponent: nothing to score
         all_pairs = [parse_pattern(text, fair) for text in ("HH", "HT", "TH", "TT")]
+        singles = [parse_pattern("H", fair), parse_pattern("T", fair)]
         assert response_table(all_pairs, 2, fair) == []
-        assert response_table([parse_pattern("H", fair), parse_pattern("T", fair)], 1, fair) == []
+        assert response_table(singles, 1, fair) == []
+        for opponents, length in ((all_pairs, 2), (singles, 1)):
+            with pytest.raises(ValidationError, match="no admissible pattern"):
+                best_response(opponents, length, fair)
 
     def test_response_bordered_step_checks_the_remainder(self, fair, monkeypatch):
         real = solver._divide_int
         # with one opponent A's elimination divides nothing, so the only division is
         # the bordered step's, sum(N_opponents) * det A / det A, here with det A = 6
         monkeypatch.setattr(solver, "_divide_int", lambda a, d: real(a + 1, d))
-        with pytest.raises(ArithmeticError, match="not divisible"):
-            response_table([parse_pattern("HH", fair)], 2, fair)
+        for score in self.SCORERS:
+            with pytest.raises(ArithmeticError, match="not divisible"):
+                score([parse_pattern("HH", fair)], 2, fair)
 
 
 class TestDualSolve:
@@ -956,6 +971,72 @@ def test_response_table_envelope(game):
     assert response_table(opponents, length, model) == reference_response_table(
         opponents, length, model
     )
+
+
+@settings(derandomize=True, max_examples=800, deadline=None, database=None)
+@given(response_games())
+def test_best_response_envelope(game):
+    opponents, length, model = game
+    table = response_table(opponents, length, model)
+    if table:
+        assert best_response(opponents, length, model) == table[0]
+    else:
+        with pytest.raises(ValidationError, match="no admissible pattern"):
+            best_response(opponents, length, model)
+
+
+class TestRunningBest:
+    """`best_response`'s running best against the ranked table's first row."""
+
+    @pytest.mark.parametrize("text", ["H:1/2,T:1/2", "H:1/3,T:2/3", "a:1/2,b:1/3,c:1/6"])
+    def test_tie_at_the_top_keeps_alphabet_order(self, text):
+        # alone, every reply wins with probability 1: the first in alphabet order wins
+        model = SourceModel.from_text(text)
+        first = Pattern((model.symbols[0],) * 3)
+        assert best_response([], 3, model) == (first, F(1)) == response_table([], 3, model)[0]
+
+    @pytest.mark.parametrize(
+        "text, opponent, length, tied",
+        [
+            ("H:1/2,T:1/2", "HTHH", 3, ["HHT", "THT", "TTH"]),
+            ("H:1/3,T:2/3", "HTHT", 4, ["TTHT", "TTTH"]),
+        ],
+    )
+    def test_tie_at_the_top_against_an_opponent(self, text, opponent, length, tied):
+        model = SourceModel.from_text(text)
+        opponents = [parse_pattern(opponent, model)]
+        table = response_table(opponents, length, model)
+        assert [str(pattern) for pattern, value in table if value == table[0][1]] == tied
+        assert best_response(opponents, length, model) == table[0]
+        assert str(table[0][0]) == tied[0]
+
+    def test_negative_totals_are_normalised(self, monkeypatch):
+        model = SourceModel.from_text("H:1/3,T:2/3")
+        opponents = [parse_pattern(text, model) for text in ("HTHT", "TTHH")]
+        expected = response_table(opponents, 5, model)
+        real = solver._cramer
+
+        def flipped(*args):
+            # det A and adj(A) rhs with the other sign, as an odd number of row swaps gives
+            det, numerators = real(*args)
+            return -det, [-n for n in numerators]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_cramer", flipped)
+            scores = list(solver._response_scores(opponents, 5, model))
+            assert scores and all(new < 0 and total < 0 for _, new, total in scores)
+            assert response_table(opponents, 5, model) == expected
+            assert best_response(opponents, 5, model) == expected[0]
+        # a pair's sign is det M's, so it may differ between candidates: flip every other one
+        real_scores = solver._response_scores
+
+        def alternating(*args):
+            for k, (word, new, total) in enumerate(real_scores(*args)):
+                yield (word, -new, -total) if k % 2 else (word, new, total)
+
+        monkeypatch.setattr(solver, "_response_scores", alternating)
+        assert response_table(opponents, 5, model) == expected
+        assert best_response(opponents, 5, model) == expected[0]
 
 
 class TestStructuralIdentities:
