@@ -12,17 +12,18 @@ where M(s) is the correlation matrix and M_j replaces column j by the
 completion monomials P(A_i) * s^len(A_i).
 
 The values and the generating functions come from one elimination,
-`_cramer`: a fraction-free Gauss-Jordan pass on [M | c] with row swaps, run
-over whichever ring the caller needs. The win-time series need none.
+`_cramer`: a fraction-free Gauss-Jordan pass on [M | B] with row swaps, any
+number of right-hand columns B, run over Z or Z[u]. The win-time series need
+none.
 
 Win probabilities, the expected game length and the conditional lengths need
 only values at s = 1. With D the least common multiple of the
 symbol-probability denominators, row a of M(1) x = c(1) scaled by D**len(a)
-is integer, and so is its derivative in s. `_cramer` over the dual numbers
-Z[eps]/eps**2 therefore yields det M(1), every Cramer numerator N_j(1) and
-their slopes in one pass over Z. The shared denominator
-Q = sum_j N_j + (1 - s) det M has Q(1) = sum_j N_j(1) and
-Q'(1) = sum_j N_j'(1) - det M(1).
+is integer, and so is its derivative in s. Two integer solves of M(1) give
+everything: the first yields det M(1) and the Cramer numerators N = det x,
+the second the slopes of x, from the right-hand side det c'(1) - M'(1) N.
+With g_j = x_j / (sum(x) + 1 - s), win_j = x_j / sum(x), E[T] = 1 / sum(x),
+and E[T | j] = x_j'/x_j - (sum(x') - 1) / sum(x).
 
 The win-time series are the coefficients of the paper's own system
 P(A_i) s**len(A_i) f(s) = sum_j C_ij(s) g_j(s), f the tail generating
@@ -41,12 +42,13 @@ exact with a pivot whose constant term is 1.
 Best responses need only the values: `_response_scores` scores each candidate
 by the generalised Conway formula, the ratio of two Cramer numerators of its
 game's M(1) x = c(1) over Z. Only the candidate's own row, column and
-autocorrelation change from one candidate to the next, so `_cramer`
-eliminates the opponents' block once per request and each candidate costs
-the bordered last step. The candidates are the leaves of one depth-first walk
-over the symbol trie: the row, the completion weight and the KMP borders grow
-one symbol per depth, the column is a table over the opponents' prefix
-automaton, and a subtree is cut where the walk completes an opponent.
+autocorrelation change from one candidate to the next, so one `_cramer`
+eliminates the opponents' block per request, with every column a candidate
+can bring, and each candidate costs the bordered last step. The candidates
+are the leaves of one depth-first walk over the symbol trie: the row, the
+completion weight and the KMP borders grow one symbol per depth, the column
+is a table over the opponents' prefix automaton, and a subtree is cut where
+the walk completes an opponent.
 `best_response` keeps only a running best, compared exactly by
 cross-multiplying the integer scores, and builds one `Pattern` and one
 `Fraction`; `response_table` keeps every row and ranks them by exact integer
@@ -126,8 +128,8 @@ def _entry_at_one(
     `_scaled_correlation`. Times D**len(a) at s = 1 that is c * D**k, with
     slope (len(a)-k) * c * D**k. `powers[k]` is D**k. No coefficient list is
     built. `solve_game` runs this for every pair of players, and
-    `response_table` once per request for the opponents' block and each
-    automaton state, never per candidate.
+    `_response_scores` once per request for the opponents' block and for the
+    column of each automaton state, never per candidate.
     """
     head, tail = a.symbols, b.symbols
     size = len(head)
@@ -232,22 +234,6 @@ def _divide_int(a: int, d: int) -> int:
     return quotient
 
 
-# Dual numbers x + y*eps with eps**2 = 0, held as pairs (x, y): a function's
-# value and derivative at one point.
-def _dual_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    return a[0] * b[0], a[0] * b[1] + a[1] * b[0]
-
-
-def _dual_sub(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    return a[0] - b[0], a[1] - b[1]
-
-
-def _dual_divide(a: tuple[int, int], d: tuple[int, int]) -> tuple[int, int]:
-    """Quotient a / d: q0 = a0/d0, then q1 = (a1 - q0 d1)/d0, each by `_divide_int`."""
-    value = _divide_int(a[0], d[0])
-    return value, _divide_int(a[1] - value * d[1], d[0])
-
-
 R = TypeVar("R")
 
 
@@ -257,40 +243,41 @@ def _cramer(
     mul: Callable[[R, R], R],
     sub: Callable[[R, R], R],
     divide: Callable[[R, R], R],
-    nonzero: Callable[[R], object] = bool,
-) -> tuple[R, list[R]]:
-    """One fraction-free Gauss-Jordan pass on an m-by-(m+1) matrix [A | c].
+) -> tuple[R, list[list[R]]]:
+    """One fraction-free Gauss-Jordan pass on an m-by-(m+k) matrix [A | B].
 
     After step k every entry is a (k+1)-by-(k+1) minor (Sylvester's identity),
     so each update (pivot * a_ij - a_ik * a_kj) / previous pivot is exact, and
-    `divide` checks that it is. Where a pivot is zero, judged by `nonzero`,
-    the first later row whose entry in that column is nonzero is swapped in;
-    if none is, A is singular and `DegenerateGameError` is raised. Returns
-    det A, the last pivot, and the last column, whose entry i is det A with
-    column i replaced by c: Cramer's numerators. Each swap flips the sign of
-    all of them together, so their ratios are A's. `rows` is overwritten.
+    `divide` checks that it is. Where a pivot is zero, the first later row
+    whose entry in that column is nonzero is swapped in; if none is, A is
+    singular and `DegenerateGameError` is raised. Returns det A, the last
+    pivot, and per row i its entries past A: in column j, det A with column
+    i replaced by column j of B, Cramer's numerators. The swaps depend on A
+    alone, and each flips the sign of all of them together, so their ratios
+    are A's. `rows` is overwritten.
     """
     m = len(rows)
     previous = one
     for k in range(m):
-        if not nonzero(rows[k][k]):
-            swap = next((i for i in range(k + 1, m) if nonzero(rows[i][k])), None)
+        if not rows[k][k]:
+            swap = next((i for i in range(k + 1, m) if rows[i][k]), None)
             if swap is None:
                 raise DegenerateGameError("singular matrix: no row gives a nonzero leading minor")
             rows[k], rows[swap] = rows[swap], rows[k]
         pivot_row = rows[k]
         pivot = pivot_row[k]
+        width = len(pivot_row)
         for i, row in enumerate(rows):
             if i == k:
                 continue
             factor = row[k]
-            for j in range(k + 1, m + 1):
+            for j in range(k + 1, width):
                 scaled = mul(pivot, row[j])
                 if factor:
                     scaled = sub(scaled, mul(factor, pivot_row[j]))
                 row[j] = divide(scaled, previous)
         previous = pivot
-    return previous, [row[m] for row in rows]
+    return previous, [row[m:] for row in rows]
 
 
 def _solve_integer(spec: GameSpec) -> tuple[int, list[IntPoly], IntPoly, IntPoly]:
@@ -302,7 +289,8 @@ def _solve_integer(spec: GameSpec) -> tuple[int, list[IntPoly], IntPoly, IntPoly
         + [[0] * a.length + [_completion_weight(a, weights)]]
         for a in spec.patterns
     ]
-    det_corr, numerators = _cramer(rows, [1], _mul, _sub, _divide_exact)
+    det_corr, solved = _cramer(rows, [1], _mul, _sub, _divide_exact)
+    numerators = [n for n, in solved]
     if not det_corr or det_corr[0] != 1:
         raise DegenerateGameError("det M is not 1 at the origin; the matrix is not I at 0")
     # Q = sum_j N_j + (1 - s) det M, with s = D*u
@@ -389,35 +377,23 @@ def _lowest_terms(num: Decimal, den: Decimal, scale: int) -> tuple[Decimal, Deci
     return num, den
 
 
-def _ratios_at_one(
-    q: int, q_slope: int, det_corr: int, numerators: list[tuple[int, int]]
-) -> tuple[tuple[Fraction, ...], Fraction, tuple[Fraction, ...]]:
-    """Win probabilities, E[T] and E[T | j] from values and slopes at s = 1.
-
-    With Q(1), Q'(1), det M(1) and each (N_j(1), N_j'(1)) all under one common
-    scale: win_j = N_j(1)/Q(1), E[T] = det M(1)/Q(1) and
-    E[T | j] = g_j'(1)/win_j = (N_j'(1) Q(1) - N_j(1) Q'(1)) / (Q(1) N_j(1)).
-    Q(1) is nonzero, since `_cramer` has found det M(1) = E[T] Q(1) nonzero.
-    """
-    wins, conditionals = [], []
-    for player, (n, n_slope) in enumerate(numerators, start=1):
-        if n == 0:
-            raise DegenerateGameError(f"player {player} has zero winning probability")
-        wins.append(Fraction(n, q))
-        conditionals.append(Fraction(n_slope * q - n * q_slope, q * n))
-    return tuple(wins), Fraction(det_corr, q), tuple(conditionals)
-
-
 def _solve_at_one(
     spec: GameSpec,
 ) -> tuple[tuple[Fraction, ...], Fraction, tuple[Fraction, ...]]:
-    """Win probabilities, E[T] and E[T | j] from one solve of M(1) x = c(1).
+    """Win probabilities, E[T] and E[T | j] from two integer solves at s = 1.
 
-    Row a is scaled by D**len(a), so each entry is an integer pair (value,
-    slope) at s = 1: `_entry_at_one` for M, (w_a, len(a) w_a) for the
-    completion column. `_cramer` over those dual numbers yields det M(1) and
-    each N_j(1) with their slopes, all under the scale D**(sum of lengths);
-    then Q(1) = sum N_j(1) and Q'(1) = sum N_j'(1) - det M(1).
+    Row a of M(s) x = c(s) is scaled by D**len(a), which leaves x unchanged
+    and makes M(1), M'(1), c(1) and c'(1) integer: `_entry_at_one` for M,
+    (w_a, len(a) w_a) for the completion column. Dividing each pgf's
+    numerator and denominator by det M gives g_j = x_j / (sum(x) + 1 - s), so
+    win_j = x_j / sum(x), E[T] = 1 / sum(x) and
+
+        E[T | j] = g_j'(1) / g_j(1) = x_j'/x_j - (sum(x') - 1) / sum(x),
+
+    where x' = M(1)^-1 (c'(1) - M'(1) x); the slope of det M cancels. The
+    first solve, of [M(1) | c(1)], gives d = det M(1) and N = d x. The second,
+    of [M(1) | d c'(1) - M'(1) N], gives N2 = d**2 x'. It makes the same row
+    swaps, so d carries the same sign in both.
 
     The solve fails only where M(1) is singular, and no route does better:
     det M / Q, the tail generating function, is E[T] >= 1 at s = 1, so
@@ -426,19 +402,31 @@ def _solve_at_one(
     weights = _symbol_weights(spec.model)
     scale = spec.model.common_denominator
     powers = [scale**k for k in range(max(a.length for a in spec.patterns) + 1)]
-    rows = []
+    rows, slopes, completion_slopes = [], [], []
     for a in spec.patterns:
+        values, slope_row = zip(*[_entry_at_one(a, b, weights, powers) for b in spec.patterns])
         weight = _completion_weight(a, weights)
-        rows.append(
-            [_entry_at_one(a, b, weights, powers) for b in spec.patterns]
-            + [(weight, a.length * weight)]
-        )
-    (det_corr, _), numerators = _cramer(
-        rows, (1, 0), _dual_mul, _dual_sub, _dual_divide, operator.itemgetter(0)
-    )
-    q = sum(n for n, _ in numerators)
-    q_slope = sum(slope for _, slope in numerators) - det_corr
-    return _ratios_at_one(q, q_slope, det_corr, numerators)
+        rows.append([*values, weight])
+        slopes.append(slope_row)
+        completion_slopes.append(a.length * weight)
+    # M(1) again for the second solve, since `_cramer` overwrites `rows`
+    second = [row[:-1] for row in rows]
+    det_corr, solved = _cramer(rows, 1, operator.mul, operator.sub, _divide_int)
+    numerators = [n for n, in solved]
+    for row, slope_row, w in zip(second, slopes, completion_slopes):
+        row.append(det_corr * w - sum(map(operator.mul, slope_row, numerators)))
+    _, solved = _cramer(second, 1, operator.mul, operator.sub, _divide_int)
+    slope_numerators = [n for n, in solved]
+    total = sum(numerators)
+    # d**2 (sum(x') - 1)
+    slope_total = sum(slope_numerators) - det_corr * det_corr
+    wins, conditionals = [], []
+    for player, (n, n_slope) in enumerate(zip(numerators, slope_numerators), start=1):
+        if n == 0:
+            raise DegenerateGameError(f"player {player} has zero winning probability")
+        wins.append(Fraction(n, total))
+        conditionals.append(Fraction(n_slope * total - n * slope_total, det_corr * n * total))
+    return tuple(wins), Fraction(det_corr, total), tuple(conditionals)
 
 
 def winning_pgf(spec: GameSpec, player: int) -> RationalFunction:
@@ -537,10 +525,10 @@ def conditional_expected_duration(spec: GameSpec, player: int) -> Fraction:
 class GameSolution:
     """All solved outputs of one game.
 
-    The fields are the values at s = 1, from `solve_game`'s dual-number solve
-    over Z; equality and repr rest on them. `win_series` runs the paper's
-    recurrence. The generating functions come from the Z[u] elimination,
-    which runs when one of them is first read and is then cached.
+    The fields are the values at s = 1, from `solve_game`'s two integer
+    solves of M(1); equality and repr rest on them. `win_series` runs the
+    paper's recurrence. The generating functions come from the Z[u]
+    elimination, which runs when one of them is first read and is then cached.
     """
 
     spec: GameSpec
@@ -651,9 +639,9 @@ def _response_scores(
     numerators. Row a of the system is scaled by D**len(a), which makes it
     integer. With the opponents first, M = [[A, u], [v^T, alpha]] and
     c = (w_b, w_c): u is the candidate's column, v its row, alpha its
-    autocorrelation and w_c its completion weight. `_cramer` eliminates A
-    once, giving d = det A, p = adj(A) w_b and adj(A) u; then per candidate
-    the bordered last step is
+    autocorrelation and w_c its completion weight. One `_cramer` on
+    [A | w_b | u per automaton state] gives d = det A, p = adj(A) w_b and
+    every adj(A) u; then per candidate the bordered last step is
 
         det M = d alpha - v . adj(A) u,   N_new = d w_c - v . p,
         sum of the opponents' N = (det M sum(p) - sum(adj(A) u) N_new) / d.
@@ -677,31 +665,30 @@ def _response_scores(
     weights = _symbol_weights(model)
     top = max([length, *(a.length for a in fixed)])
     powers = [model.common_denominator**k for k in range(top + 1)]
-    block = [[_entry_at_one(a, b, weights, powers)[0] for b in fixed] for a in fixed]
-
-    def solve_block(rhs: list[int]) -> tuple[int, list[int]]:
-        """det A and adj(A) rhs, up to a sign that the bordered step's ratios
-        cancel: `_cramer`'s row swaps depend on A alone, so it is one sign."""
-        rows = [[*row, r] for row, r in zip(block, rhs)]
-        return _cramer(rows, 1, operator.mul, operator.sub, _divide_int)
-
+    # [A | w_b | u per open state q], u the column of a candidate ending at q
+    open_states = [q for q, stop in enumerate(stops) if not stop]
+    suffixes = [Pattern(prefixes[q]) if prefixes[q] else None for q in open_states]
+    rows = [
+        [
+            *(_entry_at_one(a, b, weights, powers)[0] for b in fixed),
+            _completion_weight(a, weights),
+            *(_entry_at_one(a, b, weights, powers)[0] if b else 0 for b in suffixes),
+        ]
+        for a in fixed
+    ]
     # A singular A, the opponents' own M(1), is raised when the first candidate
     # is scored; with no admissible candidate nothing is yielded.
     failure: ArithmeticError | None = None
     try:
-        det_a, completion = solve_block([_completion_weight(a, weights) for a in fixed])
-        # per open state: adj(A) u and its sum, u the column of a candidate ending there
-        columns: list[tuple[list[int], int] | None] = []
-        for prefix, stop in zip(prefixes, stops):
-            if stop:
-                columns.append(None)
-                continue
-            suffix = Pattern(prefix) if prefix else None
-            column = [_entry_at_one(a, suffix, weights, powers)[0] if suffix else 0 for a in fixed]
-            adjugate_column = solve_block(column)[1]
-            columns.append((adjugate_column, sum(adjugate_column)))
+        # one elimination of A: d = det A, p = adj(A) w_b and adj(A) u per open state
+        det_a, solved = _cramer(rows, 1, operator.mul, operator.sub, _divide_int)
     except ArithmeticError as exc:
-        failure, det_a, completion, columns = exc, 0, [], []
+        failure, det_a, solved = exc, 0, []
+    completion, *adjugate = [[row[c] for row in solved] for c in range(1 + len(open_states))]
+    # per open state: adj(A) u and its sum
+    columns: list[tuple[list[int], int] | None] = [None] * len(prefixes)
+    for q, column in zip(open_states, adjugate):
+        columns[q] = (column, sum(column))
     completion_total = sum(completion)
 
     # each substring of an opponent, with the opponents that end in it

@@ -303,7 +303,7 @@ class TestGoldens:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
     def test_values_need_no_polynomial_elimination(self, capsys, monkeypatch, name):
-        # values at s = 1 come from the dual-number solve and series from the
+        # values at s = 1 come from two integer solves and series from the
         # paper's recurrence; only the library's pgfs and tail_gf reach Z[u]
         def refuse(spec):
             raise RuntimeError("the Z[u] elimination ran")

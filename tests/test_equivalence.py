@@ -122,8 +122,8 @@ ORACLE_TOTAL_LENGTH = 24
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(game_specs())
-def test_dual_solve_envelope(spec):
-    # the dual-number solve against the lazy Z[u] pgfs and, when small, the oracle
+def test_values_envelope(spec):
+    # the two integer solves against the lazy Z[u] pgfs and, when small, the oracle
     solution = solve_game(spec)
     values = (solution.win_probs, solution.expected_duration, solution.conditional_durations)
     assert values == (

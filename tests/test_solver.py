@@ -38,9 +38,6 @@ from penney.solver import (
     _cramer,
     _divide_exact,
     _divide_int,
-    _dual_divide,
-    _dual_mul,
-    _dual_sub,
     _lowest_terms,
     _mul,
     _prefix_automaton,
@@ -327,7 +324,7 @@ class TestIntegerCore:
             assert conditional_expected_duration(spec, spec.player_count) == conditionals[-1]
 
     def test_public_pgfs_give_the_values_at_one(self, wide_specs):
-        # E[T | j] = G_j'(1) / G_j(1) from the lazy Z[u] pgfs, against the dual solve
+        # E[T | j] = G_j'(1) / G_j(1) from the lazy Z[u] pgfs, against the integer solves
         for spec in wide_specs:
             solution = solve_game(spec)
             conditionals = tuple(
@@ -354,7 +351,7 @@ class TestCramerKernel:
         # det [[2, 1], [1, 3]] = 5; column 0 by c: det [[3, 1], [5, 3]] = 4; column 1: 7
         assert _cramer([[2, 1, 3], [1, 3, 5]], 1, operator.mul, operator.sub, _divide_int) == (
             5,
-            [4, 7],
+            [[4], [7]],
         )
 
     def test_polynomial_solve(self):
@@ -362,49 +359,54 @@ class TestCramerKernel:
         rows = [[[1, 1], [0, 1], [1]], [[0, 1], [1], [0, 1]]]
         assert _cramer(rows, [1], _mul, _sub, _divide_exact) == (
             [1, 1, -1],
-            [[1, 0, -1], [0, 0, 1]],
+            [[[1, 0, -1]], [[0, 0, 1]]],
         )
 
-    RINGS = {
-        "integers": (1, operator.mul, operator.sub, _divide_int, bool),
-        "duals": ((1, 0), _dual_mul, _dual_sub, _dual_divide, operator.itemgetter(0)),
-    }
+    INTEGERS = (1, operator.mul, operator.sub, _divide_int)
 
     @pytest.mark.parametrize(
-        "ring, rows, det, numerators",
-        [
-            # [[0, 1], [1, 1]] by c = [1, 1]: det -1, numerators 0 and -1
-            ("integers", [[0, 1, 1], [1, 1, 1]], -1, [0, -1]),
-            # a pivot (0, 1) has a zero real part, so it is zero in Z[eps]/eps**2
-            (
-                "duals",
-                [[(0, 1), (1, 0), (1, 1)], [(1, 2), (1, 1), (1, 0)]],
-                (-1, -1),
-                [(0, 2), (-1, -2)],
-            ),
-        ],
-        ids=["integers", "duals"],
+        "rows, det, numerators",
+        # [[0, 1], [1, 1]] by c = [1, 1]: det -1, numerators 0 and -1
+        [([[0, 1, 1], [1, 1, 1]], -1, [[0], [-1]])],
+        ids=["integers"],
     )
-    def test_zero_pivot_swaps_rows(self, ring, rows, det, numerators):
+    def test_zero_pivot_swaps_rows(self, rows, det, numerators):
         # a swap flips the sign of det and of every numerator together
-        result = _cramer(rows, *self.RINGS[ring])
-        negate = (lambda x: -x) if ring == "integers" else (lambda x: (-x[0], -x[1]))
-        flipped = (negate(det), [negate(n) for n in numerators])
-        assert result in [(det, numerators), flipped]
+        flipped = (-det, [[-n for n in row] for row in numerators])
+        assert _cramer(rows, *self.INTEGERS) in [(det, numerators), flipped]
 
     @pytest.mark.parametrize(
-        "ring, rows",
+        "rows, columns",
         [
-            ("integers", [[1, 2, 1], [2, 4, 1]]),
-            ("integers", [[0, 1, 1], [0, 2, 1]]),
-            # det (0, 1): the slope cannot stand in for a zero value
-            ("duals", [[(1, 0), (1, 0), (1, 0)], [(1, 0), (1, 1), (1, 1)]]),
+            # [[2, 1, 0], [1, 3, 1], [0, 1, 4]] by three columns, no swap
+            ([[2, 1, 0], [1, 3, 1], [0, 1, 4]], [[1, 0, 2], [5, -1, 0], [0, 0, 0]]),
+            # a zero leading pivot: the one swap it makes covers every column
+            ([[0, 1, 2], [1, 1, 0], [3, 0, 1]], [[1, 1, 1], [2, -3, 0], [0, 7, 1]]),
+            # a pivot that only becomes zero after the first step
+            ([[1, 1, 0], [1, 1, 1], [0, 2, 1]], [[1, 2, 3], [4, 5, 6], [-1, 0, 1]]),
         ],
-        ids=["integers", "integers-zero-column", "duals"],
+        ids=["no-swap", "zero-first-pivot", "zero-second-pivot"],
     )
-    def test_singular_matrix_is_degenerate(self, ring, rows):
+    def test_several_columns_equal_one_call_per_column(self, rows, columns):
+        together = _cramer(
+            [[*row, *(column[i] for column in columns)] for i, row in enumerate(rows)],
+            *self.INTEGERS,
+        )
+        singles = [
+            _cramer([[*row, column[i]] for i, row in enumerate(rows)], *self.INTEGERS)
+            for column in columns
+        ]
+        assert all(det == together[0] for det, _ in singles)
+        assert together[1] == [[n[i][0] for _, n in singles] for i in range(len(rows))]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1, 2, 1], [2, 4, 1]], [[0, 1, 1], [0, 2, 1]], [[1, 2, 1, 0], [2, 4, 1, 3]]],
+        ids=["integers", "integers-zero-column", "integers-two-columns"],
+    )
+    def test_singular_matrix_is_degenerate(self, rows):
         with pytest.raises(DegenerateGameError, match="singular"):
-            _cramer(rows, *self.RINGS[ring])
+            _cramer(rows, *self.INTEGERS)
 
     def test_integer_division_checks_the_remainder(self):
         assert _divide_int(-6, 3) == -2
@@ -493,29 +495,51 @@ class TestCramerKernel:
 
 
 class TestDualSolve:
-    """Values at s = 1 by `_cramer` over Z[eps]/eps**2, against the Z[u] route."""
+    """Values at s = 1 with their slopes, the pairs a dual number holds, from
+    two integer solves of M(1), against the Z[u] route."""
 
     def test_dual_solve(self):
-        # `test_polynomial_solve`'s system at u = 1, each entry as (value, derivative):
-        # det 1 + u - u^2 -> (1, -1), numerators 1 - u^2 -> (0, -2) and u^2 -> (1, 2)
-        rows = [[(2, 1), (1, 1), (1, 0)], [(1, 1), (1, 0), (1, 1)]]
-        assert _cramer(rows, (1, 0), _dual_mul, _dual_sub, _dual_divide) == (
-            (1, -1),
-            [(0, -2), (1, 2)],
+        # `test_polynomial_solve`'s system at u = 1: M(1) = [[2, 1], [1, 1]] with
+        # slopes M' = [[1, 1], [1, 0]], c(1) = [1, 1] with slopes c' = [0, 1]
+        values, slopes = [[2, 1], [1, 1]], [[1, 1], [1, 0]]
+        det, solved = _cramer([[2, 1, 1], [1, 1, 1]], *TestCramerKernel.INTEGERS)
+        numerators = [n for n, in solved]
+        # det 1 + u - u^2 -> 1, numerators 1 - u^2 -> 0 and u^2 -> 1
+        assert (det, numerators) == (1, [0, 1])
+        rhs = [
+            det * c - sum(map(operator.mul, row, numerators))
+            for c, row in zip([0, 1], slopes)
+        ]
+        det_again, solved = _cramer(
+            [[*row, r] for row, r in zip(values, rhs)], *TestCramerKernel.INTEGERS
         )
+        # x = N / det, so x' = (N' det - N det') / det**2 with N' = (-2, 2) and det' = -1
+        slope_numerators = [n for n, in solved]
+        det_slope = -1
+        x_slope = [
+            F(n_slope * det - n * det_slope, det**2) for n, n_slope in zip(numerators, (-2, 2))
+        ]
+        assert det_again == det
+        assert slope_numerators == [det**2 * x for x in x_slope] == [-2, 3]
 
-    def test_dual_division_checks_both_components(self):
-        # (6 + 7 eps) / (3 + 2 eps) = 2 + eps
-        assert _dual_divide((6, 7), (3, 2)) == (2, 1)
-        with pytest.raises(ArithmeticError, match="not divisible"):
-            _dual_divide((7, 0), (3, 0))
-        with pytest.raises(ArithmeticError, match="not divisible"):
-            _dual_divide((6, 8), (3, 2))
-        # a divisor with a zero value never reaches `_dual_divide`: `_cramer`
-        # refuses it as a pivot, here det (0, 1), whose slope cannot stand in
-        rows = [[(1, 0), (1, 0), (1, 0)], [(1, 0), (1, 1), (1, 1)]]
-        with pytest.raises(DegenerateGameError, match="singular"):
-            _cramer(rows, (1, 0), _dual_mul, _dual_sub, _dual_divide, operator.itemgetter(0))
+    def test_values_take_two_integer_solves(self, wide_specs, monkeypatch):
+        calls = []
+        real = solver._cramer
+
+        def counted(rows, one, *ring):
+            calls.append((len(rows), one))
+            return real(rows, one, *ring)
+
+        def refuse(spec):
+            raise RuntimeError("the Z[u] elimination ran")
+
+        monkeypatch.setattr(solver, "_cramer", counted)
+        monkeypatch.setattr(solver, "_solve_integer", refuse)
+        for spec in wide_specs:
+            calls.clear()
+            solve_game(spec)
+            # [M(1) | c(1)], then [M(1) | d c'(1) - M'(1) N], both over Z
+            assert calls == [(spec.player_count, 1)] * 2
 
     def test_matches_integer_route(self, wide_specs):
         # the values of the lazy Z[u] pgfs at s = 1, and E[T | j] = g_j'(1) / g_j(1)
@@ -988,6 +1012,32 @@ def test_best_response_envelope(game):
 class TestRunningBest:
     """`best_response`'s running best against the ranked table's first row."""
 
+    @pytest.mark.parametrize(
+        "text, opponents, length",
+        [
+            ("H:1/3,T:2/3", "HTHT,TTHH", 5),
+            ("a:1/2,b:1/3,c:1/6", "abc,cab,bb", 4),
+            ("H:1/2,T:1/2", "", 3),
+        ],
+    )
+    def test_opponents_are_eliminated_once(self, text, opponents, length, monkeypatch):
+        # one `_cramer` on [A | w_b | u per open state], however many states the
+        # opponents' automaton has
+        model = SourceModel.from_text(text)
+        fixed = [parse_pattern(t, model) for t in opponents.split(",") if t]
+        calls = []
+        real = solver._cramer
+
+        def counted(rows, *ring):
+            calls.append(len(rows))
+            return real(rows, *ring)
+
+        monkeypatch.setattr(solver, "_cramer", counted)
+        for score in (best_response, response_table):
+            calls.clear()
+            score(fixed, length, model)
+            assert calls == [len(fixed)]
+
     @pytest.mark.parametrize("text", ["H:1/2,T:1/2", "H:1/3,T:2/3", "a:1/2,b:1/3,c:1/6"])
     def test_tie_at_the_top_keeps_alphabet_order(self, text):
         # alone, every reply wins with probability 1: the first in alphabet order wins
@@ -1017,9 +1067,9 @@ class TestRunningBest:
         real = solver._cramer
 
         def flipped(*args):
-            # det A and adj(A) rhs with the other sign, as an odd number of row swaps gives
+            # det A and adj(A) B with the other sign, as an odd number of row swaps gives
             det, numerators = real(*args)
-            return -det, [-n for n in numerators]
+            return -det, [[-n for n in row] for row in numerators]
 
         with monkeypatch.context() as patch:
             patch.setattr(solver, "_cramer", flipped)
