@@ -5,7 +5,10 @@ rational symbol probabilities, this package computes every player's win
 probability, the full probability generating function of the game, and
 expected waiting/duration statistics, all in exact rational arithmetic. An
 independent absorbing-chain oracle and a seeded Monte Carlo simulator validate
-the analytic route on every game.
+the analytic route on every game. The other second routes live with the tests,
+not here: Conway's leading numbers and the `Fraction` correlation builders in
+`tests/refconway.py`, next to the polynomial matrix and its Bareiss and
+cofactor determinants in `tests/refalgebra.py`.
 """
 
 __version__ = "0.1.0"
@@ -24,22 +27,17 @@ from .oracle import (
     step_distribution,
 )
 from .patterns import (
-    EMPTY_WORD_PROBABILITY,
     GameSpec,
     Pattern,
     SourceModel,
     ValidationError,
-    overlap_indicator,
     parse_pattern,
-    pattern_probability,
-    symbols_probability,
     validate_pattern_set,
 )
 from .polyalg import (
     ONE,
     S,
     ZERO,
-    PolyMatrix,
     Polynomial,
     RationalFunction,
     SingularAtOriginError,
@@ -48,32 +46,19 @@ from .solver import (
     DegenerateGameError,
     GameSolution,
     best_response,
-    completion_monomials,
-    conditional_expected_duration,
-    conway_matrix,
-    conway_number,
-    correlation_matrix,
-    correlation_polynomial,
-    expected_duration,
     game_distribution,
     response_table,
-    single_pattern_expected_time,
     solve_game,
-    two_player_odds,
-    winning_pgf,
-    winning_probabilities,
 )
 
 __all__ = [
     "Automaton",
     "DegenerateGameError",
-    "EMPTY_WORD_PROBABILITY",
     "GameSolution",
     "GameSpec",
     "InvariantError",
     "ONE",
     "Pattern",
-    "PolyMatrix",
     "Polynomial",
     "RationalFunction",
     "S",
@@ -86,28 +71,14 @@ __all__ = [
     "absorption_probabilities",
     "best_response",
     "build_automaton",
-    "completion_monomials",
     "conditional_absorption_times",
-    "conditional_expected_duration",
-    "conway_matrix",
-    "conway_number",
-    "correlation_matrix",
-    "correlation_polynomial",
     "expected_absorption_time",
-    "expected_duration",
     "game_distribution",
-    "overlap_indicator",
     "parse_pattern",
-    "pattern_probability",
     "response_table",
     "simulate",
-    "single_pattern_expected_time",
     "solve_game",
     "solve_linear_system",
     "step_distribution",
-    "symbols_probability",
-    "two_player_odds",
     "validate_pattern_set",
-    "winning_pgf",
-    "winning_probabilities",
 ]

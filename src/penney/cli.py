@@ -25,10 +25,6 @@ from .solver import best_response, response_table, solve_game
 SCHEMA_VERSION = 1
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 def format_ratio(num: Decimal, den: Decimal) -> str:
     """`str(Fraction(num, den))` for a pair already in lowest terms, den > 0."""
     return str(num) if den == 1 else f"{num}/{den}"
@@ -78,7 +74,7 @@ def _parse_inputs(args) -> tuple[SourceModel, list]:
 def _alphabet_block(model: SourceModel) -> dict:
     return {
         "symbols": list(model.symbols),
-        "probabilities": [format_rational(p) for p in model.probs],
+        "probabilities": [str(p) for p in model.probs],
     }
 
 
@@ -176,9 +172,9 @@ def cmd_solve(args) -> dict:
             {
                 "player": i,
                 "pattern": str(pattern),
-                "win_probability": format_rational(prob),
+                "win_probability": str(prob),
                 "win_probability_decimal": format_decimal(prob, digits),
-                "conditional_expected_duration": format_rational(conditional),
+                "conditional_expected_duration": str(conditional),
                 "conditional_expected_duration_decimal": format_decimal(conditional, digits),
             }
         )
@@ -186,7 +182,7 @@ def cmd_solve(args) -> dict:
     doc = _header("solve", model)
     doc["patterns"] = [str(p) for p in spec.patterns]
     doc["players"] = players
-    doc["expected_duration"] = format_rational(solution.expected_duration)
+    doc["expected_duration"] = str(solution.expected_duration)
     doc["expected_duration_decimal"] = format_decimal(solution.expected_duration, digits)
     if args.series is not None:
         doc["series"] = Series(args.series, doc["patterns"], solution.win_series(args.series))
@@ -212,11 +208,11 @@ def cmd_simulate(args) -> dict:
                 "player": i,
                 "pattern": str(pattern),
                 "wins": win_count,
-                "exact_probability": format_rational(exact),
+                "exact_probability": str(exact),
                 "exact_probability_decimal": format_decimal(exact, digits),
-                "empirical_probability": format_rational(empirical),
+                "empirical_probability": str(empirical),
                 "empirical_probability_decimal": format_decimal(empirical, digits),
-                "absolute_error": format_rational(error),
+                "absolute_error": str(error),
                 "absolute_error_decimal": format_decimal(error, digits),
                 "three_sigma_decimal": sqrt_decimal(9 * sigma_sq, digits),
                 "within_three_sigma": error * error <= 9 * sigma_sq,
@@ -229,9 +225,9 @@ def cmd_simulate(args) -> dict:
     doc["seed"] = report.seed
     doc["players"] = players
     doc["total_tosses"] = report.total_tosses
-    doc["mean_tosses"] = format_rational(report.mean_tosses)
+    doc["mean_tosses"] = str(report.mean_tosses)
     doc["mean_tosses_decimal"] = format_decimal(report.mean_tosses, digits)
-    doc["expected_duration"] = format_rational(solution.expected_duration)
+    doc["expected_duration"] = str(solution.expected_duration)
     doc["expected_duration_decimal"] = format_decimal(solution.expected_duration, digits)
     return doc
 
@@ -256,14 +252,14 @@ def cmd_best_response(args) -> dict:
     doc["length"] = args.length
     doc["best"] = {
         "pattern": str(best_pattern),
-        "win_probability": format_rational(best_prob),
+        "win_probability": str(best_prob),
         "win_probability_decimal": format_decimal(best_prob, digits),
     }
     if args.verbose:
         doc["candidates"] = [
             {
                 "pattern": str(pattern),
-                "win_probability": format_rational(prob),
+                "win_probability": str(prob),
                 "win_probability_decimal": format_decimal(prob, digits),
             }
             for pattern, prob in table

@@ -1,4 +1,4 @@
-"""Alphabets with exact symbol probabilities, patterns, and overlap tests.
+"""Alphabets with exact symbol probabilities, patterns, and pattern-set validation.
 
 A game is a source model (finite alphabet, one positive rational probability
 per symbol, summing to one) plus a substring-free set of patterns over that
@@ -12,15 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class ValidationError(ValueError):
     """A source model, pattern, or pattern set violates the game's hypotheses."""
-
-
-# Convention for the zero-length pattern: an empty product of probabilities.
-EMPTY_WORD_PROBABILITY = Fraction(1)
 
 
 def _coerce_probability(value) -> Fraction:
@@ -152,23 +148,6 @@ def parse_pattern(text: str, model: SourceModel) -> Pattern:
         else:
             raise ValidationError(f"unrecognized symbol at position {i} in {text!r}")
     return Pattern(out)
-
-
-def symbols_probability(symbols: Sequence[str], model: SourceModel) -> Fraction:
-    """Probability of seeing the given symbols in a row; empty input gives 1."""
-    return math.prod((model.probability(s) for s in symbols), start=EMPTY_WORD_PROBABILITY)
-
-
-def pattern_probability(pattern: Pattern, model: SourceModel) -> Fraction:
-    return symbols_probability(pattern.symbols, model)
-
-
-def overlap_indicator(a: Pattern, b: Pattern, k: int) -> bool:
-    """True iff the first k symbols of `a` equal the last k symbols of `b`."""
-    limit = min(a.length, b.length)
-    if not 1 <= k <= limit:
-        raise ValueError(f"overlap length {k} out of range 1..{limit}")
-    return a.symbols[:k] == b.symbols[-k:]
 
 
 def _contains(haystack: tuple[str, ...], needle: tuple[str, ...]) -> bool:

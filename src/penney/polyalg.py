@@ -1,9 +1,9 @@
-"""Exact univariate polynomials, rational functions and polynomial matrices.
+"""Exact univariate polynomials and rational functions.
 
-These are the value types the game solver returns: the correlation matrix,
-its completion column and every generating function. The solver's own
-arithmetic runs over integers (see `penney.solver`); these types carry the
-results. Everything here is arbitrary precision and exact: coefficients are
+These are the value types the game solver returns: every generating
+function and its numerator and denominator. The solver's own arithmetic
+runs over integers (see `penney.solver`); these types carry the results.
+Everything here is arbitrary precision and exact: coefficients are
 `fractions.Fraction`, arithmetic never rounds, and equality is decidable.
 Polynomials are dense coefficient tuples in a single formal variable (written
 ``s`` throughout): degrees stay bounded by the combined pattern length, so
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Scalar = Union[Fraction, int]
 
@@ -208,44 +208,3 @@ class RationalFunction:
 
     def __str__(self) -> str:
         return f"({self.numer}) / ({self.denom})"
-
-
-@dataclass(frozen=True)
-class PolyMatrix:
-    """Square matrix of polynomials, such as the correlation matrix M(s).
-
-    Column indices on the public surface are 1-based, matching the usual
-    mathematical convention for Cramer-style column replacement.
-    """
-
-    rows: tuple[tuple[Polynomial, ...], ...]
-
-    def __init__(self, rows: Iterable[Iterable["Polynomial | Scalar"]]) -> None:
-        grid = tuple(tuple(_as_polynomial(entry) for entry in row) for row in rows)
-        if not grid or any(len(row) != len(grid) for row in grid):
-            raise ValueError("matrix must be square and nonempty")
-        object.__setattr__(self, "rows", grid)
-
-    @staticmethod
-    def identity(n: int) -> "PolyMatrix":
-        return PolyMatrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @property
-    def dimension(self) -> int:
-        return len(self.rows)
-
-    def replace_column(self, column: int, values: Sequence["Polynomial | Scalar"]) -> "PolyMatrix":
-        """New matrix with 1-based `column` replaced by `values`; self unchanged."""
-        n = self.dimension
-        if not 1 <= column <= n:
-            raise IndexError(f"column index {column} out of range 1..{n}")
-        if len(values) != n:
-            raise ValueError(f"replacement column must have {n} entries")
-        j = column - 1
-        fresh = tuple(_as_polynomial(v) for v in values)
-        return PolyMatrix(
-            tuple(row[:j] + (fresh[i],) + row[j + 1 :] for i, row in enumerate(self.rows))
-        )
-
-    def evaluate(self, at: Scalar) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(entry.evaluate(at) for entry in row) for row in self.rows)

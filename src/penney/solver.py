@@ -67,17 +67,8 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from .patterns import (
-    GameSpec,
-    Pattern,
-    SourceModel,
-    ValidationError,
-    overlap_indicator,
-    pattern_probability,
-    symbols_probability,
-    validate_pattern_set,
-)
-from .polyalg import PolyMatrix, Polynomial, RationalFunction
+from .patterns import GameSpec, Pattern, SourceModel, ValidationError, validate_pattern_set
+from .polyalg import Polynomial, RationalFunction
 
 # Integer polynomials in u = s/D: coefficient lists, lowest degree first, with
 # no trailing zeros (the zero polynomial is the empty list).
@@ -99,8 +90,7 @@ def _scaled_correlation(a: Pattern, b: Pattern, weights: dict[str, int]) -> IntP
 
     The coefficient of u**(len(a)-k) is D**(len(a)-k) P(last len(a)-k symbols
     of `a`) when the first k symbols of `a` equal the last k symbols of `b`,
-    else 0. That is `overlap_indicator`'s test, made on the symbol tuples
-    directly.
+    else 0.
     """
     head, tail = a.symbols, b.symbols
     size = len(head)
@@ -149,35 +139,6 @@ def _in_s(coeffs: IntPoly, scale: int) -> Polynomial:
         out.append(Fraction(c, power))
         power *= scale
     return Polynomial(out)
-
-
-def correlation_polynomial(a: Pattern, b: Pattern, model: SourceModel) -> Polynomial:
-    """Overlap polynomial of `a` against `b`.
-
-    The coefficient of s**(len(a)-k) is the probability of the last len(a)-k
-    symbols of `a`, present exactly when the first k symbols of `a` equal the
-    last k symbols of `b`. Its constant term is 1 iff a == b, and for a
-    validated pattern set every off-diagonal polynomial vanishes at 0.
-    """
-    return _in_s(_scaled_correlation(a, b, _symbol_weights(model)), model.common_denominator)
-
-
-def correlation_matrix(spec: GameSpec) -> PolyMatrix:
-    """m-by-m matrix of correlation polynomials; the identity at s = 0."""
-    return PolyMatrix(
-        [
-            [correlation_polynomial(a, b, spec.model) for b in spec.patterns]
-            for a in spec.patterns
-        ]
-    )
-
-
-def completion_monomials(spec: GameSpec) -> list[Polynomial]:
-    """P(pattern) * s**len(pattern) per player: the weight of one straight run."""
-    return [
-        Polynomial.monomial(p.length, pattern_probability(p, spec.model))
-        for p in spec.patterns
-    ]
 
 
 def _sub(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -429,71 +390,6 @@ def _solve_at_one(
     return tuple(wins), Fraction(det_corr, total), tuple(conditionals)
 
 
-def winning_pgf(spec: GameSpec, player: int) -> RationalFunction:
-    """Generating function of P(the 1-based `player` wins exactly at toss n)."""
-    _check_player(spec, player)
-    return solve_game(spec).pgfs[player - 1]
-
-
-def conway_number(a: Pattern, b: Pattern, model: SourceModel) -> Fraction:
-    """Leading number a*b: reciprocal prefix probabilities over overlaps.
-
-    Sums 1/P(first k symbols of b) over every k where that prefix of b equals
-    the suffix of a; equivalently the correlation polynomial of b against a
-    evaluated at 1 and divided by P(b).
-    """
-    return sum(
-        (
-            1 / symbols_probability(b.symbols[:k], model)
-            for k in range(1, min(a.length, b.length) + 1)
-            if overlap_indicator(b, a, k)
-        ),
-        Fraction(0),
-    )
-
-
-def conway_matrix(spec: GameSpec) -> tuple[tuple[Fraction, ...], ...]:
-    """Grid with entry (i, j) = patterns[j] * patterns[i] (leading numbers)."""
-    return tuple(
-        tuple(conway_number(b, a, spec.model) for b in spec.patterns)
-        for a in spec.patterns
-    )
-
-
-def winning_probabilities(spec: GameSpec) -> tuple[Fraction, ...]:
-    """Each player's exact probability of seeing their pattern first."""
-    return solve_game(spec).win_probs
-
-
-def two_player_odds(first: Pattern, second: Pattern, model: SourceModel) -> Fraction:
-    """Odds P(first wins) : P(second wins) by the classic leading-number ratio."""
-    validate_pattern_set([first, second], model)
-    denominator = conway_number(first, first, model) - conway_number(first, second, model)
-    if denominator == 0:
-        raise DegenerateGameError(f"degenerate pair: {first} vs {second}")
-    return (
-        conway_number(second, second, model) - conway_number(second, first, model)
-    ) / denominator
-
-
-def expected_duration(spec: GameSpec) -> Fraction:
-    """Exact expected number of tosses until some pattern completes."""
-    return solve_game(spec).expected_duration
-
-
-def single_pattern_expected_time(pattern: Pattern, model: SourceModel) -> Fraction:
-    """Expected tosses until `pattern` first occurs (Solov'ev's sum).
-
-    Adds 1/P(first k symbols) over every self-overlap of length k; agrees with
-    conway_number(pattern, pattern, model) and with the chain oracle.
-    """
-    return sum(
-        1 / symbols_probability(pattern.symbols[:k], model)
-        for k in range(1, pattern.length + 1)
-        if overlap_indicator(pattern, pattern, k)
-    )
-
-
 def game_distribution(spec: GameSpec, horizon: int) -> list[list[Fraction]]:
     """Per player: exact P(that player wins at toss k) for 0 <= k <= horizon.
 
@@ -504,21 +400,6 @@ def game_distribution(spec: GameSpec, horizon: int) -> list[list[Fraction]]:
         [Fraction(int(n), int(d)) for n, d in player]
         for player in solve_game(spec).win_series(horizon)
     ]
-
-
-def _check_player(spec: GameSpec, player: int) -> None:
-    if not 1 <= player <= spec.player_count:
-        raise ValueError(f"player index {player} out of range 1..{spec.player_count}")
-
-
-def conditional_expected_duration(spec: GameSpec, player: int) -> Fraction:
-    """E[game length | the 1-based `player` wins], exact.
-
-    The derivative of the player's (defective) pgf at 1 over the player's win
-    probability, both evaluated directly since the denominator is nonzero there.
-    """
-    _check_player(spec, player)
-    return solve_game(spec).conditional_durations[player - 1]
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,61 @@
 """Reference algebra over `penney.polyalg`'s value types, for the tests only.
 
 The library gets every answer from one fraction-free integer elimination
-(`penney.solver._cramer`). The routes here are independent of it: Bareiss
-and cofactor determinants, polynomial long division and derivatives. The
-tests replay the paper's determinant identities and Cramer's rule with them.
-Nothing here imports `penney.solver`.
+(`penney.solver._cramer`). The routes here are independent of it: a square
+polynomial matrix, Bareiss and cofactor determinants, polynomial long
+division and derivatives. The tests replay the paper's determinant
+identities and Cramer's rule with them. Nothing here imports
+`penney.solver`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Sequence
 
-from penney.polyalg import ONE, ZERO, PolyMatrix, Polynomial, RationalFunction
+from penney.polyalg import ONE, ZERO, Polynomial, RationalFunction, Scalar, _as_polynomial
+
+
+@dataclass(frozen=True)
+class PolyMatrix:
+    """Square matrix of polynomials, such as the correlation matrix M(s).
+
+    Column indices on the public surface are 1-based, matching the usual
+    mathematical convention for Cramer-style column replacement.
+    """
+
+    rows: tuple[tuple[Polynomial, ...], ...]
+
+    def __init__(self, rows: Iterable[Iterable["Polynomial | Scalar"]]) -> None:
+        grid = tuple(tuple(_as_polynomial(entry) for entry in row) for row in rows)
+        if not grid or any(len(row) != len(grid) for row in grid):
+            raise ValueError("matrix must be square and nonempty")
+        object.__setattr__(self, "rows", grid)
+
+    @staticmethod
+    def identity(n: int) -> "PolyMatrix":
+        return PolyMatrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+
+    @property
+    def dimension(self) -> int:
+        return len(self.rows)
+
+    def replace_column(self, column: int, values: Sequence["Polynomial | Scalar"]) -> "PolyMatrix":
+        """New matrix with 1-based `column` replaced by `values`; self unchanged."""
+        n = self.dimension
+        if not 1 <= column <= n:
+            raise IndexError(f"column index {column} out of range 1..{n}")
+        if len(values) != n:
+            raise ValueError(f"replacement column must have {n} entries")
+        j = column - 1
+        fresh = tuple(_as_polynomial(v) for v in values)
+        return PolyMatrix(
+            tuple(row[:j] + (fresh[i],) + row[j + 1 :] for i, row in enumerate(self.rows))
+        )
+
+    def evaluate(self, at: Scalar) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(entry.evaluate(at) for entry in row) for row in self.rows)
 
 
 def divide(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:

@@ -26,29 +26,28 @@ from penney.oracle import (
     simulate,
     step_distribution,
 )
-from penney.patterns import (
-    SourceModel,
-    overlap_indicator,
-    parse_pattern,
-    pattern_probability,
-    symbols_probability,
-    validate_pattern_set,
+from penney.patterns import SourceModel, parse_pattern, validate_pattern_set
+from penney.polyalg import ONE, S, Polynomial
+from penney.solver import game_distribution, solve_game
+from exampledata import (
+    EXAMPLE_PATTERNS,
+    closed_form_probs,
+    conway_grid,
+    correlation_grid,
+    scaled_entries,
+    solver_entries,
 )
-from penney.polyalg import ONE, S, PolyMatrix, Polynomial
-from penney.solver import (
+from refalgebra import PolyMatrix, determinant
+from refconway import (
     completion_monomials,
-    conditional_expected_duration,
     conway_matrix,
     conway_number,
     correlation_matrix,
-    expected_duration,
-    game_distribution,
+    overlap_indicator,
+    pattern_probability,
     single_pattern_expected_time,
-    solve_game,
-    winning_probabilities,
+    symbols_probability,
 )
-from exampledata import EXAMPLE_PATTERNS, closed_form_probs, conway_grid, correlation_grid
-from refalgebra import determinant
 from specgen import random_single, random_spec
 
 CLOSED_FORM_BIASES = (F(1, 3), F(1, 4), F(2, 5))
@@ -76,7 +75,7 @@ def showcase(p: F):
 def test_criterion_01_fair_coin_exact_probabilities():
     with criterion(1, "fair-coin showcase solves to 5/12, 1/3, 1/4 exactly in < 1 s"):
         start = time.perf_counter()
-        probs = winning_probabilities(showcase(F(1, 2)))
+        probs = solve_game(showcase(F(1, 2))).win_probs
         elapsed = time.perf_counter() - start
         assert probs == (F(5, 12), F(1, 3), F(1, 4))
         assert elapsed < 1.0
@@ -85,18 +84,15 @@ def test_criterion_01_fair_coin_exact_probabilities():
 def test_criterion_02_closed_forms_at_test_biases():
     with criterion(2, "closed-form win probabilities hold at p = 1/3, 1/4, 2/5"):
         for p in CLOSED_FORM_BIASES:
-            assert winning_probabilities(showcase(p)) == closed_form_probs(p)
+            assert solve_game(showcase(p)).win_probs == closed_form_probs(p)
 
 
 def test_criterion_03_correlation_matrix_entries():
     with criterion(3, "correlation matrix matches the displayed entries, per bias"):
         for p in ALL_BIASES:
             spec = showcase(p)
-            expected = correlation_grid(p)
-            matrix = correlation_matrix(spec)
-            for i in range(3):
-                for j in range(3):
-                    assert matrix.rows[i][j] == expected[i][j]
+            # the solver's polynomials, and its integer values and slopes at s = 1
+            assert solver_entries(spec) == scaled_entries(spec, correlation_grid(p))
 
 
 def test_criterion_04_conway_matrix_entries():
@@ -153,17 +149,10 @@ def test_criterion_06_oracle_equivalence_on_100_specs():
         for _ in range(100):
             spec = random_spec(rng)
             automaton = build_automaton(spec)
-            assert winning_probabilities(spec) == absorption_probabilities(
-                automaton, spec.model
-            )
-            assert expected_duration(spec) == expected_absorption_time(
-                automaton, spec.model
-            )
-            solver_conditionals = tuple(
-                conditional_expected_duration(spec, i)
-                for i in range(1, spec.player_count + 1)
-            )
-            assert solver_conditionals == conditional_absorption_times(
+            solution = solve_game(spec)
+            assert solution.win_probs == absorption_probabilities(automaton, spec.model)
+            assert solution.expected_duration == expected_absorption_time(automaton, spec.model)
+            assert solution.conditional_durations == conditional_absorption_times(
                 automaton, spec.model
             )
             assert game_distribution(spec, 30) == step_distribution(
@@ -202,6 +191,7 @@ def test_criterion_08_single_pattern_times_on_100_patterns():
             direct = single_pattern_expected_time(pattern, spec.model)
             assert direct == conway_number(pattern, pattern, spec.model)
             assert direct == expected_absorption_time(build_automaton(spec), spec.model)
+            assert direct == solve_game(spec).expected_duration
 
 
 def test_criterion_09_normalization_and_nonnegativity():
@@ -209,7 +199,7 @@ def test_criterion_09_normalization_and_nonnegativity():
         rng = random.Random(2029)
         for _ in range(100):
             spec = random_spec(rng)
-            probs = winning_probabilities(spec)
+            probs = solve_game(spec).win_probs
             assert sum(probs) == 1
             assert all(0 <= p <= 1 for p in probs)
             for row in game_distribution(spec, 50):

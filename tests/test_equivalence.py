@@ -19,23 +19,10 @@ from penney.oracle import (
     simulate,
     step_distribution,
 )
-from penney.patterns import (
-    Pattern,
-    SourceModel,
-    overlap_indicator,
-    parse_pattern,
-    pattern_probability,
-    symbols_probability,
-    validate_pattern_set,
-)
-from penney.solver import (
-    conditional_expected_duration,
-    expected_duration,
-    game_distribution,
-    solve_game,
-    winning_probabilities,
-)
+from penney.patterns import SourceModel, parse_pattern, validate_pattern_set
+from penney.solver import game_distribution, solve_game
 from refalgebra import rational_derivative
+from refconway import overlap_indicator, pattern_probability, symbols_probability
 from specgen import game_specs, random_spec
 
 
@@ -44,13 +31,10 @@ def test_probabilities_and_durations_match():
     for _ in range(40):
         spec = random_spec(rng)
         automaton = build_automaton(spec)
-        assert winning_probabilities(spec) == absorption_probabilities(automaton, spec.model)
-        assert expected_duration(spec) == expected_absorption_time(automaton, spec.model)
-        solver_conditionals = tuple(
-            conditional_expected_duration(spec, i)
-            for i in range(1, spec.player_count + 1)
-        )
-        assert solver_conditionals == conditional_absorption_times(automaton, spec.model)
+        solution = solve_game(spec)
+        assert solution.win_probs == absorption_probabilities(automaton, spec.model)
+        assert solution.expected_duration == expected_absorption_time(automaton, spec.model)
+        assert solution.conditional_durations == conditional_absorption_times(automaton, spec.model)
 
 
 def test_step_series_match():
@@ -81,10 +65,11 @@ def test_three_symbol_alphabet_matches_oracle():
     patterns = [parse_pattern(text, model) for text in ("ab", "ba", "cc")]
     spec = validate_pattern_set(patterns, model)
     automaton = build_automaton(spec)
-    probs = winning_probabilities(spec)
+    solution = solve_game(spec)
+    probs = solution.win_probs
     assert probs == absorption_probabilities(automaton, model)
     assert sum(probs) == 1
-    assert expected_duration(spec) == expected_absorption_time(automaton, model)
+    assert solution.expected_duration == expected_absorption_time(automaton, model)
     assert game_distribution(spec, 25) == step_distribution(automaton, model, 25)
     report = simulate(spec, 20000, seed=2)
     for exact, empirical in zip(probs, report.empirical_probs):

@@ -31,7 +31,7 @@ from penney.patterns import (
     validate_pattern_set,
 )
 from penney.polyalg import Polynomial, RationalFunction
-from penney.solver import expected_duration, solve_game
+from penney.solver import solve_game
 from refalgebra import rational_derivative
 from refsim import reference_simulate
 from specgen import random_spec
@@ -290,7 +290,7 @@ def simulation_cases(draw):
         if not any(_contains(symbols, p) or _contains(p, symbols) for p in kept):
             kept.append(symbols)
     spec = validate_pattern_set([Pattern(p) for p in kept], model)
-    mean = expected_duration(spec)
+    mean = solve_game(spec).expected_duration
     assume(mean <= SIMULATION_BUDGET)
     trials = draw(st.integers(1, max(1, min(60, int(SIMULATION_BUDGET / mean)))))
     return spec, trials, draw(st.integers(0, 2**64 - 1)), draw(st.integers(1, 7))

@@ -1,4 +1,5 @@
-"""Source models, pattern parsing, overlap machinery, and set validation."""
+"""Source models, pattern parsing and set validation, plus the overlap and
+probability helpers of the test-side reference `refconway`."""
 
 from __future__ import annotations
 
@@ -8,16 +9,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from penney.patterns import (
+from penney.patterns import Pattern, SourceModel, ValidationError, parse_pattern, validate_pattern_set
+from refconway import (
     EMPTY_WORD_PROBABILITY,
-    Pattern,
-    SourceModel,
-    ValidationError,
     overlap_indicator,
-    parse_pattern,
     pattern_probability,
     symbols_probability,
-    validate_pattern_set,
 )
 from specgen import random_spec
 

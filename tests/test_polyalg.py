@@ -15,12 +15,12 @@ from penney.polyalg import (
     ONE,
     S,
     ZERO,
-    PolyMatrix,
     Polynomial,
     RationalFunction,
     SingularAtOriginError,
 )
 from refalgebra import (
+    PolyMatrix,
     derivative,
     determinant,
     determinant_cofactor,

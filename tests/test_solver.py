@@ -26,13 +26,10 @@ from penney.patterns import (
     SourceModel,
     ValidationError,
     _contains,
-    overlap_indicator,
     parse_pattern,
-    pattern_probability,
-    symbols_probability,
     validate_pattern_set,
 )
-from penney.polyalg import ONE, S, PolyMatrix, Polynomial, RationalFunction
+from penney.polyalg import ONE, S, Polynomial, RationalFunction
 from penney.solver import (
     DegenerateGameError,
     _cramer,
@@ -46,20 +43,9 @@ from penney.solver import (
     _solve_integer,
     _sub,
     best_response,
-    completion_monomials,
-    conditional_expected_duration,
-    conway_matrix,
-    conway_number,
-    correlation_matrix,
-    correlation_polynomial,
-    expected_duration,
     game_distribution,
     response_table,
-    single_pattern_expected_time,
     solve_game,
-    two_player_odds,
-    winning_pgf,
-    winning_probabilities,
 )
 from exampledata import (
     EXAMPLE_PATTERNS,
@@ -67,8 +53,23 @@ from exampledata import (
     conway_grid,
     correlation_grid,
     det3,
+    scaled_entries,
+    solver_entries,
 )
-from refalgebra import determinant, rational_derivative
+from refalgebra import PolyMatrix, determinant, rational_derivative
+from refconway import (
+    completion_monomials,
+    conway_matrix,
+    conway_number,
+    conway_reference,
+    correlation_matrix,
+    correlation_polynomial,
+    overlap_indicator,
+    pattern_probability,
+    single_pattern_expected_time,
+    symbols_probability,
+    two_player_odds,
+)
 from specgen import BIAS_MENU, random_pair, random_single, random_spec, sized_spec
 
 TEST_BIASES = (F(1, 2), F(1, 3), F(1, 4), F(2, 5))
@@ -96,29 +97,9 @@ def wide_specs():
     ]
 
 
-def conway_reference(spec):
-    """Win probabilities and E[T] by the leading-number route.
-
-    Win probability j is the determinant of the Conway grid with column j
-    replaced by ones, over the sum of those determinants; E[T] is the grid's
-    own determinant over the same sum.
-    """
-    grid = conway_matrix(spec)
-
-    def det(rows):
-        return determinant(PolyMatrix([[Polynomial.constant(v) for v in row] for row in rows]))
-
-    column_dets = [
-        det([row[:j] + (F(1),) + row[j + 1 :] for row in grid]).coefficient(0)
-        for j in range(spec.player_count)
-    ]
-    total = sum(column_dets)
-    return tuple(d / total for d in column_dets), det(grid).coefficient(0) / total
-
-
 def reference_response_table(opponents, length, model):
     """The exhaustive ranking by full solves: each admissible candidate's game
-    is solved by `winning_probabilities` and the newcomer's value is read."""
+    is solved by `solve_game` and the newcomer's value is read."""
     fixed = list(opponents)
     if fixed:
         validate_pattern_set(fixed, model)
@@ -129,7 +110,7 @@ def reference_response_table(opponents, length, model):
             spec = validate_pattern_set([*fixed, candidate], model)
         except ValidationError:
             continue
-        ranked.append((candidate, winning_probabilities(spec)[-1]))
+        ranked.append((candidate, solve_game(spec).win_probs[-1]))
     ranked.sort(key=lambda entry: entry[1], reverse=True)
     return ranked
 
@@ -169,10 +150,12 @@ class TestCorrelationPolynomial:
     @pytest.mark.parametrize("p", TEST_BIASES)
     def test_showcase_entries(self, p):
         spec = showcase(p)
-        expected = correlation_grid(p)
-        for i, a in enumerate(spec.patterns):
-            for j, b in enumerate(spec.patterns):
-                assert correlation_polynomial(a, b, spec.model) == expected[i][j]
+        assert solver_entries(spec) == scaled_entries(spec, correlation_grid(p))
+
+    def test_solver_entries_match_the_reference_builder(self, wide_specs):
+        rng = random.Random(4)
+        for spec in [*wide_specs, *(random_spec(rng) for _ in range(30))]:
+            assert solver_entries(spec) == scaled_entries(spec, correlation_matrix(spec).rows)
 
     def test_diagonal_constant_term_is_one(self):
         rng = random.Random(5)
@@ -216,7 +199,7 @@ class TestWinningPgf:
         for _ in range(30):
             spec = random_single(rng)
             pattern = spec.patterns[0]
-            pgf = winning_pgf(spec, 1)
+            pgf = solve_game(spec).pgfs[0]
             weight = Polynomial.monomial(
                 pattern.length, pattern_probability(pattern, spec.model)
             )
@@ -236,12 +219,6 @@ class TestWinningPgf:
             build_automaton(example_spec), example_spec.model, 30
         )
         assert distribution == grid
-
-    def test_player_index_is_one_based(self, example_spec):
-        with pytest.raises(ValueError):
-            winning_pgf(example_spec, 0)
-        with pytest.raises(ValueError):
-            winning_pgf(example_spec, 4)
 
 
 class TestConwayNumbers:
@@ -318,10 +295,9 @@ class TestIntegerCore:
             probs = absorption_probabilities(automaton, spec.model)
             duration = expected_absorption_time(automaton, spec.model)
             conditionals = conditional_absorption_times(automaton, spec.model)
-            assert solution.win_probs == winning_probabilities(spec) == probs
-            assert solution.expected_duration == expected_duration(spec) == duration
+            assert solution.win_probs == probs
+            assert solution.expected_duration == duration
             assert solution.conditional_durations == conditionals
-            assert conditional_expected_duration(spec, spec.player_count) == conditionals[-1]
 
     def test_public_pgfs_give_the_values_at_one(self, wide_specs):
         # E[T | j] = G_j'(1) / G_j(1) from the lazy Z[u] pgfs, against the integer solves
@@ -336,7 +312,8 @@ class TestIntegerCore:
     def test_matches_conway_route(self, wide_specs):
         rng = random.Random(32)
         for spec in [*wide_specs, *(random_spec(rng) for _ in range(40))]:
-            assert conway_reference(spec) == (winning_probabilities(spec), expected_duration(spec))
+            solution = solve_game(spec)
+            assert conway_reference(spec) == (solution.win_probs, solution.expected_duration)
 
     def test_division_checks_the_remainder(self):
         assert _divide_exact([1, 3, 2], [1, 1]) == [1, 2]
@@ -603,35 +580,34 @@ class TestDualSolve:
 
 class TestWinningProbabilities:
     def test_showcase_fair(self, example_spec):
-        assert winning_probabilities(example_spec) == (F(5, 12), F(1, 3), F(1, 4))
+        assert solve_game(example_spec).win_probs == (F(5, 12), F(1, 3), F(1, 4))
 
     @pytest.mark.parametrize("p", (F(1, 3), F(1, 4), F(2, 5)))
     def test_showcase_closed_forms(self, p):
-        assert winning_probabilities(showcase(p)) == closed_form_probs(p)
+        assert solve_game(showcase(p)).win_probs == closed_form_probs(p)
 
     def test_single_player(self, fair):
         spec = validate_pattern_set([parse_pattern("HTH", fair)], fair)
-        assert winning_probabilities(spec) == (F(1),)
+        assert solve_game(spec).win_probs == (F(1),)
 
     def test_sum_to_one(self):
         rng = random.Random(14)
         for _ in range(40):
-            assert sum(winning_probabilities(random_spec(rng))) == 1
+            assert sum(solve_game(random_spec(rng)).win_probs) == 1
 
     def test_matches_pgf_value_at_one(self):
         rng = random.Random(15)
         for _ in range(20):
             spec = random_spec(rng)
-            probs = winning_probabilities(spec)
-            for player in range(1, spec.player_count + 1):
-                assert winning_pgf(spec, player).evaluate(1) == probs[player - 1]
+            solution = solve_game(spec)
+            assert tuple(pgf.evaluate(1) for pgf in solution.pgfs) == solution.win_probs
 
 
 class TestTwoPlayerOdds:
     def test_hh_vs_th(self, fair):
         hh, th = parse_pattern("HH", fair), parse_pattern("TH", fair)
         assert two_player_odds(hh, th, fair) == F(1, 3)  # (4-2)/(6-0)
-        assert winning_probabilities(validate_pattern_set([hh, th], fair)) == (
+        assert solve_game(validate_pattern_set([hh, th], fair)).win_probs == (
             F(1, 4),
             F(3, 4),
         )
@@ -645,7 +621,7 @@ class TestTwoPlayerOdds:
         for _ in range(50):
             spec = random_pair(rng)
             first, second = spec.patterns
-            probs = winning_probabilities(spec)
+            probs = solve_game(spec).win_probs
             assert two_player_odds(first, second, spec.model) == probs[0] / probs[1]
 
     def test_invalid_pair_rejected(self, fair):
@@ -656,19 +632,19 @@ class TestTwoPlayerOdds:
 class TestDurations:
     def test_single_hh_fair(self, fair):
         spec = validate_pattern_set([parse_pattern("HH", fair)], fair)
-        assert expected_duration(spec) == 6
+        assert solve_game(spec).expected_duration == 6
 
     def test_single_pattern_routes_agree(self):
         rng = random.Random(17)
         for _ in range(50):
             spec = random_single(rng)
             pattern = spec.patterns[0]
-            assert expected_duration(spec) == single_pattern_expected_time(
+            assert solve_game(spec).expected_duration == single_pattern_expected_time(
                 pattern, spec.model
             )
 
     def test_showcase_duration_matches_oracle(self, example_spec):
-        value = expected_duration(example_spec)
+        value = solve_game(example_spec).expected_duration
         assert value == F(31, 6)
         assert value == expected_absorption_time(
             build_automaton(example_spec), example_spec.model
@@ -696,7 +672,8 @@ class TestDurations:
         rng = random.Random(19)
         for _ in range(20):
             spec = random_spec(rng)
-            assert solve_game(spec).tail_gf.evaluate(1) == expected_duration(spec)
+            solution = solve_game(spec)
+            assert solution.tail_gf.evaluate(1) == solution.expected_duration
 
 
 class TestGameDistribution:
@@ -793,25 +770,20 @@ class TestConditionalDuration:
         rng = random.Random(23)
         for _ in range(20):
             spec = random_single(rng)
-            assert conditional_expected_duration(spec, 1) == single_pattern_expected_time(
-                spec.patterns[0], spec.model
+            assert solve_game(spec).conditional_durations == (
+                single_pattern_expected_time(spec.patterns[0], spec.model),
             )
 
     def test_law_of_total_expectation(self, example_spec):
-        probs = winning_probabilities(example_spec)
-        total = sum(
-            probs[i] * conditional_expected_duration(example_spec, i + 1)
-            for i in range(3)
-        )
-        assert total == expected_duration(example_spec)
+        solution = solve_game(example_spec)
+        total = sum(map(operator.mul, solution.win_probs, solution.conditional_durations))
+        assert total == solution.expected_duration
 
     def test_matches_oracle(self, example_spec):
         oracle_values = conditional_absorption_times(
             build_automaton(example_spec), example_spec.model
         )
-        solver_values = tuple(
-            conditional_expected_duration(example_spec, i) for i in (1, 2, 3)
-        )
+        solver_values = solve_game(example_spec).conditional_durations
         assert solver_values == oracle_values == (F(86, 15), F(16, 3), F(4))
 
 
@@ -894,7 +866,7 @@ class TestBestResponse:
                         spec = validate_pattern_set([opponent, reply], fair)
                     except ValidationError:
                         continue
-                    shaped.append(winning_probabilities(spec)[-1])
+                    shaped.append(solve_game(spec).win_probs[-1])
                 assert table[0][1] == max(shaped), str(opponent)
                 checked += 1
         assert checked == 248
