@@ -30,6 +30,14 @@ def format_ratio(num: Decimal, den: Decimal) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
+def format_exact(value: Fraction | int) -> str:
+    """`str(value)` for an exact rational or integer, printed as `format_ratio`
+    prints a pair: through Decimal, which has no int-to-str digit limit."""
+    num, den = value.numerator, value.denominator
+    # % calls str, where an f-string would take the slower Decimal.__format__
+    return str(Decimal(num)) if den == 1 else "%s/%s" % (Decimal(num), Decimal(den))
+
+
 def _ratio_width(num: Decimal, den: Decimal) -> int:
     """len(format_ratio(num, den)), from the digit counts of the two integers."""
     width = num.adjusted() + 1
@@ -48,9 +56,9 @@ def format_decimal(value: Fraction, digits: int) -> str:
         scaled += 1
     sign = "-" if negative and scaled else ""
     if digits == 0:
-        return f"{sign}{scaled}"
+        return f"{sign}{format_exact(scaled)}"
     whole, frac = divmod(scaled, 10**digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return f"{sign}{format_exact(whole)}.{frac:0{digits}d}"
 
 
 def sqrt_decimal(value: Fraction, digits: int) -> str:
@@ -60,9 +68,9 @@ def sqrt_decimal(value: Fraction, digits: int) -> str:
     num, den = value.numerator, value.denominator
     scaled = math.isqrt(num * den * 10 ** (2 * digits)) // den
     if digits == 0:
-        return str(scaled)
+        return format_exact(scaled)
     whole, frac = divmod(scaled, 10**digits)
-    return f"{whole}.{frac:0{digits}d}"
+    return f"{format_exact(whole)}.{frac:0{digits}d}"
 
 
 def _parse_inputs(args) -> tuple[SourceModel, list]:
@@ -74,7 +82,7 @@ def _parse_inputs(args) -> tuple[SourceModel, list]:
 def _alphabet_block(model: SourceModel) -> dict:
     return {
         "symbols": list(model.symbols),
-        "probabilities": [str(p) for p in model.probs],
+        "probabilities": [format_exact(p) for p in model.probs],
     }
 
 
@@ -88,8 +96,9 @@ def _header(command: str, model: SourceModel) -> dict:
 
 
 def _int_str_limit() -> int:
-    """Python's int-to-str digit limit; 0 where there is none."""
-    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    """Python's int-to-str digit limit, or its default of 4300 where the
+    interpreter sets none (PYTHONINTMAXSTRDIGITS=0, or a Python without one)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 def _check_series_digits(model: SourceModel, horizon: int) -> None:
@@ -101,15 +110,13 @@ def _check_series_digits(model: SourceModel, horizon: int) -> None:
     Decimals, which the limit does not cover, so this is the --series budget.
     """
     limit = _int_str_limit()
-    if not limit:
-        return
     scale = model.common_denominator
     # D >= 2, so D**N >= 10**limit once N >= 4 * limit; skip the big powers then.
     if horizon >= 4 * limit or scale**horizon >= 10**limit:
         raise ValidationError(
             f"--series {horizon} is too long for this alphabet: its coefficients have "
-            f"denominators up to {scale}^{horizon}, more than the {limit} digits Python "
-            "converts to text (sys.get_int_max_str_digits())"
+            f"denominators up to {scale}^{horizon}, more than the {limit} digits of "
+            "Python's int-to-str limit (4300 where the interpreter sets none)"
         )
 
 
@@ -172,9 +179,9 @@ def cmd_solve(args) -> dict:
             {
                 "player": i,
                 "pattern": str(pattern),
-                "win_probability": str(prob),
+                "win_probability": format_exact(prob),
                 "win_probability_decimal": format_decimal(prob, digits),
-                "conditional_expected_duration": str(conditional),
+                "conditional_expected_duration": format_exact(conditional),
                 "conditional_expected_duration_decimal": format_decimal(conditional, digits),
             }
         )
@@ -182,7 +189,7 @@ def cmd_solve(args) -> dict:
     doc = _header("solve", model)
     doc["patterns"] = [str(p) for p in spec.patterns]
     doc["players"] = players
-    doc["expected_duration"] = str(solution.expected_duration)
+    doc["expected_duration"] = format_exact(solution.expected_duration)
     doc["expected_duration_decimal"] = format_decimal(solution.expected_duration, digits)
     if args.series is not None:
         doc["series"] = Series(args.series, doc["patterns"], solution.win_series(args.series))
@@ -208,11 +215,11 @@ def cmd_simulate(args) -> dict:
                 "player": i,
                 "pattern": str(pattern),
                 "wins": win_count,
-                "exact_probability": str(exact),
+                "exact_probability": format_exact(exact),
                 "exact_probability_decimal": format_decimal(exact, digits),
-                "empirical_probability": str(empirical),
+                "empirical_probability": format_exact(empirical),
                 "empirical_probability_decimal": format_decimal(empirical, digits),
-                "absolute_error": str(error),
+                "absolute_error": format_exact(error),
                 "absolute_error_decimal": format_decimal(error, digits),
                 "three_sigma_decimal": sqrt_decimal(9 * sigma_sq, digits),
                 "within_three_sigma": error * error <= 9 * sigma_sq,
@@ -225,9 +232,9 @@ def cmd_simulate(args) -> dict:
     doc["seed"] = report.seed
     doc["players"] = players
     doc["total_tosses"] = report.total_tosses
-    doc["mean_tosses"] = str(report.mean_tosses)
+    doc["mean_tosses"] = format_exact(report.mean_tosses)
     doc["mean_tosses_decimal"] = format_decimal(report.mean_tosses, digits)
-    doc["expected_duration"] = str(solution.expected_duration)
+    doc["expected_duration"] = format_exact(solution.expected_duration)
     doc["expected_duration_decimal"] = format_decimal(solution.expected_duration, digits)
     return doc
 
@@ -252,14 +259,14 @@ def cmd_best_response(args) -> dict:
     doc["length"] = args.length
     doc["best"] = {
         "pattern": str(best_pattern),
-        "win_probability": str(best_prob),
+        "win_probability": format_exact(best_prob),
         "win_probability_decimal": format_decimal(best_prob, digits),
     }
     if args.verbose:
         doc["candidates"] = [
             {
                 "pattern": str(pattern),
-                "win_probability": str(prob),
+                "win_probability": format_exact(prob),
                 "win_probability_decimal": format_decimal(prob, digits),
             }
             for pattern, prob in table
@@ -446,10 +453,10 @@ def main(argv: "list[str] | None" = None) -> int:
         parser.error("--digits must be nonnegative")
     # a decimal's fractional field has at most --digits digits, so the limit suffices
     limit = _int_str_limit()
-    if limit and args.digits > limit:
+    if args.digits > limit:
         parser.error(
-            f"--digits {args.digits} is more than the {limit} digits Python converts "
-            "to text (sys.get_int_max_str_digits())"
+            f"--digits {args.digits} is more than the {limit} digits of Python's "
+            "int-to-str limit (4300 where the interpreter sets none)"
         )
     if getattr(args, "series", None) is not None and args.series < 0:
         parser.error("--series must be nonnegative")

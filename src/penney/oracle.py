@@ -219,7 +219,6 @@ class SimulationReport:
     wins: tuple[int, ...]
     total_tosses: int
     seed: int
-    streams: int
     empirical_probs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
@@ -242,17 +241,6 @@ def _mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
-
-
-def _stream_states(seed: int, streams: int) -> list[int]:
-    """Initial state of stream k is the (k+1)-th splitmix64 output from `seed`,
-    so a (seed, streams) pair pins every draw of every stream."""
-    master = seed & _MASK64
-    states = []
-    for _ in range(streams):
-        master = (master + _GAMMA) & _MASK64
-        states.append(_mix64(master))
-    return states
 
 
 # Draws come in blocks of _LANES, all packed into one int, one _LANE_BYTES-byte
@@ -357,7 +345,7 @@ def _toss_blocks(
 def _play_stream(
     blocks: Iterator[bytes], games: int, finder: re.Pattern, width: int, keep: int, wins: list[int]
 ) -> int:
-    """Play `games` games on a stream's tosses; count each winner in `wins`
+    """Play `games` games on the stream's tosses; count each winner in `wins`
     and return the tosses played.
 
     In a substring-free set the pattern occurrence that starts first also
@@ -383,23 +371,22 @@ def _play_stream(
         pending = text[cut:]
 
 
-def simulate(spec: GameSpec, trials: int, seed: int = 0, streams: int = 1) -> SimulationReport:
+def simulate(spec: GameSpec, trials: int, seed: int = 0) -> SimulationReport:
     """Play `trials` games to completion with a deterministic seeded generator.
 
     Symbols are drawn by exact integer-interval inversion: each probability is
     scaled to the common denominator D and a 64-bit splitmix64 draw is reduced
     mod D, with rejection of the top sliver of the 64-bit range so rational
-    biases like 1/3 carry no modulo bias; D may be at most 2**64. Trials are
-    split into contiguous blocks across `streams` independent substreams, so
-    the report is bit-identical for a fixed (seed, streams). Draws are made a
-    block at a time as whole-int lane arithmetic (`_toss_blocks`), and games
-    are found by one regular-expression scan of the tosses (`_play_stream`);
-    the counts are those of playing toss by toss on the prefix automaton.
+    biases like 1/3 carry no modulo bias; D may be at most 2**64. The games
+    are played one after another on one splitmix64 stream, whose state starts
+    at the first splitmix64 output from `seed`, so the report is bit-identical
+    for a fixed seed. Draws are made a block at a time as whole-int lane
+    arithmetic (`_toss_blocks`), and games are found by one regular-expression
+    scan of the tosses (`_play_stream`); the counts are those of playing toss
+    by toss on the prefix automaton.
     """
     if trials < 1:
         raise ValidationError("trials must be at least 1")
-    if streams < 1:
-        raise ValidationError("streams must be at least 1")
     model = spec.model
     common = model.common_denominator
     if common > 1 << 64:
@@ -424,13 +411,9 @@ def simulate(spec: GameSpec, trials: int, seed: int = 0, streams: int = 1) -> Si
     ones = _lane_constants()[0]
     complements = [((1 << 64) - bound) * ones for bound in bounds[:-1]]
     wins = [0] * spec.player_count
-    total_tosses = 0
-    base, extra = divmod(trials, streams)
-    for k, state in enumerate(_stream_states(seed, streams)):
-        games = base + (1 if k < extra else 0)
-        if games:
-            blocks = _toss_blocks(state, common, complements, tables)
-            total_tosses += _play_stream(blocks, games, finder, width, keep, wins)
+    state = _mix64((seed + _GAMMA) & _MASK64)
+    blocks = _toss_blocks(state, common, complements, tables)
+    total_tosses = _play_stream(blocks, trials, finder, width, keep, wins)
 
     empirical = tuple(Fraction(w, trials) for w in wins)
-    return SimulationReport(trials, tuple(wins), total_tosses, seed, streams, empirical)
+    return SimulationReport(trials, tuple(wins), total_tosses, seed, empirical)

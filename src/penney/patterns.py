@@ -86,10 +86,6 @@ class SourceModel:
             probs.append(value.strip())
         return cls(symbols, probs)
 
-    @classmethod
-    def fair_coin(cls) -> "SourceModel":
-        return cls(("H", "T"), (Fraction(1, 2), Fraction(1, 2)))
-
     @property
     def common_denominator(self) -> int:
         """Least common multiple D of the probability denominators.
@@ -104,12 +100,6 @@ class SourceModel:
         if symbol not in lookup:
             raise ValidationError(f"symbol {symbol!r} is not in the alphabet")
         return lookup[symbol]
-
-    def probability(self, symbol: str) -> Fraction:
-        return self.probs[self.index(symbol)]
-
-    def text(self) -> str:
-        return ",".join(f"{s}:{p}" for s, p in zip(self.symbols, self.probs))
 
 
 @dataclass(frozen=True)

@@ -52,13 +52,6 @@ class Polynomial:
     def constant(value: Scalar) -> "Polynomial":
         return Polynomial((value,))
 
-    @staticmethod
-    def monomial(exponent: int, coefficient: Scalar = 1) -> "Polynomial":
-        """coefficient * s**exponent"""
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        return Polynomial((0,) * exponent + (coefficient,))
-
     @property
     def degree(self) -> "int | float":
         return len(self.coeffs) - 1 if self.coeffs else -math.inf
@@ -121,14 +114,6 @@ class Polynomial:
         return Polynomial(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = Polynomial((1,))
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __str__(self) -> str:
         if not self.coeffs:

@@ -287,8 +287,10 @@ def _series_terms(spec: GameSpec, horizon: int) -> list[list[tuple[Decimal, Deci
     with w_i = `_completion_weight(A_i)` and C_ij[t] the coefficients of
     `_scaled_correlation(A_i, A_j)`. Every term is an integer, so nothing is
     divided. The integers are exact Decimals computed in `_EXACT`, whatever
-    the caller's context.
+    the caller's context. Only the spec is read; nothing is solved.
     """
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
     weights = _symbol_weights(spec.model)
     scale = spec.model.common_denominator
     # entry pad + k is toss k; the pad of zeros stands for the tosses before 0
@@ -393,13 +395,10 @@ def _solve_at_one(
 def game_distribution(spec: GameSpec, horizon: int) -> list[list[Fraction]]:
     """Per player: exact P(that player wins at toss k) for 0 <= k <= horizon.
 
-    The Fractions are built from the (n, d) pairs of `GameSolution.win_series`,
-    the paper's recurrence in integers; no generating function is solved.
+    The Fractions are built from the (n, d) pairs that `GameSolution.win_series`
+    returns, the paper's recurrence in integers, which reads only the spec.
     """
-    return [
-        [Fraction(int(n), int(d)) for n, d in player]
-        for player in solve_game(spec).win_series(horizon)
-    ]
+    return [[Fraction(int(n), int(d)) for n, d in player] for player in _series_terms(spec, horizon)]
 
 
 @dataclass(frozen=True)
@@ -446,8 +445,6 @@ class GameSolution:
         n and d are exact integers held as `Decimal`s, so that printing them
         takes time linear in their digits.
         """
-        if horizon < 0:
-            raise ValueError("horizon must be nonnegative")
         return _series_terms(self.spec, horizon)
 
 

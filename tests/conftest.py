@@ -7,7 +7,7 @@ from penney.patterns import SourceModel, parse_pattern, validate_pattern_set
 
 @pytest.fixture
 def fair():
-    return SourceModel.fair_coin()
+    return SourceModel.from_text("H:1/2,T:1/2")
 
 
 @pytest.fixture

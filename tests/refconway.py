@@ -25,7 +25,7 @@ EMPTY_WORD_PROBABILITY = Fraction(1)
 
 def symbols_probability(symbols: Sequence[str], model: SourceModel) -> Fraction:
     """Probability of seeing the given symbols in a row; empty input gives 1."""
-    return math.prod((model.probability(s) for s in symbols), start=EMPTY_WORD_PROBABILITY)
+    return math.prod((model.probs[model.index(s)] for s in symbols), start=EMPTY_WORD_PROBABILITY)
 
 
 def pattern_probability(pattern: Pattern, model: SourceModel) -> Fraction:
@@ -68,7 +68,7 @@ def correlation_matrix(spec: GameSpec) -> PolyMatrix:
 def completion_monomials(spec: GameSpec) -> list[Polynomial]:
     """P(pattern) * s**len(pattern) per player: the weight of one straight run."""
     return [
-        Polynomial.monomial(p.length, pattern_probability(p, spec.model))
+        Polynomial([0] * p.length + [pattern_probability(p, spec.model)])
         for p in spec.patterns
     ]
 

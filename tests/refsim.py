@@ -3,10 +3,11 @@ automaton step per toss.
 
 `penney.oracle.simulate` draws a block at a time and finds games with one
 regular-expression scan; it must return exactly what this loop returns for
-every (spec, trials, seed, streams). The two share only the splitmix64
-constants, the seeding of the streams (`_stream_states`) and the report
-type; games here are played on the prefix automaton, which the block
-simulator does not use.
+every (spec, trials, seed). Both play every game on one splitmix64 stream
+whose state starts at the first splitmix64 output from the seed. The two
+share only the splitmix64 constants and the report type; the stream is
+seeded and mixed here on its own, and games are played on the prefix
+automaton, which the block simulator does not use.
 """
 
 from __future__ import annotations
@@ -20,25 +21,28 @@ from penney.oracle import (
     _MIX1,
     _MIX2,
     SimulationReport,
-    _stream_states,
     build_automaton,
 )
 from penney.patterns import GameSpec, ValidationError
 
 
-def reference_simulate(
-    spec: GameSpec, trials: int, seed: int = 0, streams: int = 1
-) -> SimulationReport:
+def _mix(state: int) -> int:
+    """The splitmix64 output function."""
+    z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return z ^ (z >> 31)
+
+
+def reference_simulate(spec: GameSpec, trials: int, seed: int = 0) -> SimulationReport:
     """Play `trials` games toss by toss on the prefix automaton.
 
-    Each toss advances the stream's state by gamma, mixes it, rejects a draw
+    The stream's state starts at the splitmix64 output of seed + gamma. Each
+    toss advances it by gamma, mixes it, rejects a draw
     z >= 2**64 - (2**64 mod D), and maps z mod D to the symbol whose
     cumulative bound it first falls below.
     """
     if trials < 1:
         raise ValidationError("trials must be at least 1")
-    if streams < 1:
-        raise ValidationError("streams must be at least 1")
     automaton = build_automaton(spec)
     model = spec.model
 
@@ -52,28 +56,25 @@ def reference_simulate(
     wins = [0] * spec.player_count
     total_tosses = 0
 
-    base, extra = divmod(trials, streams)
-    for k, state in enumerate(_stream_states(seed, streams)):
-        for _ in range(base + (1 if k < extra else 0)):
-            u = start
-            steps = 0
-            while True:
-                state = (state + _GAMMA) & _MASK64
-                z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-                z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-                z ^= z >> 31
-                if z >= reject_from:
-                    continue
-                r = z % common
-                symbol = 0
-                while r >= bounds[symbol]:
-                    symbol += 1
-                steps += 1
-                u = transitions[u][symbol]
-                if winner[u] is not None:
-                    wins[winner[u]] += 1
-                    total_tosses += steps
-                    break
+    state = _mix((seed + _GAMMA) & _MASK64)
+    for _ in range(trials):
+        u = start
+        steps = 0
+        while True:
+            state = (state + _GAMMA) & _MASK64
+            z = _mix(state)
+            if z >= reject_from:
+                continue
+            r = z % common
+            symbol = 0
+            while r >= bounds[symbol]:
+                symbol += 1
+            steps += 1
+            u = transitions[u][symbol]
+            if winner[u] is not None:
+                wins[winner[u]] += 1
+                total_tosses += steps
+                break
 
     empirical = tuple(Fraction(w, trials) for w in wins)
-    return SimulationReport(trials, tuple(wins), total_tosses, seed, streams, empirical)
+    return SimulationReport(trials, tuple(wins), total_tosses, seed, empirical)

@@ -9,15 +9,16 @@ to see the lines as they pass.
 from __future__ import annotations
 
 import json
+import math
 import random
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction as F
-from pathlib import Path
 
 from childenv import child_env
+from goldentable import GOLDEN_COMMANDS, GOLDEN_DIR
 from penney.oracle import (
     absorption_probabilities,
     build_automaton,
@@ -52,7 +53,6 @@ from specgen import random_single, random_spec
 
 CLOSED_FORM_BIASES = (F(1, 3), F(1, 4), F(2, 5))
 ALL_BIASES = (F(1, 2),) + CLOSED_FORM_BIASES
-GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 
 @contextmanager
@@ -131,14 +131,12 @@ def test_criterion_05_determinant_identities_on_200_specs():
                     for i in range(m)
                 ]
             )
-            assert determinant(full) == one_minus_s**m * det_corr + one_minus_s ** (
-                m - 1
-            ) * sum(column_dets, Polynomial())
+            lower = math.prod([one_minus_s] * (m - 1), start=ONE)  # (1 - s)**(m - 1)
+            assert determinant(full) == lower * (
+                one_minus_s * det_corr + sum(column_dets, Polynomial())
+            )
             for j in range(1, m + 1):
-                assert (
-                    determinant(full.replace_column(j, column))
-                    == one_minus_s ** (m - 1) * column_dets[j - 1]
-                )
+                assert determinant(full.replace_column(j, column)) == lower * column_dets[j - 1]
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0
 
@@ -221,28 +219,9 @@ def test_criterion_10_monte_carlo_million_trials():
 
 def test_criterion_11_cli_goldens_byte_identical():
     with criterion(11, "documented CLI invocations reproduce the golden JSON bytes"):
-        invocations = {
-            "solve.json": ["solve", "--patterns", "THH,HTH,HHT", "--json"],
-            "simulate.json": [
-                "simulate",
-                "--patterns",
-                "THH,HTH,HHT",
-                "--trials",
-                "100000",
-                "--seed",
-                "0",
-                "--json",
-            ],
-            "best_response.json": [
-                "best-response",
-                "--opponents",
-                "HH",
-                "--length",
-                "2",
-                "--json",
-            ],
-        }
-        for name, args in invocations.items():
+        for name, args in GOLDEN_COMMANDS.items():
+            if not name.endswith(".json"):
+                continue
             result = subprocess.run(
                 [sys.executable, "-m", "penney", *args],
                 capture_output=True,

@@ -7,8 +7,8 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from decimal import Decimal
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,53 +17,22 @@ from hypothesis import strategies as st
 from childenv import child_env
 import penney.cli
 import penney.solver
-from penney.cli import format_decimal, main, sqrt_decimal
+from goldentable import GOLDEN_COMMANDS, GOLDEN_DIR
+from penney.cli import _int_str_limit, format_decimal, format_exact, main, sqrt_decimal
 from penney.oracle import SimulationReport
+from penney.patterns import SourceModel, parse_pattern, validate_pattern_set
+from penney.solver import solve_game
 from refcli import reference_text
 from specgen import game_specs
 
-GOLDEN_DIR = Path(__file__).parent / "goldens"
-
-GOLDEN_COMMANDS = {
-    "solve.json": ["solve", "--patterns", "THH,HTH,HHT", "--json"],
-    "simulate.json": [
-        "simulate",
-        "--patterns",
-        "THH,HTH,HHT",
-        "--trials",
-        "100000",
-        "--seed",
-        "0",
-        "--json",
-    ],
-    "best_response.json": ["best-response", "--opponents", "HH", "--length", "2", "--json"],
-    "best_response_verbose.txt": [
-        "best-response",
-        "--alphabet",
-        "H:1/3,T:2/3",
-        "--opponents",
-        "HTHT,TTHH",
-        "--length",
-        "5",
-        "--verbose",
-    ],
-    "solve_series.json": ["solve", "--patterns", "THH,HTH,HHT", "--series", "10", "--json"],
-    "solve_series_ternary.txt": [
-        "solve",
-        "--alphabet",
-        "a:1/2,b:1/3,c:1/6",
-        "--patterns",
-        "ab,bc,ca",
-        "--series",
-        "40",
-    ],
-}
+# a rare symbol: exact values over its games run to thousands of digits
+RARE_A = "a:1/1000000,b:999999/1000000"
 
 
-needs_digit_limit = pytest.mark.skipif(
-    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-    reason="no int-to-str digit limit in this interpreter",
-)
+def exact_value(text: str) -> F:
+    """A CLI's exact rational string as a Fraction, with no int-from-str digit limit."""
+    num, _, den = text.partition("/")
+    return F(int(Decimal(num)), int(Decimal(den or 1)))
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -88,6 +57,14 @@ class TestFormatting:
         assert sqrt_decimal(F(1, 4), 6) == "0.500000"
         assert sqrt_decimal(F(2), 3) == "1.414"
         assert sqrt_decimal(F(0), 4) == "0.0000"
+
+    def test_numbers_past_the_digit_limit(self):
+        # `str` of an int or Fraction this long raises ValueError under the default limit
+        big = 10**5000
+        assert format_exact(F(big + 1, 3)) == f"{Decimal(big + 1)}/3"
+        assert format_decimal(F(big), 2) == f"1{'0' * 5000}.00"
+        assert format_decimal(F(-big), 0) == f"-1{'0' * 5000}"
+        assert sqrt_decimal(F(big * big), 1) == f"1{'0' * 5000}.0"
 
 
 class TestExitCodes:
@@ -117,13 +94,12 @@ class TestExitCodes:
             assert main(["best-response", "--opponents", "H,T", "--length", "1", *verbose]) == 2
             assert "no admissible" in capsys.readouterr().err
 
-    @needs_digit_limit
     def test_series_past_the_digit_limit_is_user_error(self, capsys):
         argv = ["solve", "--alphabet", "H:1/3,T:2/3", "--patterns", "HH", "--series", "9200"]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert str(sys.get_int_max_str_digits()) in captured.err
+        assert str(_int_str_limit()) in captured.err
         assert "3^9200" in captured.err
 
     @pytest.mark.parametrize(
@@ -165,7 +141,7 @@ class TestExitCodes:
 
         def stub(spec, trials, seed=0):
             calls.append(trials)
-            return SimulationReport(trials, (trials, 0), 2 * trials, seed, 1, (F(1), F(0)))
+            return SimulationReport(trials, (trials, 0), 2 * trials, seed, (F(1), F(0)))
 
         monkeypatch.setattr(penney.cli, "simulate", stub)
         code = main(["simulate", "--patterns", "HH,TT", "--trials", str(trials)])
@@ -177,7 +153,6 @@ class TestExitCodes:
             assert f"--trials {trials}" in captured.err
             assert str(10**8) in captured.err
 
-    @needs_digit_limit
     @pytest.mark.parametrize(
         "argv",
         [
@@ -186,20 +161,65 @@ class TestExitCodes:
         ],
     )
     def test_digits_past_the_digit_limit_is_usage_error(self, argv):
-        limit = sys.get_int_max_str_digits()
+        limit = _int_str_limit()
         result = run_cli(*argv, "--digits", str(limit + 700))
         assert result.returncode == 2
         assert result.stdout == b""
         assert f"the {limit} digits".encode() in result.stderr
         assert b"Traceback" not in result.stderr
 
-    @needs_digit_limit
     def test_digits_at_the_digit_limit_render(self, capsys):
-        limit = sys.get_int_max_str_digits()
+        limit = _int_str_limit()
         assert main(["solve", "--patterns", "HTH,TTH", "--digits", str(limit), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         whole, frac = doc["players"][0]["win_probability_decimal"].split(".")
         assert whole == "0" and len(frac) == limit
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--patterns", "HTH,TTH", "--digits", "5000"],
+            ["solve", "--alphabet", RARE_A, "--patterns", "ab", "--series", "800"],
+        ],
+    )
+    def test_budgets_hold_without_an_interpreter_digit_limit(self, argv):
+        # PYTHONINTMAXSTRDIGITS=0 lifts Python's limit; the CLI's budgets stay at 4300
+        result = subprocess.run(
+            [sys.executable, "-m", "penney", *argv],
+            capture_output=True,
+            timeout=120,
+            env={**child_env(), "PYTHONINTMAXSTRDIGITS": "0"},
+        )
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert b"4300" in result.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--patterns", f"{'a' * 199}b,{'b' * 199}a,{'ab' * 100}"],
+            ["simulate", "--patterns", f"{'b' * 300},a{'b' * 299},{'ab' * 150}", "--trials", "1000"],
+        ],
+    )
+    def test_values_past_the_digit_limit_print(self, argv):
+        # exact values with more digits than Python's int-to-str limit, which `str`
+        # of a Fraction refuses with a ValueError
+        result = run_cli(*argv, "--alphabet", RARE_A, "--json")
+        assert result.returncode == 0, result.stderr.decode()
+        assert b"Traceback" not in result.stderr
+        doc = json.loads(result.stdout)
+        model = SourceModel.from_text(RARE_A)
+        patterns = [parse_pattern(text, model) for text in argv[2].split(",")]
+        solution = solve_game(validate_pattern_set(patterns, model))
+        key = "win_probability" if argv[0] == "solve" else "exact_probability"
+        texts = [player[key] for player in doc["players"]]
+        assert max(map(len, texts)) > 4300
+        # read through Decimal, which parses any number of digits
+        assert [exact_value(text) for text in texts] == list(solution.win_probs)
+        assert exact_value(doc["expected_duration"]) == solution.expected_duration
+        if argv[0] == "solve":
+            conditionals = [exact_value(p["conditional_expected_duration"]) for p in doc["players"]]
+            assert conditionals == list(solution.conditional_durations)
 
     def test_interrupt_in_handler_exits_130(self, capsys, monkeypatch):
         def interrupted(args):
@@ -428,7 +448,6 @@ class TestSeriesStream:
         assert proc.returncode == 1
         assert stderr == b""
 
-    @needs_digit_limit
     @pytest.mark.parametrize("form", [[], ["--json"]])
     def test_series_past_the_digit_limit_writes_nothing(self, form):
         argv = ["solve", "--alphabet", "H:1/3,T:2/3", "--patterns", "HH", "--series", "9200"]

@@ -1,19 +1,48 @@
-"""The package's public surface, the README's library example, and the
+"""The package's public surface, the README's library example, that every
+library function is reached from a command or the README, and the
 independence of the test-side reference routes from the solver."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
+import io
+import os
+import sys
+import types
+from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
 import penney
+import penney.cli
+from goldentable import GOLDEN_COMMANDS, GOLDEN_DIR
 
 TESTS = Path(__file__).resolve().parent
 README = TESTS.parent / "README.md"
+PACKAGE = Path(penney.__file__).resolve().parent
 
 # Second routes the solver is checked against; none may call into it.
 REFERENCE_MODULES = ("refalgebra", "refconway")
+
+# What only the benchmark reaches: the chain oracle, against which it checks
+# every output, and the pgf denominator's degree, which its traced run reads.
+# They leave src/ in the benchmark change (ROADMAP items 2 and 4).
+BENCHMARK_ONLY = {
+    "oracle.Automaton.absorbing",
+    "oracle.Automaton.player_count",
+    "oracle.Automaton.state_count",
+    "oracle._transient_system",
+    "oracle.absorption_probabilities",
+    "oracle.build_automaton",
+    "oracle.conditional_absorption_times",
+    "oracle.expected_absorption_time",
+    "oracle.solve_linear_system",
+    "oracle.step_distribution",
+    "polyalg.Polynomial.degree",
+}
 
 
 def test_every_exported_name_resolves():
@@ -44,6 +73,68 @@ def test_readme_library_example_runs_as_documented():
     assert stated >= 2
     solution, spec = namespace["solution"], namespace["spec"]
     assert solution.pgfs[0].series(10) == namespace["game_distribution"](spec, 10)[0]
+
+
+def defined_functions() -> dict[tuple[str, int, str], str]:
+    """Every function and method defined in the package, keyed by its code's
+    file, first line and name, with its name in the module. Lambdas and
+    comprehensions count as part of the function that holds them."""
+    found = {}
+
+    def walk(code: types.CodeType, prefix: str) -> None:
+        for const in code.co_consts:
+            if not isinstance(const, types.CodeType) or const.co_name.startswith("<"):
+                continue
+            name = f"{prefix}.{const.co_name}"
+            if const.co_flags & inspect.CO_NEWLOCALS:  # a function, not a class body
+                found[(const.co_filename, const.co_firstlineno, const.co_name)] = name
+                walk(const, f"{name}.<locals>")
+            else:
+                walk(const, name)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        walk(compile(path.read_text(encoding="utf-8"), str(path), "exec"), path.stem)
+    return found
+
+
+def test_every_library_function_is_reached(monkeypatch):
+    """Every golden command, one of them through the console script's entry
+    point, and the README's library example, run under a profiler: each
+    function of the package must be entered, but for BENCHMARK_ONLY."""
+    # a cached function that an earlier test ran would not be entered again
+    for path in PACKAGE.glob("*.py"):
+        if path.stem not in ("__init__", "__main__"):
+            for value in vars(importlib.import_module(f"penney.{path.stem}")).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+    entered: set[types.CodeType] = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    commands = sorted(GOLDEN_COMMANDS.items())
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for name, argv in commands[:-1]:
+            with redirect_stdout(io.StringIO()) as out:
+                code = penney.cli.main(argv)
+            assert code == 0, name
+            assert out.getvalue().encode() == (GOLDEN_DIR / name).read_bytes(), name
+        # the console script's entry point
+        name, argv = commands[-1]
+        monkeypatch.setattr(sys, "argv", ["penney", *argv])
+        with redirect_stdout(io.StringIO()) as out, pytest.raises(SystemExit) as exit_:
+            penney.cli.run()
+        assert exit_.value.code == 0, name
+        assert out.getvalue().encode() == (GOLDEN_DIR / name).read_bytes(), name
+        exec(library_example(), {})
+    finally:
+        sys.setprofile(previous)
+    reached = {(os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name) for c in entered}
+    unreached = {name for key, name in defined_functions().items() if key not in reached}
+    assert unreached == BENCHMARK_ONLY
 
 
 def imported_modules(path: Path) -> set[str]:

@@ -26,8 +26,10 @@ class TestSourceModel:
 
     def test_from_text_roundtrip(self):
         model = SourceModel.from_text("H:1/3,T:2/3")
-        assert model.probability("H") == F(1, 3)
-        assert model.text() == "H:1/3,T:2/3"
+        assert model.probs[model.index("H")] == F(1, 3)
+        text = ",".join(f"{s}:{p}" for s, p in zip(model.symbols, model.probs))
+        assert text == "H:1/3,T:2/3"
+        assert SourceModel.from_text(text) == model
 
     def test_from_text_allows_spaces(self):
         model = SourceModel.from_text(" a:1/4 , b:3/4 ")
@@ -79,7 +81,7 @@ class TestSourceModel:
 
     def test_three_symbol_alphabet(self):
         model = SourceModel(("a", "b", "c"), (F(1, 2), F(1, 3), F(1, 6)))
-        assert model.probability("c") == F(1, 6)
+        assert model.probs[model.index("c")] == F(1, 6)
 
 
 class TestParsePattern:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import decimal
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction as F
@@ -133,7 +134,7 @@ def mirror(model):
 def relabel_model(model, mapping):
     """The model in which symbol mapping[x] has the probability x had."""
     inverse = {new: old for old, new in mapping.items()}
-    return SourceModel(model.symbols, [model.probability(inverse[x]) for x in model.symbols])
+    return SourceModel(model.symbols, [model.probs[model.index(inverse[x])] for x in model.symbols])
 
 
 def relabel(pattern, mapping):
@@ -181,7 +182,7 @@ class TestCorrelationPolynomial:
     def test_completion_monomials(self, p):
         spec = showcase(p)
         weight = p * p * (1 - p)  # each showcase pattern has two H and one T
-        assert completion_monomials(spec) == [Polynomial.monomial(3, weight)] * 3
+        assert completion_monomials(spec) == [Polynomial([0, 0, 0, weight])] * 3
 
     @pytest.mark.parametrize("p", TEST_BIASES)
     def test_determinant_at_one_matches_conway_determinant(self, p):
@@ -200,8 +201,8 @@ class TestWinningPgf:
             spec = random_single(rng)
             pattern = spec.patterns[0]
             pgf = solve_game(spec).pgfs[0]
-            weight = Polynomial.monomial(
-                pattern.length, pattern_probability(pattern, spec.model)
+            weight = Polynomial(
+                [0] * pattern.length + [pattern_probability(pattern, spec.model)]
             )
             overlap = correlation_polynomial(pattern, pattern, spec.model)
             assert pgf.numer == weight
@@ -705,6 +706,20 @@ class TestGameDistribution:
             for row in game_distribution(random_spec(rng), 50):
                 assert all(c >= 0 for c in row)
 
+    def test_solves_nothing(self, wide_specs, monkeypatch):
+        # the recurrence reads only the spec: no elimination, over Z or Z[u]
+        calls = []
+        real = solver._cramer
+
+        def counted(rows, one, *ring):
+            calls.append(len(rows))
+            return real(rows, one, *ring)
+
+        monkeypatch.setattr(solver, "_cramer", counted)
+        for spec in wide_specs:
+            assert len(game_distribution(spec, 40)) == spec.player_count
+        assert calls == []
+
 
 class TestSeriesKernel:
     """`GameSolution.win_series`, the integer recurrence, against the Fraction
@@ -763,6 +778,8 @@ class TestSeriesKernel:
     def test_negative_horizon_is_refused(self, example_spec):
         with pytest.raises(ValueError):
             game_distribution(example_spec, -1)
+        with pytest.raises(ValueError):
+            solve_game(example_spec).win_series(-1)
 
 
 class TestConditionalDuration:
@@ -1080,14 +1097,12 @@ class TestStructuralIdentities:
                     for i in range(m)
                 ]
             )
-            assert determinant(full) == one_minus_s**m * det_corr + one_minus_s ** (
-                m - 1
-            ) * sum(column_dets, Polynomial())
+            lower = math.prod([one_minus_s] * (m - 1), start=ONE)  # (1 - s)**(m - 1)
+            assert determinant(full) == lower * (
+                one_minus_s * det_corr + sum(column_dets, Polynomial())
+            )
             for j in range(1, m + 1):
-                assert (
-                    determinant(full.replace_column(j, column))
-                    == one_minus_s ** (m - 1) * column_dets[j - 1]
-                )
+                assert determinant(full.replace_column(j, column)) == lower * column_dets[j - 1]
 
     def test_cramer_residual(self):
         rng = random.Random(25)
