@@ -3,29 +3,20 @@
 Given m players who each pick a pattern over a finite alphabet with exact
 rational symbol probabilities, this package computes every player's win
 probability, the full probability generating function of the game, and
-expected waiting/duration statistics, all in exact rational arithmetic. An
-independent absorbing-chain oracle and a seeded Monte Carlo simulator validate
-the analytic route on every game. The other second routes live with the tests,
-not here: Conway's leading numbers and the `Fraction` correlation builders in
-`tests/refconway.py`, next to the polynomial matrix and its Bareiss and
-cofactor determinants in `tests/refalgebra.py`.
+expected waiting/duration statistics, all in exact rational arithmetic. Each
+answer has one route: the win-time series, for one, are `game_distribution`,
+the paper's recurrence. `simulate`, a seeded Monte Carlo player, checks a game
+by play. The absorbing-chain oracle, against which the benchmark checks every
+output, stays in `penney.oracle` and is not exported here. The other second
+routes live with the tests: Conway's leading numbers and the `Fraction`
+correlation builders in `tests/refconway.py`, next to the polynomial matrix,
+its Bareiss and cofactor determinants and the Taylor series of a rational
+function in `tests/refalgebra.py`.
 """
 
 __version__ = "0.1.0"
 
-from .oracle import (
-    Automaton,
-    InvariantError,
-    SimulationReport,
-    SingularSystemError,
-    absorption_probabilities,
-    build_automaton,
-    conditional_absorption_times,
-    expected_absorption_time,
-    simulate,
-    solve_linear_system,
-    step_distribution,
-)
+from .oracle import InvariantError, simulate
 from .patterns import (
     GameSpec,
     Pattern,
@@ -34,14 +25,7 @@ from .patterns import (
     parse_pattern,
     validate_pattern_set,
 )
-from .polyalg import (
-    ONE,
-    S,
-    ZERO,
-    Polynomial,
-    RationalFunction,
-    SingularAtOriginError,
-)
+from .polyalg import ONE, S, Polynomial, RationalFunction
 from .solver import (
     DegenerateGameError,
     GameSolution,
@@ -52,7 +36,6 @@ from .solver import (
 )
 
 __all__ = [
-    "Automaton",
     "DegenerateGameError",
     "GameSolution",
     "GameSpec",
@@ -62,23 +45,13 @@ __all__ = [
     "Polynomial",
     "RationalFunction",
     "S",
-    "SimulationReport",
-    "SingularAtOriginError",
-    "SingularSystemError",
     "SourceModel",
     "ValidationError",
-    "ZERO",
-    "absorption_probabilities",
     "best_response",
-    "build_automaton",
-    "conditional_absorption_times",
-    "expected_absorption_time",
     "game_distribution",
     "parse_pattern",
     "response_table",
     "simulate",
     "solve_game",
-    "solve_linear_system",
-    "step_distribution",
     "validate_pattern_set",
 ]

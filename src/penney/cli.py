@@ -20,22 +20,21 @@ from typing import NamedTuple, TextIO
 from . import __version__
 from .oracle import simulate
 from .patterns import SourceModel, ValidationError, parse_pattern, validate_pattern_set
-from .solver import best_response, response_table, solve_game
+from .solver import best_response, game_distribution, response_table, solve_game
 
 SCHEMA_VERSION = 1
 
 
 def format_ratio(num: Decimal, den: Decimal) -> str:
-    """`str(Fraction(num, den))` for a pair already in lowest terms, den > 0."""
-    return str(num) if den == 1 else f"{num}/{den}"
+    """`str(Fraction(num, den))` for a pair already in lowest terms, den > 0,
+    printed through Decimal, which has no int-to-str digit limit."""
+    # % calls str, where an f-string would take the slower Decimal.__format__
+    return str(num) if den == 1 else "%s/%s" % (num, den)
 
 
 def format_exact(value: Fraction | int) -> str:
-    """`str(value)` for an exact rational or integer, printed as `format_ratio`
-    prints a pair: through Decimal, which has no int-to-str digit limit."""
-    num, den = value.numerator, value.denominator
-    # % calls str, where an f-string would take the slower Decimal.__format__
-    return str(Decimal(num)) if den == 1 else "%s/%s" % (Decimal(num), Decimal(den))
+    """`str(value)` for an exact rational or integer."""
+    return format_ratio(Decimal(value.numerator), Decimal(value.denominator))
 
 
 def _ratio_width(num: Decimal, den: Decimal) -> int:
@@ -153,7 +152,7 @@ def _check_trial_count(trials: int) -> None:
 
 class Series(NamedTuple):
     """The series block of a solve document: P(player j wins at toss k) = n/d
-    for k <= horizon, as the (n, d) integers of `GameSolution.win_series`.
+    for k <= horizon, as the (n, d) integers of `game_distribution`.
 
     `write_document` prints it in batches; its text is never held whole.
     """
@@ -192,7 +191,7 @@ def cmd_solve(args) -> dict:
     doc["expected_duration"] = format_exact(solution.expected_duration)
     doc["expected_duration_decimal"] = format_decimal(solution.expected_duration, digits)
     if args.series is not None:
-        doc["series"] = Series(args.series, doc["patterns"], solution.win_series(args.series))
+        doc["series"] = Series(args.series, doc["patterns"], game_distribution(spec, args.series))
     return doc
 
 

@@ -3,6 +3,10 @@
 These are the value types the game solver returns: every generating
 function and its numerator and denominator. The solver's own arithmetic
 runs over integers (see `penney.solver`); these types carry the results.
+They are evaluated, not expanded: the win-time series come from the paper's
+recurrence (`penney.solver.game_distribution`), and the Taylor expansion of a
+`RationalFunction`, its independent check, lives with the tests in
+`tests/refalgebra.py`.
 Everything here is arbitrary precision and exact: coefficients are
 `fractions.Fraction`, arithmetic never rounds, and equality is decidable.
 Polynomials are dense coefficient tuples in a single formal variable (written
@@ -18,10 +22,6 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 Scalar = Union[Fraction, int]
-
-
-class SingularAtOriginError(ZeroDivisionError):
-    """Series expansion requested for a ratio whose denominator vanishes at 0."""
 
 
 def _coerce(value: Scalar) -> Fraction:
@@ -58,9 +58,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
     def evaluate(self, at: Scalar) -> Fraction:
         """Exact Horner evaluation."""
@@ -135,7 +132,6 @@ class Polynomial:
         return " + ".join(terms).replace("+ -", "- ")
 
 
-ZERO = Polynomial()
 ONE = Polynomial((1,))
 S = Polynomial((0, 1))  # the formal variable
 
@@ -150,9 +146,9 @@ def _as_polynomial(value: "Polynomial | Scalar") -> Polynomial:
 class RationalFunction:
     """Exact ratio of two polynomials.
 
-    Representations are never reduced by polynomial GCDs; evaluation and
-    series extraction are exact regardless. The solver gives every player's
-    pgf the same denominator, so sums over players are sums of numerators.
+    Representations are never reduced by polynomial GCDs; evaluation is
+    exact regardless. The solver gives every player's pgf the same
+    denominator, so sums over players are sums of numerators.
     """
 
     numer: Polynomial
@@ -171,25 +167,6 @@ class RationalFunction:
         if value == 0:
             raise ZeroDivisionError(f"denominator vanishes at s={_coerce(at)}")
         return self.numer.evaluate(at) / value
-
-    def series(self, n: int) -> list[Fraction]:
-        """First n+1 Taylor coefficients at 0, by the exact division recurrence.
-
-        c_k = (numer_k - sum_{j>=1} denom_j * c_{k-j}) / denom_0.
-        """
-        if n < 0:
-            raise ValueError("series length must be nonnegative")
-        d0 = self.denom.coefficient(0)
-        if d0 == 0:
-            raise SingularAtOriginError("denominator vanishes at the origin")
-        dcs = self.denom.coeffs
-        out: list[Fraction] = []
-        for k in range(n + 1):
-            acc = self.numer.coefficient(k)
-            for j in range(1, min(k, len(dcs) - 1) + 1):
-                acc -= dcs[j] * out[k - j]
-            out.append(acc / d0)
-        return out
 
     def __str__(self) -> str:
         return f"({self.numer}) / ({self.denom})"

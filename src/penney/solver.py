@@ -28,7 +28,7 @@ and E[T | j] = x_j'/x_j - (sum(x') - 1) / sum(x).
 The win-time series are the coefficients of the paper's own system
 P(A_i) s**len(A_i) f(s) = sum_j C_ij(s) g_j(s), f the tail generating
 function. Scaled by D**k they are integers, given by a recurrence with no
-division (`_series_terms`) and reduced by stripping the factors of D they
+division (`game_distribution`) and reduced by stripping the factors of D they
 share with D**k. They are exact `Decimal`s in a context that raises rather
 than rounds, because they print in linear time where `int` printing is
 quadratic in CPython.
@@ -113,22 +113,20 @@ def _entry_at_one(
 ) -> tuple[int, int]:
     """Entry (a, b) of M and its derivative in s, both at s = 1 and times D**len(a).
 
-    An overlap of length k contributes c * (s/D)**(len(a)-k) to the entry, c
-    the product of the weights of a's last len(a)-k symbols, as in
-    `_scaled_correlation`. Times D**len(a) at s = 1 that is c * D**k, with
-    slope (len(a)-k) * c * D**k. `powers[k]` is D**k. No coefficient list is
-    built. `solve_game` runs this for every pair of players, and
-    `_response_scores` once per request for the opponents' block and for the
-    column of each automaton state, never per candidate.
+    Coefficient c_t of `_scaled_correlation(a, b)` contributes c_t * (s/D)**t
+    to the entry. Times D**len(a) at s = 1 that is c_t * D**(len(a)-t), with
+    slope t * c_t * D**(len(a)-t). `powers[k]` is D**k. `solve_game` runs this
+    for every pair of players, and `_response_scores` once per request for the
+    opponents' block and for the column of each automaton state, never per
+    candidate.
     """
-    head, tail = a.symbols, b.symbols
-    size = len(head)
+    size = a.length
     value = slope = 0
-    for k in range(1, min(size, len(tail)) + 1):
-        if head[:k] == tail[-k:]:
-            term = math.prod(map(weights.__getitem__, head[k:])) * powers[k]
+    for t, c in enumerate(_scaled_correlation(a, b, weights)):
+        if c:
+            term = c * powers[size - t]
             value += term
-            slope += (size - k) * term
+            slope += t * term
     return value, slope
 
 
@@ -275,8 +273,9 @@ _EXACT = decimal.Context(
 )
 
 
-def _series_terms(spec: GameSpec, horizon: int) -> list[list[tuple[Decimal, Decimal]]]:
-    """Per player i: P(i wins at toss k) = n / d in lowest terms for 0 <= k <= horizon.
+def game_distribution(spec: GameSpec, horizon: int) -> list[list[tuple[Decimal, Decimal]]]:
+    """Per player i: (n, d) with P(i wins at toss k) = n / d in lowest terms,
+    d > 0, for 0 <= k <= horizon.
 
     The paper's recurrence, over G_{i,k} = D**k P(i wins at toss k) and
     F_k = D**k P(no win by toss k), from F_0 = 1 and G_{i,0} = 0:
@@ -286,8 +285,10 @@ def _series_terms(spec: GameSpec, horizon: int) -> list[list[tuple[Decimal, Deci
 
     with w_i = `_completion_weight(A_i)` and C_ij[t] the coefficients of
     `_scaled_correlation(A_i, A_j)`. Every term is an integer, so nothing is
-    divided. The integers are exact Decimals computed in `_EXACT`, whatever
-    the caller's context. Only the spec is read; nothing is solved.
+    divided. n and d are exact integers held as Decimals, computed in
+    `_EXACT` whatever the caller's context, so that printing them takes time
+    linear in their digits and is not bound by Python's int-to-str digit
+    limit. Only the spec is read; nothing is solved.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -392,23 +393,15 @@ def _solve_at_one(
     return tuple(wins), Fraction(det_corr, total), tuple(conditionals)
 
 
-def game_distribution(spec: GameSpec, horizon: int) -> list[list[Fraction]]:
-    """Per player: exact P(that player wins at toss k) for 0 <= k <= horizon.
-
-    The Fractions are built from the (n, d) pairs that `GameSolution.win_series`
-    returns, the paper's recurrence in integers, which reads only the spec.
-    """
-    return [[Fraction(int(n), int(d)) for n, d in player] for player in _series_terms(spec, horizon)]
-
-
 @dataclass(frozen=True)
 class GameSolution:
     """All solved outputs of one game.
 
     The fields are the values at s = 1, from `solve_game`'s two integer
-    solves of M(1); equality and repr rest on them. `win_series` runs the
-    paper's recurrence. The generating functions come from the Z[u]
-    elimination, which runs when one of them is first read and is then cached.
+    solves of M(1); equality and repr rest on them. The generating functions
+    come from the Z[u] elimination, which runs when one of them is first read
+    and is then cached. The win-time series need no solution: they are
+    `game_distribution(spec, horizon)`.
     """
 
     spec: GameSpec
@@ -437,15 +430,6 @@ class GameSolution:
         """
         scale, _, det_corr, denominator = self._integer_pgfs
         return RationalFunction(_in_s(det_corr, scale), _in_s(denominator, scale))
-
-    def win_series(self, horizon: int) -> list[list[tuple[Decimal, Decimal]]]:
-        """Per player: (n, d) with P(that player wins at toss k) = n/d in lowest
-        terms, for 0 <= k <= horizon.
-
-        n and d are exact integers held as `Decimal`s, so that printing them
-        takes time linear in their digits.
-        """
-        return _series_terms(self.spec, horizon)
 
 
 def solve_game(spec: GameSpec) -> GameSolution:

@@ -1,20 +1,59 @@
 """Reference algebra over `penney.polyalg`'s value types, for the tests only.
 
-The library gets every answer from one fraction-free integer elimination
-(`penney.solver._cramer`). The routes here are independent of it: a square
-polynomial matrix, Bareiss and cofactor determinants, polynomial long
-division and derivatives. The tests replay the paper's determinant
-identities and Cramer's rule with them. Nothing here imports
+The library gets every value from one fraction-free integer elimination
+(`penney.solver._cramer`) and the win-time series from the paper's integer
+recurrence (`penney.solver.game_distribution`). The routes here are
+independent of both: a square polynomial matrix, Bareiss and cofactor
+determinants, polynomial long division, derivatives and the Taylor series of
+a rational function. The tests replay the paper's determinant identities,
+Cramer's rule and the series with them. Nothing here imports
 `penney.solver`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from penney.polyalg import ONE, ZERO, Polynomial, RationalFunction, Scalar, _as_polynomial
+from penney.polyalg import ONE, Polynomial, RationalFunction, Scalar, _as_polynomial
+
+ZERO = Polynomial()
+
+
+class SingularAtOriginError(ZeroDivisionError):
+    """Series expansion requested for a ratio whose denominator vanishes at 0."""
+
+
+def coefficient(p: Polynomial, k: int) -> Fraction:
+    """The coefficient of s**k in p, 0 past its degree."""
+    return p.coeffs[k] if 0 <= k < len(p.coeffs) else Fraction(0)
+
+
+def series(f: RationalFunction, n: int) -> list[Fraction]:
+    """First n+1 Taylor coefficients of f at 0, by the exact division recurrence.
+
+    c_k = (numer_k - sum_{j>=1} denom_j * c_{k-j}) / denom_0.
+    """
+    if n < 0:
+        raise ValueError("series length must be nonnegative")
+    d0 = coefficient(f.denom, 0)
+    if d0 == 0:
+        raise SingularAtOriginError("denominator vanishes at the origin")
+    dcs = f.denom.coeffs
+    out: list[Fraction] = []
+    for k in range(n + 1):
+        acc = coefficient(f.numer, k)
+        for j in range(1, min(k, len(dcs) - 1) + 1):
+            acc -= dcs[j] * out[k - j]
+        out.append(acc / d0)
+    return out
+
+
+def as_fractions(distribution: list[list[tuple[Decimal, Decimal]]]) -> list[list[Fraction]]:
+    """`game_distribution`'s (n, d) pairs per player, as Fractions."""
+    return [[Fraction(int(n), int(d)) for n, d in player] for player in distribution]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from penney.patterns import GameSpec, Pattern, SourceModel, validate_pattern_set
 from penney.polyalg import Polynomial
-from refalgebra import PolyMatrix, determinant
+from refalgebra import PolyMatrix, coefficient, determinant
 
 # Convention for the zero-length pattern: an empty product of probabilities.
 EMPTY_WORD_PROBABILITY = Fraction(1)
@@ -135,8 +135,8 @@ def conway_reference(spec: GameSpec) -> tuple[tuple[Fraction, ...], Fraction]:
         return determinant(PolyMatrix([[Polynomial.constant(v) for v in row] for row in rows]))
 
     column_dets = [
-        det([row[:j] + (Fraction(1),) + row[j + 1 :] for row in grid]).coefficient(0)
+        coefficient(det([row[:j] + (Fraction(1),) + row[j + 1 :] for row in grid]), 0)
         for j in range(spec.player_count)
     ]
     total = sum(column_dets)
-    return tuple(d / total for d in column_dets), det(grid).coefficient(0) / total
+    return tuple(d / total for d in column_dets), coefficient(det(grid), 0) / total

@@ -21,7 +21,7 @@ from penney.oracle import (
 )
 from penney.patterns import SourceModel, parse_pattern, validate_pattern_set
 from penney.solver import game_distribution, solve_game
-from refalgebra import rational_derivative
+from refalgebra import as_fractions, rational_derivative, series
 from refconway import overlap_indicator, pattern_probability, symbols_probability
 from specgen import game_specs, random_spec
 
@@ -42,7 +42,9 @@ def test_step_series_match():
     for _ in range(25):
         spec = random_spec(rng)
         automaton = build_automaton(spec)
-        assert game_distribution(spec, 30) == step_distribution(automaton, spec.model, 30)
+        assert as_fractions(game_distribution(spec, 30)) == step_distribution(
+            automaton, spec.model, 30
+        )
 
 
 def test_tail_series_match_oracle_survival():
@@ -50,7 +52,7 @@ def test_tail_series_match_oracle_survival():
     for _ in range(25):
         spec = random_spec(rng)
         automaton = build_automaton(spec)
-        tail = solve_game(spec).tail_gf.series(30)
+        tail = series(solve_game(spec).tail_gf, 30)
         grid = step_distribution(automaton, spec.model, 30)
         survival = F(1)
         oracle_tail = []
@@ -70,7 +72,7 @@ def test_three_symbol_alphabet_matches_oracle():
     assert probs == absorption_probabilities(automaton, model)
     assert sum(probs) == 1
     assert solution.expected_duration == expected_absorption_time(automaton, model)
-    assert game_distribution(spec, 25) == step_distribution(automaton, model, 25)
+    assert as_fractions(game_distribution(spec, 25)) == step_distribution(automaton, model, 25)
     report = simulate(spec, 20000, seed=2)
     for exact, empirical in zip(probs, report.empirical_probs):
         error = abs(empirical - exact)
@@ -84,8 +86,8 @@ def test_presummed_recurrence_replay():
     for _ in range(20):
         spec = random_spec(rng)
         longest = max(p.length for p in spec.patterns)
-        distribution = game_distribution(spec, 10 + longest)
-        tail = solve_game(spec).tail_gf.series(10)
+        distribution = as_fractions(game_distribution(spec, 10 + longest))
+        tail = series(solve_game(spec).tail_gf, 10)
         for a in spec.patterns:
             weight = pattern_probability(a, spec.model)
             for n in range(11):
@@ -133,10 +135,8 @@ SERIES_HORIZON = 40
 def test_series_envelope(spec):
     # the paper's recurrence against the lazy Z[u] pgfs and, when small, the oracle
     solution = solve_game(spec)
-    series = [
-        [F(int(n), int(d)) for n, d in player] for player in solution.win_series(SERIES_HORIZON)
-    ]
-    assert series == [pgf.series(SERIES_HORIZON) for pgf in solution.pgfs]
+    distribution = as_fractions(game_distribution(spec, SERIES_HORIZON))
+    assert distribution == [series(pgf, SERIES_HORIZON) for pgf in solution.pgfs]
     if sum(p.length for p in spec.patterns) <= ORACLE_TOTAL_LENGTH:
         automaton = build_automaton(spec)
-        assert series == step_distribution(automaton, spec.model, SERIES_HORIZON)
+        assert distribution == step_distribution(automaton, spec.model, SERIES_HORIZON)

@@ -19,6 +19,7 @@ import pytest
 import penney
 import penney.cli
 from goldentable import GOLDEN_COMMANDS, GOLDEN_DIR
+from refalgebra import as_fractions, series
 
 TESTS = Path(__file__).resolve().parent
 README = TESTS.parent / "README.md"
@@ -72,7 +73,8 @@ def test_readme_library_example_runs_as_documented():
         stated += 1
     assert stated >= 2
     solution, spec = namespace["solution"], namespace["spec"]
-    assert solution.pgfs[0].series(10) == namespace["game_distribution"](spec, 10)[0]
+    distribution = namespace["game_distribution"](spec, 10)
+    assert as_fractions(distribution) == [series(pgf, 10) for pgf in solution.pgfs]
 
 
 def defined_functions() -> dict[tuple[str, int, str], str]:
@@ -139,10 +141,12 @@ def test_every_library_function_is_reached(monkeypatch):
 
 def imported_modules(path: Path) -> set[str]:
     """Every module a file imports; `from penney import name` counts as the
-    module that defines `name`."""
+    module that defines `name`, and a relative import as `penney`."""
     found = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Import):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.add("penney")
+        elif isinstance(node, ast.Import):
             found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module == "penney":
             for alias in node.names:
@@ -160,3 +164,13 @@ def test_reference_modules_do_not_import_the_solver():
         # a test-side module they lean on is held to the same rule
         local = {m for m in imported if (TESTS / f"{m}.py").exists()}
         assert local <= set(REFERENCE_MODULES), name
+
+
+def test_the_runtime_is_the_standard_library():
+    for path in sorted(PACKAGE.glob("*.py")):
+        outside = {
+            name
+            for name in imported_modules(path)
+            if name.partition(".")[0] not in (*sys.stdlib_module_names, "penney")
+        }
+        assert outside == set(), path.name

@@ -57,7 +57,14 @@ from exampledata import (
     scaled_entries,
     solver_entries,
 )
-from refalgebra import PolyMatrix, determinant, rational_derivative
+from refalgebra import (
+    PolyMatrix,
+    as_fractions,
+    coefficient,
+    determinant,
+    rational_derivative,
+    series,
+)
 from refconway import (
     completion_monomials,
     conway_matrix,
@@ -163,7 +170,7 @@ class TestCorrelationPolynomial:
         for _ in range(30):
             spec = random_spec(rng)
             for a in spec.patterns:
-                assert correlation_polynomial(a, a, spec.model).coefficient(0) == 1
+                assert coefficient(correlation_polynomial(a, a, spec.model), 0) == 1
 
     @pytest.mark.parametrize("p", TEST_BIASES)
     def test_matrix_is_identity_at_zero(self, p):
@@ -212,10 +219,10 @@ class TestWinningPgf:
         # the m=1 closed form with P(pattern) = 1 degenerates to g(s) = s
         pgf = RationalFunction(S, S + (ONE - S) * ONE)
         assert pgf.numer == S and pgf.denom == ONE
-        assert pgf.series(3) == [0, 1, 0, 0]
+        assert series(pgf, 3) == [0, 1, 0, 0]
 
     def test_series_matches_oracle(self, example_spec):
-        distribution = game_distribution(example_spec, 30)
+        distribution = as_fractions(game_distribution(example_spec, 30))
         grid = step_distribution(
             build_automaton(example_spec), example_spec.model, 30
         )
@@ -559,8 +566,8 @@ class TestDualSolve:
         monkeypatch.setattr(solver, "_solve_integer", counted)
         solution = solve_game(example_spec)
         # every CLI answer and the win-time series come without the Z[u] elimination
-        series = solution.win_series(5)
-        assert game_distribution(example_spec, 5)[0][3] == F(1, 8)
+        distribution = game_distribution(example_spec, 5)
+        assert distribution[0][3] == (1, 8)
         for argv in (
             ["solve", "--patterns", "THH,HTH,HHT", "--series", "5"],
             ["simulate", "--patterns", "THH,HTH,HHT", "--trials", "100"],
@@ -572,9 +579,7 @@ class TestDualSolve:
         assert solution.pgfs[0].evaluate(1) == F(5, 12)
         assert solution.tail_gf.evaluate(1) == solution.expected_duration
         assert calls == [example_spec]
-        assert [[F(int(n), int(d)) for n, d in player] for player in series] == [
-            pgf.series(5) for pgf in solution.pgfs
-        ]
+        assert as_fractions(distribution) == [series(pgf, 5) for pgf in solution.pgfs]
         assert solution == solve_game(example_spec)
         assert "pgfs" not in repr(solution)
 
@@ -683,15 +688,15 @@ class TestGameDistribution:
         for _ in range(20):
             spec = random_spec(rng)
             shortest = min(p.length for p in spec.patterns)
-            for row in game_distribution(spec, shortest - 1):
+            for row in as_fractions(game_distribution(spec, shortest - 1)):
                 assert all(c == 0 for c in row)
 
     def test_first_possible_win(self, example_spec):
-        distribution = game_distribution(example_spec, 3)
+        distribution = as_fractions(game_distribution(example_spec, 3))
         assert distribution[0][3] == F(1, 8)
 
     def test_mass_accumulates_to_one(self, example_spec):
-        distribution = game_distribution(example_spec, 60)
+        distribution = as_fractions(game_distribution(example_spec, 60))
         running = F(0)
         previous = F(0)
         for k in range(61):
@@ -703,7 +708,7 @@ class TestGameDistribution:
     def test_coefficients_nonnegative(self):
         rng = random.Random(22)
         for _ in range(25):
-            for row in game_distribution(random_spec(rng), 50):
+            for row in as_fractions(game_distribution(random_spec(rng), 50)):
                 assert all(c >= 0 for c in row)
 
     def test_solves_nothing(self, wide_specs, monkeypatch):
@@ -722,18 +727,18 @@ class TestGameDistribution:
 
 
 class TestSeriesKernel:
-    """`GameSolution.win_series`, the integer recurrence, against the Fraction
-    recurrence `RationalFunction.series` and the chain oracle."""
+    """`game_distribution`, the integer recurrence, against the Fraction
+    recurrence `refalgebra.series` on the pgfs and the chain oracle."""
 
     def test_matches_fraction_series(self, wide_specs):
         rng = random.Random(41)
         for spec in [*wide_specs, *(random_spec(rng) for _ in range(40))]:
             solution = solve_game(spec)
-            terms = solution.win_series(120)
+            terms = game_distribution(spec, 120)
             assert len(terms) == spec.player_count
             for pgf, player in zip(solution.pgfs, terms):
                 fractions = [F(int(n), int(d)) for n, d in player]
-                assert fractions == pgf.series(120)
+                assert fractions == series(pgf, 120)
                 # each pair is already in lowest terms with a positive denominator
                 assert [(f.numerator, f.denominator) for f in fractions] == [
                     (int(n), int(d)) for n, d in player
@@ -744,7 +749,9 @@ class TestSeriesKernel:
         spec = validate_pattern_set(
             [parse_pattern(text, model) for text in ("abc", "cab", "bba")], model
         )
-        assert game_distribution(spec, 200) == step_distribution(build_automaton(spec), model, 200)
+        assert as_fractions(game_distribution(spec, 200)) == step_distribution(
+            build_automaton(spec), model, 200
+        )
 
     def reduce(self, num, den, scale):
         with decimal.localcontext(solver._EXACT):
@@ -763,23 +770,39 @@ class TestSeriesKernel:
         assert self.reduce(2 * 7, 4**3, 4) == (7, 32)
 
     def test_ignores_the_callers_decimal_context(self, wide_specs):
-        solution = solve_game(wide_specs[1])
-        expected = solution.win_series(150)
+        spec = wide_specs[1]
+        expected = game_distribution(spec, 150)
         with decimal.localcontext() as ctx:
             ctx.prec = 6
             ctx.traps[decimal.Inexact] = False
             ctx.traps[decimal.Rounded] = False
-            assert solution.win_series(150) == expected
+            assert game_distribution(spec, 150) == expected
             assert decimal.getcontext().prec == 6
-        assert [[F(int(n), int(d)) for n, d in row] for row in expected] == [
-            pgf.series(150) for pgf in solution.pgfs
-        ]
+        assert as_fractions(expected) == [series(pgf, 150) for pgf in solve_game(spec).pgfs]
+
+    def test_pairs_print_past_the_digit_limit(self):
+        # on the 1/3 coin D**k passes 4300 digits at k = 9014
+        model = SourceModel.from_text("H:1/3,T:2/3")
+        spec = validate_pattern_set([parse_pattern(t, model) for t in ("TH", "HH")], model)
+        horizon = 9100
+        terms = game_distribution(spec, horizon)[0]
+        reference = series(solve_game(spec).pgfs[0], horizon)
+        past = [k for k, (_, d) in enumerate(terms) if d.adjusted() + 1 > 4300]
+        assert len(past) > 50
+        limit = cli._int_str_limit()
+        for k in [*range(0, horizon + 1, 101), *past]:
+            (n, d), exact = terms[k], reference[k]
+            # the Fraction route's value, and in lowest terms as a Fraction is
+            assert (int(n), int(d)) == (exact.numerator, exact.denominator)
+            # str prints each integer's digits, with no exponent, past the limit too
+            text = cli.format_ratio(n, d)
+            assert text.replace("/", "", 1).isdigit()
+            if d.adjusted() < limit:
+                assert text == str(exact)
 
     def test_negative_horizon_is_refused(self, example_spec):
         with pytest.raises(ValueError):
             game_distribution(example_spec, -1)
-        with pytest.raises(ValueError):
-            solve_game(example_spec).win_series(-1)
 
 
 class TestConditionalDuration:
@@ -1142,7 +1165,7 @@ class TestStructuralIdentities:
             solution = solve_game(random_spec(rng))
             assert solution.pgfs[0].denom.evaluate(0) == 1
             assert solution.tail_gf.denom.evaluate(0) == 1
-            assert solution.tail_gf.series(0) == [F(1)]
+            assert series(solution.tail_gf, 0) == [F(1)]
 
 
 class TestMetamorphic:
