@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import functools
 import re
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
@@ -243,62 +245,72 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-# Draws come in blocks of _LANES, all packed into one int, one _LANE_BYTES-byte
-# lane per draw: a 64-bit draw times a constant below 2**66 still fits in its
-# lane, so whole-int arithmetic acts on every lane at once.
+# Draws come in blocks of _LANES, all packed into one int, one lane per draw.
+# A lane of `_lane_width(D)` bytes holds the largest product the kernel forms,
+# and after its one right shift by more than 64 bits the next lane's bits land
+# above bit 64, where the mask drops them, so whole-int arithmetic acts on
+# every lane at once.
 _LANES = 4096
-_LANE_BYTES = 24
+
+
+def _lane_width(common: int) -> int:
+    """The fewest whole bytes that hold 128 + D.bit_length() bits for D =
+    `common`: room for the Barrett product z * ceil(2**k / D) < 2**130 with
+    k = 64 + D.bit_length(), and, after the shift by k, for 64 bits below the
+    next lane's. 17 bytes on a coin, 25 at D = 2**64."""
+    return (128 + common.bit_length() + 7) // 8
 
 
 @functools.cache
-def _lane_constants() -> tuple[int, int, int]:
-    """A 1 in every lane, 2**64 - 1 in every lane, and (i + 1) * gamma mod
-    2**64 in lane i: the splitmix64 counters of a block, less the state."""
-    ones = int.from_bytes((b"\x01" + bytes(_LANE_BYTES - 1)) * _LANES, "little")
+def _lane_constants(width: int) -> tuple[int, int, int]:
+    """For `width`-byte lanes: a 1 in every lane, 2**64 - 1 in every lane, and
+    (i + 1) * gamma mod 2**64 in lane i: the splitmix64 counters of a block,
+    less the state."""
+    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * _LANES, "little")
     counters = b"".join(
-        ((i + 1) * _GAMMA & _MASK64).to_bytes(_LANE_BYTES, "little") for i in range(_LANES)
+        ((i + 1) * _GAMMA & _MASK64).to_bytes(width, "little") for i in range(_LANES)
     )
     return ones, ones * _MASK64, int.from_bytes(counters, "little")
 
 
-def _lane_bytes(value: int) -> bytes:
-    """Byte 8 of every lane, bits 64 to 71, lane 0 first."""
-    return value.to_bytes(_LANES * _LANE_BYTES, "little")[8::_LANE_BYTES]
+def _lane_bytes(value: int, width: int) -> bytes:
+    """Byte 8 of every `width`-byte lane, bits 64 to 71, lane 0 first."""
+    return value.to_bytes(_LANES * width, "little")[8::width]
 
 
-# Above 256 symbols a toss takes several bytes of 7 bits each, and only its
+# Above 256 codes a toss takes several bytes of 7 bits each, and only its
 # first byte has the top bit set, so a match of whole encoded tosses can only
 # start where a toss starts.
 _LEAD_UNIT = bytes(0x80 | b & 0x7F for b in range(256))
 _TRAIL_UNIT = bytes(b & 0x7F for b in range(256))
 
 
-def _unit_tables(symbols: int) -> list[bytes]:
+def _unit_tables(codes: int) -> list[bytes]:
     """One byte translation per byte of a toss, most significant first: byte j
-    of the toss of index i is tables[j][(i >> 7 * (width - 1 - j)) & 0xFF]."""
-    if symbols <= 256:
+    of the toss of code i is tables[j][(i >> 7 * (width - 1 - j)) & 0xFF]."""
+    if codes <= 256:
         return [bytes(range(256))]
-    width = -(-(symbols - 1).bit_length() // 7)
+    width = -(-(codes - 1).bit_length() // 7)
     return [_LEAD_UNIT] + [_TRAIL_UNIT] * (width - 1)
 
 
-def _encode(indices: Sequence[int], tables: Sequence[bytes]) -> bytes:
-    """Tosses of the given symbol indices as bytes, as `_unit_tables` sets out."""
+def _encode(codes: Sequence[int], tables: Sequence[bytes]) -> bytes:
+    """Tosses of the given codes as bytes, as `_unit_tables` sets out."""
     width = len(tables)
     return bytes(
-        table[index >> 7 * (width - 1 - j) & 0xFF]
-        for index in indices
+        table[code >> 7 * (width - 1 - j) & 0xFF]
+        for code in codes
         for j, table in enumerate(tables)
     )
 
 
 def _toss_blocks(
-    state: int, common: int, complements: Sequence[int], tables: Sequence[bytes]
+    state: int, common: int, bounds: Sequence[int], tables: Sequence[bytes]
 ) -> Iterator[bytes]:
     """The accepted tosses of the stream that starts at `state`, `_LANES`
-    draws at a time, each toss as the `_encode` of its symbol index.
-    `complements` holds 2**64 - b in every lane for each inner cumulative
-    bound b of the symbol probabilities scaled by D = `common`.
+    draws at a time, each toss as the `_encode` of its code: the number of
+    the cumulative bounds `bounds`, on the scale of D = `common`, that its
+    residue reaches.
 
     Draw i of the stream is mix64(state + (i + 1) * gamma), so a block of
     counters is one add away from the last. Every lane is masked to 64 bits
@@ -306,11 +318,12 @@ def _toss_blocks(
     z is rejected when z + (2**64 mod D) carries past 64 bits; one add and
     one AND tell whether a block has any such lane. The residue
     r = z - D * floor(z / D) comes from one Barrett step with
-    k = 64 + D.bit_length(), exact for every z < 2**64, and the symbol
-    index is the number of inner bounds b with r >= b, each found as the
-    carry of r + (2**64 - b).
+    k = 64 + D.bit_length(), exact for every z < 2**64, and each bound b
+    with r >= b is found as the carry of r + (2**64 - b).
     """
-    ones, mask, counters = _lane_constants()
+    lane = _lane_width(common)
+    ones, mask, counters = _lane_constants(lane)
+    complements = [((1 << 64) - bound) * ones for bound in bounds]
     carry = ones << 64
     step = (_LANES * _GAMMA & _MASK64) * ones
     reject = (1 << 64) % common * ones
@@ -324,17 +337,17 @@ def _toss_blocks(
         z = (z ^ z >> 31) & mask
         x = (x + step) & mask
         r = z - ((z * barrett >> shift) & mask) * common
-        # the index sits at bit 64 of each lane, where the carries land
-        index = 0
+        # the code sits at bit 64 of each lane, where the carries land
+        code = 0
         for complement in complements:
-            index += (r + complement) & carry
+            code += (r + complement) & carry
         units = [
-            _lane_bytes(index >> 7 * (width - 1 - j)).translate(table)
+            _lane_bytes(code >> 7 * (width - 1 - j), lane).translate(table)
             for j, table in enumerate(tables)
         ]
         rejected = (z + reject) & carry
         if rejected:
-            kept = _lane_bytes(rejected ^ carry)
+            kept = _lane_bytes(rejected ^ carry, lane)
             units = [bytes(compress(unit, kept)) for unit in units]
         tosses = bytearray(width * len(units[0]))
         for j, unit in enumerate(units):
@@ -343,29 +356,40 @@ def _toss_blocks(
 
 
 def _play_stream(
-    blocks: Iterator[bytes], games: int, finder: re.Pattern, width: int, keep: int, wins: list[int]
+    blocks: Iterator[bytes],
+    games: int,
+    finder: re.Pattern,
+    players: dict[bytes, int],
+    width: int,
+    keep: int,
+    wins: list[int],
 ) -> int:
     """Play `games` games on the stream's tosses; count each winner in `wins`
-    and return the tosses played.
+    and return the tosses played. `finder` is one group around the
+    alternation of the encoded patterns, and `players` maps each encoding to
+    its player.
 
     In a substring-free set the pattern occurrence that starts first also
     ends first, and no other starts there, so each leftmost match of the
-    alternation is one game, and the next game starts at its end. Matches
-    inside the scanned text are final: an occurrence that runs past its end
-    ends later. Of an unfinished game only the last `keep` bytes can still
-    begin a match, so only they are carried into the next block.
+    alternation is one game, and the next game starts at its end. One split
+    of a block yields its games' matches at the odd places and stops at the
+    last game asked for; the text after the last match is the last part.
+    Matches inside the scanned text are final: an occurrence that runs past
+    its end ends later. Of an unfinished game only the last `keep` bytes can
+    still begin a match, so only they are carried into the next block.
     """
     played = 0
     pending = b""
     while True:
         text = pending + next(blocks)
-        end = 0
-        for match in finder.finditer(text):
-            wins[match.lastindex - 1] += 1
-            end = match.end()
-            games -= 1
-            if not games:
-                return played + end // width
+        parts = finder.split(text, games)
+        matches = parts[1::2]
+        for encoded, count in Counter(matches).items():
+            wins[players[encoded]] += count
+        end = len(text) - len(parts[-1])
+        games -= len(matches)
+        if not games:
+            return played + end // width
         cut = max(end, len(text) - keep)
         played += cut // width
         pending = text[cut:]
@@ -382,8 +406,8 @@ def simulate(spec: GameSpec, trials: int, seed: int = 0) -> SimulationReport:
     at the first splitmix64 output from `seed`, so the report is bit-identical
     for a fixed seed. Draws are made a block at a time as whole-int lane
     arithmetic (`_toss_blocks`), and games are found by one regular-expression
-    scan of the tosses (`_play_stream`); the counts are those of playing toss
-    by toss on the prefix automaton.
+    split of each block's tosses (`_play_stream`); the counts are those of
+    playing toss by toss on the prefix automaton.
     """
     if trials < 1:
         raise ValidationError("trials must be at least 1")
@@ -398,22 +422,24 @@ def simulate(spec: GameSpec, trials: int, seed: int = 0) -> SimulationReport:
     if bounds[-1] != common:
         raise InvariantError("scaled symbol probabilities do not sum to the common denominator")
 
-    tables = _unit_tables(len(model.symbols))
-    finder = re.compile(
-        b"|".join(
-            b"(" + re.escape(_encode([model.index(s) for s in p.symbols], tables)) + b")"
-            for p in spec.patterns
-        )
-    )
+    # Only the bounds next to a symbol that some pattern uses are kept. A
+    # toss's code is the number of kept bounds its residue reaches, so every
+    # such symbol has a code of its own, and a run of other symbols shares one.
+    used = {model.index(s) for p in spec.patterns for s in p.symbols}
+    kept = [i for i in range(len(bounds) - 1) if i in used or i + 1 in used]
+    tables = _unit_tables(len(kept) + 1)
+    encodings = [
+        _encode([bisect_left(kept, model.index(s)) for s in p.symbols], tables)
+        for p in spec.patterns
+    ]
+    finder = re.compile(b"(" + b"|".join(map(re.escape, encodings)) + b")")
+    players = {encoded: i for i, encoded in enumerate(encodings)}
     width = len(tables)
     keep = width * (max(p.length for p in spec.patterns) - 1)
-    # one packed constant per symbol but the last, _LANES * _LANE_BYTES bytes each
-    ones = _lane_constants()[0]
-    complements = [((1 << 64) - bound) * ones for bound in bounds[:-1]]
     wins = [0] * spec.player_count
     state = _mix64((seed + _GAMMA) & _MASK64)
-    blocks = _toss_blocks(state, common, complements, tables)
-    total_tosses = _play_stream(blocks, trials, finder, width, keep, wins)
+    blocks = _toss_blocks(state, common, [bounds[i] for i in kept], tables)
+    total_tosses = _play_stream(blocks, trials, finder, players, width, keep, wins)
 
     empirical = tuple(Fraction(w, trials) for w in wins)
     return SimulationReport(trials, tuple(wins), total_tosses, seed, empirical)

@@ -11,6 +11,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from penney.oracle import (
+    _LANES,
+    _lane_width,
     InvariantError,
     SimulationReport,
     absorption_probabilities,
@@ -250,12 +252,48 @@ class TestSimulate:
         with pytest.raises(ValidationError, match="2\\^64"):
             simulate(spec, 1)
 
+    @pytest.mark.parametrize(
+        "text, common, lane",
+        [
+            ("a:1/2,b:1/2", 2, 17),
+            ("a:1/3,b:2/3", 3, 17),
+            (f"a:{2**62}/{2**63 + 1},b:{2**62 + 1}/{2**63 + 1}", 2**63 + 1, 24),
+            (f"a:{2**63 - 1}/{2**64 - 1},b:{2**63}/{2**64 - 1}", 2**64 - 1, 24),
+            (f"a:{2**63 - 1}/{2**64},b:{2**63 + 1}/{2**64}", 2**64, 25),
+        ],
+    )
+    def test_every_lane_width(self, text, common, lane):
+        # the lane holds 128 + D.bit_length() bits, in whole bytes
+        model = SourceModel.from_text(text)
+        assert model.common_denominator == common
+        assert _lane_width(common) == lane
+        spec = validate_pattern_set([parse_pattern(t, model) for t in ("aab", "bba", "abab")], model)
+        assert simulate(spec, 1000, seed=9) == reference_simulate(spec, 1000, seed=9)
+
+    def test_games_around_the_first_block_end(self):
+        # on a fair coin no draw is rejected, so the first block holds _LANES
+        # tosses; `first` is the number of games those tosses complete
+        model = SourceModel.from_text("H:1/2,T:1/2")
+        spec = validate_pattern_set([parse_pattern(t, model) for t in ("THH", "HTHT")], model)
+        seed = 21
+        low, high = 1, _LANES
+        while low < high:
+            middle = (low + high + 1) // 2
+            if reference_simulate(spec, middle, seed).total_tosses <= _LANES:
+                low = middle
+            else:
+                high = middle - 1
+        first = low
+        assert reference_simulate(spec, first + 1, seed).total_tosses > _LANES
+        for trials in range(first - 3, first + 4):
+            assert simulate(spec, trials, seed) == reference_simulate(spec, trials, seed)
+
 
 WIDE_ALPHABET = SourceModel([f"s{i:03d}" for i in range(300)], [F(1, 300)] * 300)
 # Alphabets sampled by the equivalence test, each with its longest pattern:
 # biases that reject almost no draws and one that rejects about half,
-# multi-character labels, a rare symbol, and more than 256 symbols, whose
-# tosses take two bytes each.
+# multi-character labels, a rare symbol, and more than 256 symbols, where each
+# run of symbols that no pattern uses shares one code.
 SIMULATION_ALPHABETS = (
     (SourceModel.from_text("H:1/2,T:1/2"), 8),
     (SourceModel(("H", "T"), (F(1, 3), F(2, 3))), 8),
@@ -290,9 +328,15 @@ def simulation_cases(draw):
 
 
 _LONG_GAME = validate_pattern_set([Pattern("H" * 13)], SourceModel.from_text("H:1/2,T:1/2"))
-# s001 is the two bytes 0x80 0x01. Were the lead byte 0x00, the pair would also
-# straddle a toss whose index is a multiple of 128 and a toss from 128 to 255.
+# Three codes, one byte per toss: s000, s001, and s002 to s299 sharing one.
 _WIDE_GAME = validate_pattern_set([Pattern(["s001"])], WIDE_ALPHABET)
+# Every symbol borders a used one, so the tosses take 300 codes of two bytes
+# each, and s001 is the two bytes 0x80 0x01. Were the lead byte 0x00, the pair
+# would also straddle a toss whose code is a multiple of 128 and a toss from
+# 128 to 255.
+_WIDE_TWO_BYTE_GAME = validate_pattern_set(
+    [Pattern([symbol]) for symbol in WIDE_ALPHABET.symbols[1::2]], WIDE_ALPHABET
+)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
@@ -300,6 +344,7 @@ _WIDE_GAME = validate_pattern_set([Pattern(["s001"])], WIDE_ALPHABET)
 # 16382 tosses per game on average, so games cross the edges of the draw blocks
 @example((_LONG_GAME, 5, 11))
 @example((_WIDE_GAME, 40, 5))
+@example((_WIDE_TWO_BYTE_GAME, 40, 5))
 def test_simulate_matches_the_scalar_loop(case):
     spec, trials, seed = case
     assert simulate(spec, trials, seed) == reference_simulate(spec, trials, seed)
