@@ -28,10 +28,14 @@ and E[T | j] = x_j'/x_j - (sum(x') - 1) / sum(x).
 The win-time series are the coefficients of the paper's own system
 P(A_i) s**len(A_i) f(s) = sum_j C_ij(s) g_j(s), f the tail generating
 function. Scaled by D**k they are integers, given by a recurrence with no
-division (`game_distribution`) and reduced by stripping the factors of D they
-share with D**k. They are exact `Decimal`s in a context that raises rather
-than rounds, because they print in linear time where `int` printing is
-quadratic in CPython.
+division (`game_distribution`). Each is reduced against D**k by one remainder
+(`_lowest_terms`): with B = D**e the largest power of D at or below 2**63 and
+c = gcd(n mod B, B), the common factor is gcd(c, D**k) when k < e, and
+otherwise c itself when c divides D**(e-1), because then every prime of D
+divides c fewer times than it divides B, so c holds all of that prime that
+n has. They are exact `Decimal`s in a context that raises rather than
+rounds, because they print in linear time where `int` printing is quadratic
+in CPython.
 
 The generating functions themselves are solved only when read
 (`GameSolution.pgfs`, `tail_gf`). The substitution u = s/D turns M and the
@@ -319,25 +323,54 @@ def game_distribution(spec: GameSpec, horizon: int) -> list[list[tuple[Decimal, 
                 total += acc
             tail.append(base * tail[-1] - total)
         powers = list(itertools.accumulate([base] * horizon, operator.mul, initial=Decimal(1)))
-        return [[_lowest_terms(*pair, scale) for pair in zip(row[pad:], powers)] for row in wins]
+        block = _reduction_block(scale)
+        return [[_lowest_terms(n, d, block) for n, d in zip(row[pad:], powers)] for row in wins]
 
 
-def _lowest_terms(num: Decimal, den: Decimal, scale: int) -> tuple[Decimal, Decimal]:
-    """num / den in lowest terms, den a power of `scale`; run inside `_EXACT`.
+def _reduction_block(scale: int) -> tuple[Decimal, int, int]:
+    """(B as a Decimal, B, D**(e-1)) for `_lowest_terms`: B = D**e is the
+    largest power of D = `scale` at or below 2**63, or D itself if D is
+    larger than that.
 
-    Every prime of den divides `scale`, so a common factor of num and den
-    divides g = gcd(num mod scale, scale). Each round divides both by
-    gcd(g, den), found from remainders of small divisors, until that is 1 or den is.
+    At or below 2**63, B fits one 64-bit word and one 19-digit word of a
+    Decimal, so a remainder by it is one short division over the digits.
+    """
+    block, below = scale, 1
+    while block * scale <= 1 << 63:
+        block, below = block * scale, block
+    return Decimal(block), block, below
+
+
+def _lowest_terms(
+    num: Decimal, den: Decimal, block: tuple[Decimal, int, int]
+) -> tuple[Decimal, Decimal]:
+    """num / den in lowest terms, den = D**k, block = `_reduction_block(D)`;
+    run inside `_EXACT`.
+
+    Every prime of den divides D, so the common factor g of num and den has
+    its primes in B = D**e, and c = gcd(num mod B, B, den) divides g. When
+    c divides D**(e-1), c is all of g: for each prime p of D,
+    v_p(c) <= (e-1) v_p(D) < v_p(B), so v_p(c) = min(v_p(num), v_p(den)).
+    That holds for any den whose primes divide D. Each round costs one
+    remainder of num by B. The first takes no remainder of den: den is a
+    multiple of B when k >= e, and a divisor of B, small enough to read
+    whole, when k < e. So a term where nothing cancels costs one remainder,
+    and a term with k < e or c | D**(e-1) one exact division of each side
+    as well. Only where a prime of D divides num at least as often as it
+    divides B does a round divide out c and the next read den % c.
     """
     if not num:
         return Decimal(0), Decimal(1)
-    while den != 1:
-        common = math.gcd(int(num % scale), scale)
-        common = math.gcd(common, int(den % common))
-        if common == 1:
+    modulus, size, below = block
+    common = math.gcd(int(num % modulus), size)
+    if common != 1 and den < modulus:
+        common = math.gcd(common, int(den))
+    while common != 1:
+        num, den = num // common, den // common
+        if not below % common:
             break
-        num //= common
-        den //= common
+        common = math.gcd(int(num % modulus), size)
+        common = math.gcd(common, int(den % common))
     return num, den
 
 

@@ -25,6 +25,9 @@ from penney.patterns import (
 
 BIAS_MENU = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 5))
 
+# a rare symbol: exact values over its games run to thousands of digits
+RARE_A = "a:1/1000000,b:999999/1000000"
+
 
 def random_model(rng: random.Random) -> SourceModel:
     p = rng.choice(BIAS_MENU)

@@ -23,10 +23,7 @@ from penney.oracle import SimulationReport
 from penney.patterns import SourceModel, parse_pattern, validate_pattern_set
 from penney.solver import solve_game
 from refcli import reference_text
-from specgen import game_specs
-
-# a rare symbol: exact values over its games run to thousands of digits
-RARE_A = "a:1/1000000,b:999999/1000000"
+from specgen import RARE_A, game_specs
 
 
 def exact_value(text: str) -> F:

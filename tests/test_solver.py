@@ -40,6 +40,7 @@ from penney.solver import (
     _mul,
     _prefix_automaton,
     _ranking,
+    _reduction_block,
     _solve_at_one,
     _solve_integer,
     _sub,
@@ -78,7 +79,7 @@ from refconway import (
     symbols_probability,
     two_player_odds,
 )
-from specgen import BIAS_MENU, random_pair, random_single, random_spec, sized_spec
+from specgen import BIAS_MENU, RARE_A, random_pair, random_single, random_spec, sized_spec
 
 TEST_BIASES = (F(1, 2), F(1, 3), F(1, 4), F(2, 5))
 
@@ -94,6 +95,35 @@ WIDE_GAMES = (
     ("H:2/5,T:3/5", 4, 7),
     ("x:1/4,yy:3/4", 3, 6),
 )
+
+# a near-fair coin with D = 2**64 + 1, past one machine word, so the series
+# reduction's block is D itself
+HUGE_D = 2**64 + 1
+HUGE_A = f"a:{2**63}/{HUGE_D},b:{2**63 + 1}/{HUGE_D}"
+
+# games whose series reduction has a short block: D = 10**6 gives
+# B = D**3, and D = 2**64 + 1 gives B = D
+SHORT_BLOCK_GAMES = (
+    (RARE_A, 3, 4),
+    (RARE_A, 2, 6),
+    (HUGE_A, 3, 4),
+    (HUGE_A, 2, 3),
+)
+
+# D, and primes of D, for the reduction's property test
+REDUCTION_SCALES = {
+    2: (2,),
+    3: (3,),
+    4: (2,),
+    6: (2, 3),
+    9: (3,),
+    12: (2, 3),
+    10**6: (2, 5),
+    2**61 - 1: (2**61 - 1,),
+    2**63 + 1: (3, 19, 43),
+    2**64: (2,),
+    3**41: (3,),
+}
 
 
 @pytest.fixture(scope="module")
@@ -732,7 +762,12 @@ class TestSeriesKernel:
 
     def test_matches_fraction_series(self, wide_specs):
         rng = random.Random(41)
-        for spec in [*wide_specs, *(random_spec(rng) for _ in range(40))]:
+        short_block = [
+            sized_spec(rng, SourceModel.from_text(text), players, length)
+            for text, players, length in SHORT_BLOCK_GAMES
+        ]
+        assert {spec.model.common_denominator for spec in short_block} == {10**6, HUGE_D}
+        for spec in [*wide_specs, *short_block, *(random_spec(rng) for _ in range(40))]:
             solution = solve_game(spec)
             terms = game_distribution(spec, 120)
             assert len(terms) == spec.player_count
@@ -755,8 +790,51 @@ class TestSeriesKernel:
 
     def reduce(self, num, den, scale):
         with decimal.localcontext(solver._EXACT):
-            n, d = _lowest_terms(decimal.Decimal(num), decimal.Decimal(den), scale)
+            n, d = _lowest_terms(
+                decimal.Decimal(num), decimal.Decimal(den), _reduction_block(scale)
+            )
+        # integers with no exponent, so that str never prints E-notation
+        assert n.as_tuple().exponent == d.as_tuple().exponent == 0
         return int(n), int(d)
+
+    def test_reduction_block(self):
+        assert _reduction_block(2) == (2**63, 2**63, 2**62)
+        assert _reduction_block(3) == (3**39, 3**39, 3**38)
+        assert _reduction_block(10**6) == (10**18, 10**18, 10**12)
+        assert _reduction_block(2**63) == (2**63, 2**63, 1)
+        assert _reduction_block(HUGE_D) == (HUGE_D, HUGE_D, 1)
+        for scale in REDUCTION_SCALES:
+            block, size, below = _reduction_block(scale)
+            assert isinstance(block, decimal.Decimal) and block == size
+            assert size == below * scale
+            assert size <= 2**63 < size * scale or size == scale > 2**63
+
+    @pytest.mark.parametrize("scale", REDUCTION_SCALES)
+    def test_reduction_matches_fraction(self, scale):
+        block = _reduction_block(scale)[1]
+        e = round(math.log(block, scale))
+        assert scale**e == block
+        rng = random.Random(scale)
+        strips = whole = 0
+        for k in sorted({0, 1, 2, e - 1, e, e + 1, 2 * e + 1}):
+            den = scale**k
+            assert self.reduce(0, den, scale) == (0, 1)
+            for p in (*REDUCTION_SCALES[scale], scale):
+                for r in (1, 7, rng.getrandbits(80) | 1):
+                    # v runs past both e and k, so with p = D the numerator
+                    # holds more factors of D than B and than D**k
+                    for v in range(k + e + 3):
+                        num = r * p**v
+                        exact = F(num, den)
+                        assert self.reduce(num, den, scale) == (
+                            exact.numerator,
+                            exact.denominator,
+                        )
+                        common = math.gcd(num, block)
+                        # the rounds past the first: c does not divide D**(e-1)
+                        strips += k >= e and (block // scale) % common != 0
+                        whole += exact.denominator == 1 and k > 0
+        assert strips and whole
 
     def test_reduction_edge_cases(self):
         assert self.reduce(0, 2**10, 2) == (0, 1)
