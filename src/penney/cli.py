@@ -9,17 +9,17 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from typing import NamedTuple, TextIO
 
 from . import __version__
 from .oracle import simulate
-from .patterns import SourceModel, ValidationError, parse_pattern, validate_pattern_set
+from .patterns import Record, SourceModel, ValidationError, parse_pattern, validate_pattern_set
 from .solver import best_response, game_distribution, response_table, solve_game
 
 SCHEMA_VERSION = 1
@@ -151,13 +151,14 @@ def _check_trial_count(trials: int) -> None:
         )
 
 
-class Series(NamedTuple):
+class Series(Record):
     """The series block of a solve document: P(player j wins at toss k) = n/d
     for k <= horizon, as the (n, d) integers of `game_distribution`.
 
     `write_document` prints it in batches; its text is never held whole.
     """
 
+    _fields = ("horizon", "patterns", "terms")
     horizon: int
     patterns: list[str]
     terms: list[list[tuple[Decimal, Decimal]]]
@@ -344,7 +345,7 @@ def render_table(doc: dict) -> str:
 _BATCH = 256
 
 
-def write_document(doc: dict, as_json: bool, out: TextIO) -> None:
+def write_document(doc: dict, as_json: bool, out: io.TextIOBase) -> None:
     """Write `doc` and a newline to `out`: `json.dumps(doc, indent=2)` or
     `render_table(doc)`, with a solve document's Series as the last key.
 
@@ -383,7 +384,7 @@ def write_document(doc: dict, as_json: bool, out: TextIO) -> None:
     out.write("\n")
 
 
-def _write_series_table(series: Series, out: TextIO) -> None:
+def _write_series_table(series: Series, out: io.TextIOBase) -> None:
     """The series as table rows, one per toss; widths from the digit counts."""
     widths = [max(4, len(str(series.horizon)))] + [
         max(len(pattern), max(_ratio_width(n, d) for n, d in terms))

@@ -12,12 +12,11 @@ import functools
 import re
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import accumulate, compress
-from typing import Iterator, Optional, Sequence
 
-from .patterns import GameSpec, SourceModel, ValidationError
+from .patterns import GameSpec, Record, SourceModel, ValidationError
 
 
 class SingularSystemError(ArithmeticError):
@@ -28,8 +27,7 @@ class InvariantError(ArithmeticError):
     """Defensive: a structural invariant of the automaton or simulator failed."""
 
 
-@dataclass(frozen=True)
-class Automaton:
+class Automaton(Record):
     """Deterministic total automaton over pattern prefixes.
 
     State k is the prefix `prefixes[k]`; `transitions[k][a]` is the successor
@@ -37,9 +35,10 @@ class Automaton:
     absorbing (self-loops only) and `winner[k]` names the 0-based player.
     """
 
+    _fields = ("prefixes", "transitions", "winner", "start")
     prefixes: tuple[tuple[str, ...], ...]
     transitions: tuple[tuple[int, ...], ...]
-    winner: tuple[Optional[int], ...]
+    winner: tuple[int | None, ...]
     start: int = 0
 
     @property
@@ -213,19 +212,33 @@ def step_distribution(
     return grid
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(Record):
     """Outcome counts of a seeded simulation run."""
 
+    _fields = ("trials", "wins", "total_tosses", "seed", "empirical_probs")
     trials: int
     wins: tuple[int, ...]
     total_tosses: int
     seed: int
     empirical_probs: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if sum(self.wins) != self.trials:
-            raise InvariantError(f"{sum(self.wins)} wins recorded for {self.trials} trials")
+    def __init__(
+        self,
+        trials: int,
+        wins: tuple[int, ...],
+        total_tosses: int,
+        seed: int,
+        empirical_probs: tuple[Fraction, ...],
+    ) -> None:
+        if sum(wins) != trials:
+            raise InvariantError(f"{sum(wins)} wins recorded for {trials} trials")
+        self.__dict__.update(
+            trials=trials,
+            wins=wins,
+            total_tosses=total_tosses,
+            seed=seed,
+            empirical_probs=empirical_probs,
+        )
 
     @property
     def mean_tosses(self) -> Fraction:

@@ -10,13 +10,56 @@ the solver to misbehave on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 
 class ValidationError(ValueError):
     """A source model, pattern, or pattern set violates the game's hypotheses."""
+
+
+class Record:
+    """Base of the package's value types: a read-only record, equal to and
+    hashed like another record of its class with equal fields.
+
+    `_fields` names the fields in order, and the constructor takes their values
+    in that order; a trailing field with a class attribute of its name may be
+    left out and takes that default. A subclass that validates writes its own
+    `__init__`, which stores each field in the instance dict. Attributes there
+    that are not fields, such as a `functools.cached_property`'s value, take
+    no part in equality, hash or repr.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values) -> None:
+        cls = type(self)
+        if len(values) != len(cls._fields):
+            omitted = cls._fields[len(values) :]
+            if not omitted or not all(hasattr(cls, name) for name in omitted):
+                raise TypeError(f"{cls.__name__} takes the fields {', '.join(cls._fields)}")
+            values += tuple(getattr(cls, name) for name in omitted)
+        self.__dict__.update(zip(cls._fields, values))
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def _read_only(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is read-only")
+
+    __setattr__ = __delattr__ = _read_only
 
 
 def _coerce_probability(value) -> Fraction:
@@ -30,14 +73,14 @@ def _coerce_probability(value) -> Fraction:
         raise ValidationError(f"cannot parse probability {value!r}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class SourceModel:
+class SourceModel(Record):
     """Finite alphabet with one exact positive probability per symbol.
 
     Symbol labels may be multi-character; no label may be a prefix of another,
     which keeps pattern text unambiguous under longest-match tokenization.
     """
 
+    _fields = ("symbols", "probs")
     symbols: tuple[str, ...]
     probs: tuple[Fraction, ...]
 
@@ -69,9 +112,9 @@ class SourceModel:
                 )
         if sum(values) != 1:
             raise ValidationError(f"probabilities must sum to exactly 1 (got {sum(values)})")
-        object.__setattr__(self, "symbols", labels)
-        object.__setattr__(self, "probs", values)
-        object.__setattr__(self, "_lookup", {s: i for i, s in enumerate(labels)})
+        self.__dict__.update(
+            symbols=labels, probs=values, _lookup={s: i for i, s in enumerate(labels)}
+        )
 
     @classmethod
     def from_text(cls, text: str) -> "SourceModel":
@@ -96,23 +139,22 @@ class SourceModel:
         return math.lcm(*(p.denominator for p in self.probs))
 
     def index(self, symbol: str) -> int:
-        lookup = getattr(self, "_lookup")
-        if symbol not in lookup:
+        if symbol not in self._lookup:
             raise ValidationError(f"symbol {symbol!r} is not in the alphabet")
-        return lookup[symbol]
+        return self._lookup[symbol]
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(Record):
     """A nonempty string of alphabet symbols a player bets on appearing first."""
 
+    _fields = ("symbols",)
     symbols: tuple[str, ...]
 
     def __init__(self, symbols: Iterable[str]) -> None:
         syms = tuple(symbols)
         if not syms:
             raise ValidationError("a pattern must have at least one symbol")
-        object.__setattr__(self, "symbols", syms)
+        self.__dict__.update(symbols=syms)
 
     @property
     def length(self) -> int:
@@ -145,10 +187,10 @@ def _contains(haystack: tuple[str, ...], needle: tuple[str, ...]) -> bool:
     return any(haystack[i : i + width] == needle for i in range(len(haystack) - width + 1))
 
 
-@dataclass(frozen=True)
-class GameSpec:
+class GameSpec(Record):
     """A validated game: source model plus distinct, substring-free patterns."""
 
+    _fields = ("model", "patterns")
     model: SourceModel
     patterns: tuple[Pattern, ...]
 
@@ -178,8 +220,7 @@ class GameSpec:
                         f"pattern {i + 1} ({pats[i]}) occurs inside pattern {j + 1} "
                         f"({pats[j]}); substring-free sets required"
                     )
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "patterns", pats)
+        self.__dict__.update(model=model, patterns=pats)
 
     @property
     def player_count(self) -> int:

@@ -17,11 +17,12 @@ sparse storage would buy nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Union
 
-Scalar = Union[Fraction, int]
+from .patterns import Record
+
+Scalar = Fraction | int
 
 
 def _coerce(value: Scalar) -> Fraction:
@@ -32,21 +33,21 @@ def _coerce(value: Scalar) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Record):
     """Dense univariate polynomial; ``coeffs[k]`` is the coefficient of s**k.
 
     Trailing zeros are trimmed on construction, so the zero polynomial is the
     empty tuple and its degree is -inf (never a stored zero coefficient).
     """
 
+    _fields = ("coeffs",)
     coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
         cs = [_coerce(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self.__dict__.update(coeffs=tuple(cs))
 
     @staticmethod
     def constant(value: Scalar) -> "Polynomial":
@@ -142,8 +143,7 @@ def _as_polynomial(value: "Polynomial | Scalar") -> Polynomial:
     return Polynomial.constant(value)
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(Record):
     """Exact ratio of two polynomials.
 
     Representations are never reduced by polynomial GCDs; evaluation is
@@ -151,6 +151,7 @@ class RationalFunction:
     denominator, so sums over players are sums of numerators.
     """
 
+    _fields = ("numer", "denom")
     numer: Polynomial
     denom: Polynomial
 
@@ -159,8 +160,7 @@ class RationalFunction:
         bottom = _as_polynomial(denom)
         if bottom.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        object.__setattr__(self, "numer", top)
-        object.__setattr__(self, "denom", bottom)
+        self.__dict__.update(numer=top, denom=bottom)
 
     def evaluate(self, at: Scalar) -> Fraction:
         value = self.denom.evaluate(at)

@@ -66,12 +66,11 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, TypeVar
 
-from .patterns import GameSpec, Pattern, SourceModel, ValidationError, validate_pattern_set
+from .patterns import GameSpec, Pattern, Record, SourceModel, ValidationError, validate_pattern_set
 from .polyalg import Polynomial, RationalFunction
 
 # Integer polynomials in u = s/D: coefficient lists, lowest degree first, with
@@ -197,7 +196,8 @@ def _divide_int(a: int, d: int) -> int:
     return quotient
 
 
-R = TypeVar("R")
+# The ring `_cramer` runs over, one per call: the integers, or Z[u].
+R = int | IntPoly
 
 
 def _cramer(
@@ -426,8 +426,7 @@ def _solve_at_one(
     return tuple(wins), Fraction(det_corr, total), tuple(conditionals)
 
 
-@dataclass(frozen=True)
-class GameSolution:
+class GameSolution(Record):
     """All solved outputs of one game.
 
     The fields are the values at s = 1, from `solve_game`'s two integer
@@ -437,6 +436,7 @@ class GameSolution:
     `game_distribution(spec, horizon)`.
     """
 
+    _fields = ("spec", "win_probs", "expected_duration", "conditional_durations")
     spec: GameSpec
     win_probs: tuple[Fraction, ...]
     expected_duration: Fraction

@@ -1,6 +1,7 @@
 """The package's public surface, the README's library example, that every
-library function is reached from a command or the README, and the
-independence of the test-side reference routes from the solver."""
+library function is reached from a command or the README, what importing
+the CLI loads, and the independence of the test-side reference routes from
+the solver."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import importlib
 import inspect
 import io
 import os
+import subprocess
 import sys
 import types
 from contextlib import redirect_stdout
@@ -18,6 +20,7 @@ import pytest
 
 import penney
 import penney.cli
+from childenv import child_env
 from goldentable import GOLDEN_COMMANDS, GOLDEN_DIR
 from refalgebra import as_fractions, series
 
@@ -137,6 +140,22 @@ def test_every_library_function_is_reached(monkeypatch):
     reached = {(os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name) for c in entered}
     unreached = {name for key, name in defined_functions().items() if key not in reached}
     assert unreached == BENCHMARK_ONLY
+
+
+def test_cli_import_leaves_out_costly_modules():
+    """Every command's process pays for what `import penney.cli` loads:
+    `dataclasses` (with `inspect`) cost about 12 ms of it. Without `site`,
+    which may load `typing` itself, none of the three may be loaded."""
+    probe = (
+        "import sys, penney.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def imported_modules(path: Path) -> set[str]:

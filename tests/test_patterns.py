@@ -1,15 +1,28 @@
-"""Source models, pattern parsing and set validation, plus the overlap and
-probability helpers of the test-side reference `refconway`."""
+"""Source models, pattern parsing and set validation, the value behaviour
+of every record type, and the overlap and probability helpers of the
+test-side reference `refconway`."""
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from fractions import Fraction as F
 
 import pytest
 
-from penney.patterns import Pattern, SourceModel, ValidationError, parse_pattern, validate_pattern_set
+from penney.cli import Series
+from penney.oracle import Automaton, build_automaton, simulate
+from penney.patterns import (
+    Pattern,
+    Record,
+    SourceModel,
+    ValidationError,
+    parse_pattern,
+    validate_pattern_set,
+)
+from penney.polyalg import ONE, S, Polynomial, RationalFunction
+from penney.solver import GameSolution, solve_game
 from refconway import (
     EMPTY_WORD_PROBABILITY,
     overlap_indicator,
@@ -188,3 +201,97 @@ class TestValidatePatternSet:
     def test_single_pattern_ok(self, fair):
         spec = validate_pattern_set([parse_pattern("H", fair)], fair)
         assert spec.player_count == 1
+
+
+def one_record_of_each_type() -> list[Record]:
+    """One record of every type in the package, all built afresh on each call."""
+    model = SourceModel.from_text("H:1/3,T:2/3")
+    spec = validate_pattern_set([parse_pattern(t, model) for t in ("HTH", "THH")], model)
+    return [
+        model,
+        spec.patterns[0],
+        spec,
+        Polynomial((1, F(1, 2))),
+        RationalFunction(S, ONE - S),
+        solve_game(spec),
+        build_automaton(spec),
+        simulate(spec, 50, seed=3),
+        Series(2, ("HTH", "THH"), (((0, 1), (0, 3), (1, 9)),) * 2),
+    ]
+
+
+class TestRecords:
+    def test_every_record_type_is_covered(self):
+        types = {type(record) for record in one_record_of_each_type()}
+        assert types == {
+            cls for cls in Record.__subclasses__() if cls.__module__.startswith("penney.")
+        }
+
+    def test_equal_construction_gives_equal_values(self):
+        for a, b in zip(one_record_of_each_type(), one_record_of_each_type()):
+            assert a is not b
+            assert a == b and not a != b
+            assert hash(a) == hash(b)
+            assert repr(a) == repr(b)
+            assert repr(a).startswith(f"{type(a).__name__}({a._fields[0]}=")
+
+    def test_records_of_different_classes_are_never_equal(self):
+        for a, b in itertools.permutations(one_record_of_each_type(), 2):
+            assert a != b and not a == b
+        # the same fields and values, another class
+        lookalike = type("Lookalike", (Record,), {"_fields": ("symbols",)})
+        subclass = type("Subclass", (Pattern,), {})
+        pattern = Pattern(("H", "T"))
+        for other in (lookalike(("H", "T")), subclass(("H", "T"))):
+            assert pattern != other and other != pattern
+            assert not pattern == other and not other == pattern
+
+    def test_fields_are_read_only(self):
+        for record, fresh in zip(one_record_of_each_type(), one_record_of_each_type()):
+            for name in record._fields:
+                value = getattr(record, name)
+                with pytest.raises(AttributeError, match=name):
+                    setattr(record, name, None)
+                with pytest.raises(AttributeError, match=name):
+                    delattr(record, name)
+                assert getattr(record, name) is value
+            with pytest.raises(AttributeError):
+                record.extra = 1
+            assert record == fresh
+
+    def test_constructor_takes_the_fields_in_order(self, fair):
+        spec = validate_pattern_set([parse_pattern("HT", fair)], fair)
+        solution = solve_game(spec)
+        assert solution.spec is spec and solution.expected_duration == 4
+        with pytest.raises(TypeError, match="spec, win_probs"):
+            GameSolution(spec, solution.win_probs)
+        with pytest.raises(TypeError):
+            Automaton((), (), (), 0, 0)
+        # a trailing field with a class default may be left out
+        automaton = build_automaton(spec)
+        assert automaton.start == 0
+        assert automaton == Automaton(
+            automaton.prefixes, automaton.transitions, automaton.winner, 0
+        )
+
+    def test_generating_functions_are_cached_outside_equality(self, example_spec):
+        solution, fresh = solve_game(example_spec), solve_game(example_spec)
+        pgfs, tail = solution.pgfs, solution.tail_gf
+        assert solution.pgfs is pgfs and solution.tail_gf is tail
+        assert solution == fresh and hash(solution) == hash(fresh)
+        assert repr(solution) == repr(fresh)
+        assert "pgfs" not in repr(solution) and "tail_gf" not in repr(solution)
+
+    def test_a_polynomial_is_not_a_sequence(self):
+        assert 2 * S == S * 2 == Polynomial((0, 2))
+        assert 1 + S == S + 1 == Polynomial((1, 1))
+        for operation in (
+            lambda: 2.0 * S,
+            lambda: S * [1],
+            lambda: S + (1,),
+            lambda: (1,) + S,
+            lambda: len(S),
+            lambda: iter(S),
+        ):
+            with pytest.raises(TypeError):
+                operation()
