@@ -12,9 +12,8 @@ where M(s) is the correlation matrix and M_j replaces column j by the
 completion monomials P(A_i) * s^len(A_i).
 
 The values and the generating functions come from one elimination,
-`_cramer`: a fraction-free Gauss-Jordan pass on [M | B] with row swaps, any
-number of right-hand columns B, run over Z or Z[u]. The win-time series need
-none.
+`_cramer`: a fraction-free Gauss-Jordan pass on an integer [M | B] with row
+swaps and any number of right-hand columns B. The win-time series need none.
 
 Win probabilities, the expected game length and the conditional lengths need
 only values at s = 1. With D the least common multiple of the
@@ -39,9 +38,10 @@ in CPython.
 
 The generating functions themselves are solved only when read
 (`GameSolution.pgfs`, `tail_gf`). The substitution u = s/D turns M and the
-completion column into integer polynomials, and `_cramer` over Z[u] yields
-det M and every Cramer numerator together. Since M(0) = I, every division is
-exact with a pivot whose constant term is 1.
+completion column into integer polynomials. Kronecker substitution evaluates
+each at u = 2**bits, with bits past a bound on every coefficient the solve
+can produce, so one integer `_cramer` yields det M and every Cramer numerator
+together, read back as balanced base-2**bits digits (`_unpack`).
 
 Best responses need only the values: `_response_scores` scores each candidate
 by the generalised Conway formula, the ratio of two Cramer numerators of its
@@ -66,7 +66,7 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from decimal import Decimal
 from fractions import Fraction
 
@@ -142,51 +142,6 @@ def _in_s(coeffs: IntPoly, scale: int) -> Polynomial:
     return Polynomial(out)
 
 
-def _sub(a: IntPoly, b: IntPoly) -> IntPoly:
-    """a - b."""
-    out = a + [0] * (len(b) - len(a)) if len(a) < len(b) else list(a)
-    for i, c in enumerate(b):
-        out[i] -= c
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _mul(a: IntPoly, b: IntPoly) -> IntPoly:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return out
-
-
-def _divide_exact(a: IntPoly, d: IntPoly) -> IntPoly:
-    """Quotient a / d in Z[u]; raises unless d has constant term 1 and d divides a.
-
-    With d[0] = 1 the quotient comes out low to high with no division:
-    q_k = a_k - sum_{j>=1} d_j q_{k-j}. Continuing the recurrence past the
-    quotient's degree gives the remainder's coefficients, which must vanish.
-    In `_cramer`, d is a pivot, a leading principal minor of a matrix that is
-    the identity at u = 0, so a constant term other than 1 means that
-    hypothesis failed.
-    """
-    if not d or d[0] != 1:
-        raise DegenerateGameError("a pivot is not 1 at the origin; the matrix is not I at 0")
-    size = len(a) - len(d) + 1
-    quotient: IntPoly = []
-    for k, acc in enumerate(a):
-        for j in range(max(1, k - size + 1), min(k, len(d) - 1) + 1):
-            acc -= d[j] * quotient[k - j]
-        if k < size:
-            quotient.append(acc)
-        elif acc:
-            raise ArithmeticError("elimination step is not divisible by the previous pivot")
-    return quotient
-
-
 def _divide_int(a: int, d: int) -> int:
     """Quotient a / d in Z, for a divisor d that `_cramer` has checked is
     nonzero; raises unless d divides a."""
@@ -196,23 +151,13 @@ def _divide_int(a: int, d: int) -> int:
     return quotient
 
 
-# The ring `_cramer` runs over, one per call: the integers, or Z[u].
-R = int | IntPoly
-
-
-def _cramer(
-    rows: list[list[R]],
-    one: R,
-    mul: Callable[[R, R], R],
-    sub: Callable[[R, R], R],
-    divide: Callable[[R, R], R],
-) -> tuple[R, list[list[R]]]:
-    """One fraction-free Gauss-Jordan pass on an m-by-(m+k) matrix [A | B].
+def _cramer(rows: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """One fraction-free Gauss-Jordan pass on an integer m-by-(m+k) matrix [A | B].
 
     After step k every entry is a (k+1)-by-(k+1) minor (Sylvester's identity),
     so each update (pivot * a_ij - a_ik * a_kj) / previous pivot is exact, and
-    `divide` checks that it is. Where a pivot is zero, the first later row
-    whose entry in that column is nonzero is swapped in; if none is, A is
+    `_divide_int` checks that it is. Where a pivot is zero, the first later
+    row whose entry in that column is nonzero is swapped in; if none is, A is
     singular and `DegenerateGameError` is raised. Returns det A, the last
     pivot, and per row i its entries past A: in column j, det A with column
     i replaced by column j of B, Cramer's numerators. The swaps depend on A
@@ -220,7 +165,7 @@ def _cramer(
     are A's. `rows` is overwritten.
     """
     m = len(rows)
-    previous = one
+    previous = 1
     for k in range(m):
         if not rows[k][k]:
             swap = next((i for i in range(k + 1, m) if rows[i][k]), None)
@@ -235,31 +180,62 @@ def _cramer(
                 continue
             factor = row[k]
             for j in range(k + 1, width):
-                scaled = mul(pivot, row[j])
+                scaled = pivot * row[j]
                 if factor:
-                    scaled = sub(scaled, mul(factor, pivot_row[j]))
-                row[j] = divide(scaled, previous)
+                    scaled -= factor * pivot_row[j]
+                row[j] = _divide_int(scaled, previous)
         previous = pivot
     return previous, [row[m:] for row in rows]
 
 
+def _unpack(value: int, bits: int) -> IntPoly:
+    """The polynomial p with p(2**bits) = value and every coefficient of
+    absolute value below 2**(bits-1): value's balanced base-2**bits digits,
+    lowest first, with no trailing zeros."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    coeffs: IntPoly = []
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << bits
+        coeffs.append(digit)
+        value = (value - digit) >> bits
+    return coeffs
+
+
 def _solve_integer(spec: GameSpec) -> tuple[int, list[IntPoly], IntPoly, IntPoly]:
-    """D, the Cramer numerators, det M and the shared denominator, over Z[u]."""
+    """D, the Cramer numerators, det M and the shared denominator, as
+    polynomials in u = s/D.
+
+    Kronecker substitution: every entry of [M(u) | c(u)] is evaluated at
+    u = 2**bits, one integer `_cramer` runs, and each result is read back by
+    `_unpack`. Evaluation is a ring map, so the packed results are the
+    polynomial ones evaluated, and they read back exactly while every
+    coefficient is below 2**(bits-1) in absolute value; a nonzero pivot then
+    packs to a nonzero integer, so the row swaps are the same too. Every
+    coefficient of [M | c] is nonnegative, so a row's L1 norm is its sum, and
+    it is at least 1, from M's diagonal. Every minor of [M | c], which every
+    entry of the elimination is, then has L1 norm at most the product of the
+    row norms, and Q = sum(N) + (1 - D u) det M at most m + 1 + D times that.
+    """
     scale = spec.model.common_denominator
     weights = _symbol_weights(spec.model)
-    rows = [
+    entries = [
         [_scaled_correlation(a, b, weights) for b in spec.patterns]
         + [[0] * a.length + [_completion_weight(a, weights)]]
         for a in spec.patterns
     ]
-    det_corr, solved = _cramer(rows, [1], _mul, _sub, _divide_exact)
-    numerators = [n for n, in solved]
+    bound = (len(entries) + 1 + scale) * math.prod(sum(map(sum, row)) for row in entries)
+    bits = bound.bit_length() + 2
+    rows = [[sum(c << bits * t for t, c in enumerate(p)) for p in row] for row in entries]
+    packed_det, solved = _cramer(rows)
+    packed = [n for n, in solved]
+    # Q = sum_j N_j + (1 - s) det M, with s = D*u and u = 2**bits
+    denominator = sum(packed) + packed_det - (scale * packed_det << bits)
+    det_corr = _unpack(packed_det, bits)
     if not det_corr or det_corr[0] != 1:
         raise DegenerateGameError("det M is not 1 at the origin; the matrix is not I at 0")
-    # Q = sum_j N_j + (1 - s) det M, with s = D*u
-    total = [sum(c) for c in itertools.zip_longest(det_corr, *numerators, fillvalue=0)]
-    denominator = _sub(total, [0] + [scale * c for c in det_corr])
-    return scale, numerators, det_corr, denominator
+    return scale, [_unpack(n, bits) for n in packed], det_corr, _unpack(denominator, bits)
 
 
 # Exact integer arithmetic on Decimals: every operation that would round raises.
@@ -408,11 +384,11 @@ def _solve_at_one(
         completion_slopes.append(a.length * weight)
     # M(1) again for the second solve, since `_cramer` overwrites `rows`
     second = [row[:-1] for row in rows]
-    det_corr, solved = _cramer(rows, 1, operator.mul, operator.sub, _divide_int)
+    det_corr, solved = _cramer(rows)
     numerators = [n for n, in solved]
     for row, slope_row, w in zip(second, slopes, completion_slopes):
         row.append(det_corr * w - sum(map(operator.mul, slope_row, numerators)))
-    _, solved = _cramer(second, 1, operator.mul, operator.sub, _divide_int)
+    _, solved = _cramer(second)
     slope_numerators = [n for n, in solved]
     total = sum(numerators)
     # d**2 (sum(x') - 1)
@@ -431,8 +407,9 @@ class GameSolution(Record):
 
     The fields are the values at s = 1, from `solve_game`'s two integer
     solves of M(1); equality and repr rest on them. The generating functions
-    come from the Z[u] elimination, which runs when one of them is first read
-    and is then cached. The win-time series need no solution: they are
+    come from a third integer solve, of [M | c] packed at u = 2**bits
+    (`_solve_integer`), which runs when one of them is first read and is then
+    cached. The win-time series need no solution: they are
     `game_distribution(spec, horizon)`.
     """
 
@@ -444,7 +421,7 @@ class GameSolution(Record):
 
     @functools.cached_property
     def _integer_pgfs(self) -> tuple[int, list[IntPoly], IntPoly, IntPoly]:
-        """D, the Cramer numerators, det M and the shared denominator over Z[u], u = s/D."""
+        """D, the Cramer numerators, det M and the shared denominator in u = s/D."""
         return _solve_integer(self.spec)
 
     @functools.cached_property
@@ -576,7 +553,7 @@ def _response_scores(
     failure: ArithmeticError | None = None
     try:
         # one elimination of A: d = det A, p = adj(A) w_b and adj(A) u per open state
-        det_a, solved = _cramer(rows, 1, operator.mul, operator.sub, _divide_int)
+        det_a, solved = _cramer(rows)
     except ArithmeticError as exc:
         failure, det_a, solved = exc, 0, []
     completion, *adjugate = [[row[c] for row in solved] for c in range(1 + len(open_states))]

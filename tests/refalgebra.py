@@ -1,11 +1,13 @@
 """Reference algebra over `penney.polyalg`'s value types, for the tests only.
 
-The library gets every value from one fraction-free integer elimination
-(`penney.solver._cramer`) and the win-time series from the paper's integer
-recurrence (`penney.solver.game_distribution`). The routes here are
-independent of both: a square polynomial matrix, Bareiss and cofactor
-determinants, polynomial long division, derivatives and the Taylor series of
-a rational function. The tests replay the paper's determinant identities,
+The library gets every value and every generating function from one
+fraction-free integer elimination (`penney.solver._cramer`; for the
+generating functions each polynomial entry is packed into one integer at
+u = 2**bits) and the win-time series from the paper's integer recurrence
+(`penney.solver.game_distribution`). The routes here are independent of
+both: a square polynomial matrix, Bareiss and cofactor determinants,
+polynomial long division, derivatives and the Taylor series of a rational
+function. The tests replay the paper's determinant identities,
 Cramer's rule and the series with them. Nothing here imports
 `penney.solver`.
 """

@@ -27,6 +27,8 @@ BIAS_MENU = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 5))
 
 # a rare symbol: exact values over its games run to thousands of digits
 RARE_A = "a:1/1000000,b:999999/1000000"
+# more than 256 symbols, with multi-character labels
+WIDE_ALPHABET = SourceModel([f"s{i:03d}" for i in range(300)], [Fraction(1, 300)] * 300)
 
 
 def random_model(rng: random.Random) -> SourceModel:

@@ -321,9 +321,9 @@ class TestGoldens:
     @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
     def test_values_need_no_polynomial_elimination(self, capsys, monkeypatch, name):
         # values at s = 1 come from two integer solves and series from the
-        # paper's recurrence; only the library's pgfs and tail_gf reach Z[u]
+        # paper's recurrence; only the library's pgfs and tail_gf run the pgf solve
         def refuse(spec):
-            raise RuntimeError("the Z[u] elimination ran")
+            raise RuntimeError("the pgf solve ran")
 
         monkeypatch.setattr(penney.solver, "_solve_integer", refuse)
         assert main(GOLDEN_COMMANDS[name]) == 0

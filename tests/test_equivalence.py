@@ -110,7 +110,7 @@ ORACLE_TOTAL_LENGTH = 24
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(game_specs())
 def test_values_envelope(spec):
-    # the two integer solves against the lazy Z[u] pgfs and, when small, the oracle
+    # the two integer solves against the lazy pgfs and, when small, the oracle
     solution = solve_game(spec)
     values = (solution.win_probs, solution.expected_duration, solution.conditional_durations)
     assert values == (
@@ -133,7 +133,7 @@ SERIES_HORIZON = 40
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(game_specs())
 def test_series_envelope(spec):
-    # the paper's recurrence against the lazy Z[u] pgfs and, when small, the oracle
+    # the paper's recurrence against the lazy pgfs and, when small, the oracle
     solution = solve_game(spec)
     distribution = as_fractions(game_distribution(spec, SERIES_HORIZON))
     assert distribution == [series(pgf, SERIES_HORIZON) for pgf in solution.pgfs]

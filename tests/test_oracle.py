@@ -36,7 +36,7 @@ from penney.polyalg import Polynomial, RationalFunction
 from penney.solver import solve_game
 from refalgebra import rational_derivative
 from refsim import reference_simulate
-from specgen import random_spec
+from specgen import WIDE_ALPHABET, random_spec
 
 
 class TestBuildAutomaton:
@@ -289,7 +289,6 @@ class TestSimulate:
             assert simulate(spec, trials, seed) == reference_simulate(spec, trials, seed)
 
 
-WIDE_ALPHABET = SourceModel([f"s{i:03d}" for i in range(300)], [F(1, 300)] * 300)
 # Alphabets sampled by the equivalence test, each with its longest pattern:
 # biases that reject almost no draws and one that rejects about half,
 # multi-character labels, a rare symbol, and more than 256 symbols, where each

@@ -34,16 +34,14 @@ from penney.solver import (
     DegenerateGameError,
     GameSolution,
     _cramer,
-    _divide_exact,
     _divide_int,
     _lowest_terms,
-    _mul,
     _prefix_automaton,
     _ranking,
     _reduction_block,
     _solve_at_one,
     _solve_integer,
-    _sub,
+    _unpack,
     best_response,
     game_distribution,
     response_table,
@@ -79,7 +77,15 @@ from refconway import (
     symbols_probability,
     two_player_odds,
 )
-from specgen import BIAS_MENU, RARE_A, random_pair, random_single, random_spec, sized_spec
+from specgen import (
+    BIAS_MENU,
+    RARE_A,
+    WIDE_ALPHABET,
+    random_pair,
+    random_single,
+    random_spec,
+    sized_spec,
+)
 
 TEST_BIASES = (F(1, 2), F(1, 3), F(1, 4), F(2, 5))
 
@@ -307,11 +313,23 @@ class TestConwayNumbers:
                     assert conway_number(a, b, spec.model) == via_poly
 
 
+# (model, players, longest pattern) of the games with the widest coefficients per
+# entry, where the pgf solve packs each entry into the most bits: a near-fair
+# coin with D = 2**64, a 1/10**6 bias, and 300 symbols
+EXTREME_GAMES = (
+    (SourceModel.from_text(f"a:{2**63 - 1}/{2**64},b:{2**63 + 1}/{2**64}"), 3, 4),
+    (SourceModel.from_text(RARE_A), 3, 5),
+    (WIDE_ALPHABET, 3, 3),
+)
+
+
 class TestIntegerCore:
-    """The one elimination over Z[u] against the Cramer route and the oracle."""
+    """The pgf solve and the integer solves of M(1) against the Cramer route and the oracle."""
 
     def test_matches_cramer_determinants(self, wide_specs):
-        for spec in wide_specs:
+        rng = random.Random(33)
+        extreme = [sized_spec(rng, model, *size) for model, *size in EXTREME_GAMES]
+        for spec in [*wide_specs, *extreme]:
             matrix = correlation_matrix(spec)
             column = completion_monomials(spec)
             numerators = [
@@ -338,7 +356,7 @@ class TestIntegerCore:
             assert solution.conditional_durations == conditionals
 
     def test_public_pgfs_give_the_values_at_one(self, wide_specs):
-        # E[T | j] = G_j'(1) / G_j(1) from the lazy Z[u] pgfs, against the integer solves
+        # E[T | j] = G_j'(1) / G_j(1) from the lazy pgfs, against the integer solves
         for spec in wide_specs:
             solution = solve_game(spec)
             conditionals = tuple(
@@ -353,31 +371,42 @@ class TestIntegerCore:
             solution = solve_game(spec)
             assert conway_reference(spec) == (solution.win_probs, solution.expected_duration)
 
-    def test_division_checks_the_remainder(self):
-        assert _divide_exact([1, 3, 2], [1, 1]) == [1, 2]
-        with pytest.raises(ArithmeticError):
-            _divide_exact([1, 3, 3], [1, 1])
-
 
 class TestCramerKernel:
     """Every check `_cramer` and its callers make, on small hand-built matrices."""
 
     def test_integer_solve(self):
         # det [[2, 1], [1, 3]] = 5; column 0 by c: det [[3, 1], [5, 3]] = 4; column 1: 7
-        assert _cramer([[2, 1, 3], [1, 3, 5]], 1, operator.mul, operator.sub, _divide_int) == (
-            5,
-            [[4], [7]],
-        )
+        assert _cramer([[2, 1, 3], [1, 3, 5]]) == (5, [[4], [7]])
 
     def test_polynomial_solve(self):
-        # [[1 + u, u], [u, 1]] by c = [1, u]: det 1 + u - u^2, numerators 1 - u^2 and u^2
+        # [[1 + u, u], [u, 1]] by c = [1, u]: det 1 + u - u^2, numerators 1 - u^2 and u^2,
+        # solved over Z at u = 2**bits and read back
+        bits = 8
         rows = [[[1, 1], [0, 1], [1]], [[0, 1], [1], [0, 1]]]
-        assert _cramer(rows, [1], _mul, _sub, _divide_exact) == (
-            [1, 1, -1],
-            [[[1, 0, -1]], [[0, 0, 1]]],
-        )
+        packed = [[sum(c << bits * t for t, c in enumerate(p)) for p in row] for row in rows]
+        det, solved = _cramer(packed)
+        assert _unpack(det, bits) == [1, 1, -1]
+        assert [_unpack(n, bits) for n, in solved] == [[1, 0, -1], [0, 0, 1]]
 
-    INTEGERS = (1, operator.mul, operator.sub, _divide_int)
+    @pytest.mark.parametrize("bits", [2, 3, 8, 64, 65])
+    def test_unpack_reads_back_balanced_digits(self, bits):
+        # every coefficient below 2**(bits-1) in absolute value reads back, the
+        # largest of them too
+        top = (1 << (bits - 1)) - 1
+        cases = [
+            [],
+            [top],
+            [-top],
+            [top, -top, top],
+            [-top, top, -top],
+            [top, 0, 0, -top],
+            [0, 0, 1],
+            [-1, 0, top, 0, 1],
+        ]
+        for coeffs in cases:
+            value = sum(c << bits * t for t, c in enumerate(coeffs))
+            assert _unpack(value, bits) == coeffs
 
     @pytest.mark.parametrize(
         "rows, det, numerators",
@@ -388,7 +417,7 @@ class TestCramerKernel:
     def test_zero_pivot_swaps_rows(self, rows, det, numerators):
         # a swap flips the sign of det and of every numerator together
         flipped = (-det, [[-n for n in row] for row in numerators])
-        assert _cramer(rows, *self.INTEGERS) in [(det, numerators), flipped]
+        assert _cramer(rows) in [(det, numerators), flipped]
 
     @pytest.mark.parametrize(
         "rows, columns",
@@ -404,12 +433,10 @@ class TestCramerKernel:
     )
     def test_several_columns_equal_one_call_per_column(self, rows, columns):
         together = _cramer(
-            [[*row, *(column[i] for column in columns)] for i, row in enumerate(rows)],
-            *self.INTEGERS,
+            [[*row, *(column[i] for column in columns)] for i, row in enumerate(rows)]
         )
         singles = [
-            _cramer([[*row, column[i]] for i, row in enumerate(rows)], *self.INTEGERS)
-            for column in columns
+            _cramer([[*row, column[i]] for i, row in enumerate(rows)]) for column in columns
         ]
         assert all(det == together[0] for det, _ in singles)
         assert together[1] == [[n[i][0] for _, n in singles] for i in range(len(rows))]
@@ -421,18 +448,12 @@ class TestCramerKernel:
     )
     def test_singular_matrix_is_degenerate(self, rows):
         with pytest.raises(DegenerateGameError, match="singular"):
-            _cramer(rows, *self.INTEGERS)
+            _cramer(rows)
 
     def test_integer_division_checks_the_remainder(self):
         assert _divide_int(-6, 3) == -2
         with pytest.raises(ArithmeticError, match="not divisible"):
             _divide_int(7, 2)
-
-    @pytest.mark.parametrize("pivot", [[2], [0, 1], []])
-    def test_polynomial_pivot_not_one_at_origin_is_degenerate(self, pivot):
-        rows = [[pivot, [0, 1], [1]], [[0, 1], [1], [1]]]
-        with pytest.raises(DegenerateGameError, match="pivot"):
-            _cramer(rows, [1], _mul, _sub, _divide_exact)
 
     @staticmethod
     def _diagonal(monkeypatch, name, diagonal):
@@ -448,11 +469,11 @@ class TestCramerKernel:
 
     def test_determinant_not_one_at_origin_is_degenerate(self, fair, monkeypatch):
         self._diagonal(monkeypatch, "_scaled_correlation", lambda c: [2 * c[0], *c[1:]])
-        # the check on det M(0) belongs to the Z[u] route, which runs when a pgf is read
-        # one player: no division by a pivot, so only the check on det M fires
+        # the check on det M(0) belongs to the pgf solve, which runs when a pgf is read;
+        # with one player no pivot divides, with two the divisions are exact all the same
         with pytest.raises(DegenerateGameError, match="det M"):
             solve_game(validate_pattern_set([parse_pattern("HH", fair)], fair)).pgfs
-        with pytest.raises(DegenerateGameError, match="pivot"):
+        with pytest.raises(DegenerateGameError, match="det M"):
             spec = validate_pattern_set([parse_pattern(t, fair) for t in ("HH", "TH")], fair)
             solve_game(spec).pgfs
 
@@ -511,13 +532,13 @@ class TestCramerKernel:
 
 class TestDualSolve:
     """Values at s = 1 with their slopes, the pairs a dual number holds, from
-    two integer solves of M(1), against the Z[u] route."""
+    two integer solves of M(1), against the pgf solve."""
 
     def test_dual_solve(self):
         # `test_polynomial_solve`'s system at u = 1: M(1) = [[2, 1], [1, 1]] with
         # slopes M' = [[1, 1], [1, 0]], c(1) = [1, 1] with slopes c' = [0, 1]
         values, slopes = [[2, 1], [1, 1]], [[1, 1], [1, 0]]
-        det, solved = _cramer([[2, 1, 1], [1, 1, 1]], *TestCramerKernel.INTEGERS)
+        det, solved = _cramer([[2, 1, 1], [1, 1, 1]])
         numerators = [n for n, in solved]
         # det 1 + u - u^2 -> 1, numerators 1 - u^2 -> 0 and u^2 -> 1
         assert (det, numerators) == (1, [0, 1])
@@ -525,9 +546,7 @@ class TestDualSolve:
             det * c - sum(map(operator.mul, row, numerators))
             for c, row in zip([0, 1], slopes)
         ]
-        det_again, solved = _cramer(
-            [[*row, r] for row, r in zip(values, rhs)], *TestCramerKernel.INTEGERS
-        )
+        det_again, solved = _cramer([[*row, r] for row, r in zip(values, rhs)])
         # x = N / det, so x' = (N' det - N det') / det**2 with N' = (-2, 2) and det' = -1
         slope_numerators = [n for n, in solved]
         det_slope = -1
@@ -541,12 +560,12 @@ class TestDualSolve:
         calls = []
         real = solver._cramer
 
-        def counted(rows, one, *ring):
-            calls.append((len(rows), one))
-            return real(rows, one, *ring)
+        def counted(rows):
+            calls.append(len(rows))
+            return real(rows)
 
         def refuse(spec):
-            raise RuntimeError("the Z[u] elimination ran")
+            raise RuntimeError("the pgf solve ran")
 
         monkeypatch.setattr(solver, "_cramer", counted)
         monkeypatch.setattr(solver, "_solve_integer", refuse)
@@ -554,10 +573,10 @@ class TestDualSolve:
             calls.clear()
             solve_game(spec)
             # [M(1) | c(1)], then [M(1) | d c'(1) - M'(1) N], both over Z
-            assert calls == [(spec.player_count, 1)] * 2
+            assert calls == [spec.player_count] * 2
 
     def test_matches_integer_route(self, wide_specs):
-        # the values of the lazy Z[u] pgfs at s = 1, and E[T | j] = g_j'(1) / g_j(1)
+        # the values of the lazy pgfs at s = 1, and E[T | j] = g_j'(1) / g_j(1)
         for spec in wide_specs:
             solution = solve_game(spec)
             values = (
@@ -577,7 +596,7 @@ class TestDualSolve:
             raise ArithmeticError("elimination step is not divisible by the previous pivot")
 
         def refuse(spec):
-            raise RuntimeError("the Z[u] elimination ran")
+            raise RuntimeError("the pgf solve ran")
 
         # the error reaches the caller as it is, and no other route is tried
         monkeypatch.setattr(solver, "_divide_int", inexact)
@@ -595,7 +614,7 @@ class TestDualSolve:
 
         monkeypatch.setattr(solver, "_solve_integer", counted)
         solution = solve_game(example_spec)
-        # every CLI answer and the win-time series come without the Z[u] elimination
+        # every CLI answer and the win-time series come without the pgf solve
         distribution = game_distribution(example_spec, 5)
         assert distribution[0][3] == (1, 8)
         for argv in (
@@ -742,13 +761,13 @@ class TestGameDistribution:
                 assert all(c >= 0 for c in row)
 
     def test_solves_nothing(self, wide_specs, monkeypatch):
-        # the recurrence reads only the spec: no elimination, over Z or Z[u]
+        # the recurrence reads only the spec: no elimination, for the values or the pgfs
         calls = []
         real = solver._cramer
 
-        def counted(rows, one, *ring):
+        def counted(rows):
             calls.append(len(rows))
-            return real(rows, one, *ring)
+            return real(rows)
 
         monkeypatch.setattr(solver, "_cramer", counted)
         for spec in wide_specs:
@@ -1118,9 +1137,9 @@ class TestRunningBest:
         calls = []
         real = solver._cramer
 
-        def counted(rows, *ring):
+        def counted(rows):
             calls.append(len(rows))
-            return real(rows, *ring)
+            return real(rows)
 
         monkeypatch.setattr(solver, "_cramer", counted)
         for score in (best_response, response_table):
@@ -1156,9 +1175,9 @@ class TestRunningBest:
         expected = response_table(opponents, 5, model)
         real = solver._cramer
 
-        def flipped(*args):
+        def flipped(rows):
             # det A and adj(A) B with the other sign, as an odd number of row swaps gives
-            det, numerators = real(*args)
+            det, numerators = real(rows)
             return -det, [[-n for n in row] for row in numerators]
 
         with monkeypatch.context() as patch:
