@@ -37,6 +37,24 @@ def format_exact(value: Fraction | int) -> str:
     return format_ratio(Decimal(value.numerator), Decimal(value.denominator))
 
 
+def _ratio_texts(pairs, tails: dict[int, str]) -> list[str]:
+    """`format_ratio(n, d)` for each (n, d) of a Series, with the "/d" text
+    of each denominator object printed once and kept in `tails` by id(d).
+
+    An id is unique while its object lives, and the Series keeps every term
+    alive while it is written (`copy.deepcopy`'s memo keys by id likewise;
+    hashing a long Decimal costs about as much as printing it). So `tails`
+    must be new for each document and dropped with it.
+    """
+    texts = []
+    for num, den in pairs:
+        tail = tails.get(id(den))
+        if tail is None:
+            tail = tails[id(den)] = "" if den == 1 else "/%s" % den
+        texts.append("%s%s" % (num, tail))
+    return texts
+
+
 def _ratio_width(num: Decimal, den: Decimal) -> int:
     """len(format_ratio(num, den)), from the digit counts of the two integers."""
     width = num.adjusted() + 1
@@ -156,6 +174,8 @@ class Series(Record):
     for k <= horizon, as the (n, d) integers of `game_distribution`.
 
     `write_document` prints it in batches; its text is never held whole.
+    Only the text of each distinct denominator object is held, for one call,
+    so that a denominator several terms share is printed once.
     """
 
     _fields = ("horizon", "patterns", "terms")
@@ -366,6 +386,7 @@ def write_document(doc: dict, as_json: bool, out: io.TextIOBase) -> None:
             f'{json.dumps(head, indent=2)[:-2]},\n  "series": {{\n'
             f'    "horizon": {series.horizon},\n    "players": ['
         )
+        tails: dict[int, str] = {}
         for player, (pattern, terms) in enumerate(zip(series.patterns, series.terms), start=1):
             out.write(
                 f'{"," if player > 1 else ""}\n      {{\n        "player": {player},\n'
@@ -373,8 +394,8 @@ def write_document(doc: dict, as_json: bool, out: io.TextIOBase) -> None:
             )
             lead = '\n          "'
             for start in range(0, len(terms), _BATCH):
-                batch = terms[start : start + _BATCH]
-                out.write(lead + '",\n          "'.join(format_ratio(n, d) for n, d in batch) + '"')
+                texts = _ratio_texts(terms[start : start + _BATCH], tails)
+                out.write(lead + '",\n          "'.join(texts) + '"')
                 lead = ',\n          "'
             out.write("\n        ]\n      }")
         out.write("\n    ]\n  }\n}")
@@ -394,12 +415,13 @@ def _write_series_table(series: Series, out: io.TextIOBase) -> None:
         f"\nwin distribution through toss {series.horizon}:"
         f"\n{_table_row(['toss', *series.patterns], widths)}"
     )
+    tails: dict[int, str] = {}
     for start in range(0, series.horizon + 1, _BATCH):
+        columns = [_ratio_texts(terms[start : start + _BATCH], tails) for terms in series.terms]
         out.write(
             "".join(
-                "\n"
-                + _table_row([str(k), *(format_ratio(*terms[k]) for terms in series.terms)], widths)
-                for k in range(start, min(start + _BATCH, series.horizon + 1))
+                "\n" + _table_row([str(k), *cells], widths)
+                for k, cells in enumerate(zip(*columns), start)
             )
         )
 

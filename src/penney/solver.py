@@ -32,7 +32,10 @@ division (`game_distribution`). Each is reduced against D**k by one remainder
 c = gcd(n mod B, B), the common factor is gcd(c, D**k) when k < e, and
 otherwise c itself when c divides D**(e-1), because then every prime of D
 divides c fewer times than it divides B, so c holds all of that prime that
-n has. They are exact `Decimal`s in a context that raises rather than
+n has. Where that factor is D**j, the reduced denominator is the object
+D**(k-j) of the one table of powers the recurrence builds, so with D prime
+the N + 1 powers are every denominator there is, and the CLI prints each
+once. They are exact `Decimal`s in a context that raises rather than
 rounds, because they print in linear time where `int` printing is quadratic
 in CPython.
 
@@ -300,47 +303,79 @@ def game_distribution(spec: GameSpec, horizon: int) -> list[list[tuple[Decimal, 
             tail.append(base * tail[-1] - total)
         powers = list(itertools.accumulate([base] * horizon, operator.mul, initial=Decimal(1)))
         block = _reduction_block(scale)
-        return [[_lowest_terms(n, d, block) for n, d in zip(row[pad:], powers)] for row in wins]
+        return [
+            [_lowest_terms(n, k, powers, block) for k, n in enumerate(row[pad:])] for row in wins
+        ]
 
 
-def _reduction_block(scale: int) -> tuple[Decimal, int, int]:
-    """(B as a Decimal, B, D**(e-1)) for `_lowest_terms`: B = D**e is the
-    largest power of D = `scale` at or below 2**63, or D itself if D is
-    larger than that.
+def _reduction_block(scale: int) -> tuple[Decimal, Decimal, int, int, dict[int, int], dict]:
+    """(D and B = D**e as Decimals, B, D**(e-1), {D**j: j for 0 < j <= e},
+    and an empty dict) for `_lowest_terms`: B is the largest power of
+    D = `scale` at or below 2**63, or D itself if D is larger than that.
 
     At or below 2**63, B fits one 64-bit word and one 19-digit word of a
     Decimal, so a remainder by it is one short division over the digits.
+    The last dict is for one `game_distribution` call: `_lowest_terms` fills
+    it with whether each residue mod D it meets is prime to D.
     """
-    block, below = scale, 1
+    block, below, exponents = scale, 1, {scale: 1}
     while block * scale <= 1 << 63:
         block, below = block * scale, block
-    return Decimal(block), block, below
+        exponents[block] = len(exponents) + 1
+    return Decimal(scale), Decimal(block), block, below, exponents, {}
 
 
 def _lowest_terms(
-    num: Decimal, den: Decimal, block: tuple[Decimal, int, int]
+    num: Decimal, k: int, powers: list[Decimal], block: tuple
 ) -> tuple[Decimal, Decimal]:
-    """num / den in lowest terms, den = D**k, block = `_reduction_block(D)`;
-    run inside `_EXACT`.
+    """num / D**k in lowest terms, with powers[j] = D**j for j <= k and
+    block = `_reduction_block(D)`; run inside `_EXACT`. Where the
+    denominator is a power of D, it is that object of `powers`.
 
-    Every prime of den divides D, so the common factor g of num and den has
-    its primes in B = D**e, and c = gcd(num mod B, B, den) divides g. When
+    Every prime of D**k divides D, so the common factor g of num and D**k has
+    its primes in B = D**e, and c = gcd(num mod B, B, D**k) divides g. When
     c divides D**(e-1), c is all of g: for each prime p of D,
-    v_p(c) <= (e-1) v_p(D) < v_p(B), so v_p(c) = min(v_p(num), v_p(den)).
-    That holds for any den whose primes divide D. Each round costs one
-    remainder of num by B. The first takes no remainder of den: den is a
-    multiple of B when k >= e, and a divisor of B, small enough to read
-    whole, when k < e. So a term where nothing cancels costs one remainder,
-    and a term with k < e or c | D**(e-1) one exact division of each side
-    as well. Only where a prime of D divides num at least as often as it
-    divides B does a round divide out c and the next read den % c.
+    v_p(c) <= (e-1) v_p(D) < v_p(B), so v_p(c) = min(v_p(num), v_p(D**k)).
+    That holds for any denominator whose primes divide D.
+
+    So one remainder of num by B decides most terms. Nothing cancels where
+    (num mod B) mod D is prime to D, which is looked up by that residue, and
+    the term is (num, powers[k]). Where c is D**j with j < e, g is c: one
+    exact division gives the numerator, and the denominator is
+    powers[k - j]. Where c is B, B is divided out and the next remainder
+    reads the rest. If g is D**t, every c on the way is a power of D: g
+    itself where k < e, D**t where t < e <= k, and B where t >= e. So every
+    denominator that is a power of D is one of `powers`, and with D prime
+    every denominator is.
+
+    Any other c, such as D = 6 with only 2s cancelling, takes the general
+    rounds, each one remainder of num by B. Only where a prime of D divides
+    num at least as often as it divides B does a round divide out c and the
+    next read den % c.
     """
     if not num:
-        return Decimal(0), Decimal(1)
-    modulus, size, below = block
-    common = math.gcd(int(num % modulus), size)
-    if common != 1 and den < modulus:
-        common = math.gcd(common, int(den))
+        return Decimal(0), powers[0]
+    base, modulus, size, below, exponents, units = block
+    rest = num % modulus
+    residue = rest % base
+    unit = units.get(residue)
+    if unit is None:
+        unit = units[residue] = math.gcd(int(residue), size) == 1
+    if unit:
+        return num, powers[k]
+    while True:
+        common = math.gcd(int(rest), size)
+        if powers[k] < modulus:
+            # D**k divides B: gcd(num mod B, D**k) is g itself
+            common = math.gcd(common, int(powers[k]))
+        j = exponents.get(common)
+        if j is None:
+            break
+        num, k = num // powers[j], k - j
+        if common != size:
+            return num, powers[k]
+        rest = num % modulus
+    den = powers[k]
     while common != 1:
         num, den = num // common, den // common
         if not below % common:

@@ -27,6 +27,10 @@ BIAS_MENU = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 5))
 
 # a rare symbol: exact values over its games run to thousands of digits
 RARE_A = "a:1/1000000,b:999999/1000000"
+# a near-fair coin with D = 2**64 + 1, past one machine word, so the series
+# reduction's block is D itself
+HUGE_D = 2**64 + 1
+HUGE_A = f"a:{2**63}/{HUGE_D},b:{2**63 + 1}/{HUGE_D}"
 # more than 256 symbols, with multi-character labels
 WIDE_ALPHABET = SourceModel([f"s{i:03d}" for i in range(300)], [Fraction(1, 300)] * 300)
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+import hashlib
 import io
 import json
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import contextmanager, redirect_stdout
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -23,7 +25,7 @@ from penney.oracle import SimulationReport
 from penney.patterns import SourceModel, parse_pattern, validate_pattern_set
 from penney.solver import solve_game
 from refcli import reference_text
-from specgen import RARE_A, game_specs
+from specgen import HUGE_A, RARE_A, game_specs
 
 
 def exact_value(text: str) -> F:
@@ -407,6 +409,43 @@ def assert_streams_like_the_reference(argv: list[str]) -> None:
         assert out.getvalue() == expected
 
 
+def series_document(alphabet: str, patterns: str, horizon: int, as_json: bool) -> dict:
+    """A solve document with its series through `horizon`, built whatever the
+    `--series` digit budget."""
+    argv = ["solve", "--alphabet", alphabet, "--patterns", patterns] + ["--json"] * as_json
+    doc = penney.cli.cmd_solve(penney.cli.build_parser().parse_args(argv))
+    model = SourceModel.from_text(alphabet)
+    spec = validate_pattern_set([parse_pattern(p, model) for p in patterns.split(",")], model)
+    terms = penney.solver.game_distribution(spec, horizon)
+    doc["series"] = penney.cli.Series(horizon, doc["patterns"], terms)
+    return doc
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift Python's int-to-str digit limit, where it has one, for the
+    reference route's `str(Fraction)`, and restore it after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+# the series writer's games: D = 4, 6 and 10 cancel factors that are not
+# powers of D, so their denominators are new objects as well as shared ones
+WRITER_GAMES = {
+    "D=4": ("H:1/4,T:3/4", "HTHTH,TTHHT,HHTTT"),
+    "D=6": ("a:1/2,b:1/3,c:1/6", "ab,bc,ca"),
+    "D=10": ("H:3/10,T:7/10", "HTT,THT,TTH"),
+    "D=2**64+1": (HUGE_A, "aab,abb"),
+}
+
+
 class TestSeriesStream:
     @settings(derandomize=True, max_examples=150, deadline=None, database=None)
     @given(game_specs(), st.one_of(st.sampled_from([0, 1]), st.integers(2, 60)))
@@ -423,6 +462,67 @@ class TestSeriesStream:
         assert_streams_like_the_reference(
             GOLDEN_COMMANDS["solve_series_ternary.txt"][:-1] + [str(horizon)]
         )
+
+    @pytest.mark.parametrize(
+        "alphabet, patterns, horizon",
+        [
+            pytest.param(alphabet, patterns, horizon, id=f"{name}-{horizon}")
+            for name, (alphabet, patterns) in WRITER_GAMES.items()
+            # the reference's str(Fraction) takes ~13 s on 2**64 + 1 at 700
+            for horizon in [255, 256, 257] + [700] * (alphabet != HUGE_A)
+        ],
+    )
+    def test_writer_matches_the_document_route(self, alphabet, patterns, horizon):
+        # past toss 222 the 2**64 + 1 coin's denominators pass the int-to-str
+        # digit limit that `--series` keeps to, so the document is built here
+        for as_json in (False, True):
+            doc = series_document(alphabet, patterns, horizon, as_json)
+            with unlimited_int_digits():
+                expected = reference_text(doc, as_json)
+            out = io.StringIO()
+            penney.cli.write_document(doc, as_json, out)
+            assert out.getvalue() == expected
+
+    def test_no_denominator_text_outlives_a_document(self):
+        # the writer keeps each denominator's text by id(d) for one document;
+        # the second document's Decimals are made just after the first's are
+        # freed, so they take the same memory, and so ids, with other values
+        second = series_document("H:1/4,T:3/4", "HTT,THT,TTH", 300, True)
+        digits = [[(str(n), str(d)) for n, d in row] for row in second["series"].terms]
+        first = series_document("H:1/3,T:2/3", "HTHTH,TTHHT,HHTTT", 400, True)
+        penney.cli.write_document(first, True, io.StringIO())
+        freed = {id(d): str(d) for row in first["series"].terms for _, d in row}
+        del first
+        gc.collect()
+        # equal denominators share one object, as the solver's powers of D do
+        shared = {d: Decimal(d) for d in dict.fromkeys(d for row in digits for _, d in row)}
+        terms = [[(Decimal(n), shared[d]) for n, d in row] for row in digits]
+        second["series"] = penney.cli.Series(300, second["patterns"], terms)
+        assert any(freed.get(id(d), str(d)) != str(d) for row in terms for _, d in row)
+        out = io.StringIO()
+        penney.cli.write_document(second, True, out)
+        assert out.getvalue() == reference_text(second, True)
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["solve", "--alphabet", "H:1/3,T:2/3", "--patterns", "HTHTH,TTHHT,HHTTT"]
+                + ["--series", "3000", "--json"],
+                "cdc771a3b19027b274e6403c46f76d5885f511c5844ccee330d9bc178f90a8b1",
+            ),
+            (
+                GOLDEN_COMMANDS["solve_series_ternary.txt"][:-1] + ["700"],
+                "bfbb02e7685ca3f34c5791a134ecae425b67b48bea1190ed88e0ea68f0da9e0f",
+            ),
+        ],
+        ids=["coin-3000-json", "ternary-700-table"],
+    )
+    def test_long_series_bytes_are_pinned(self, argv, digest):
+        # 12.6 MB and 1.7 MB, too large for goldens: their sha256
+        with redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
     def test_goldens_match_the_document_route(self):
         for name in ("solve_series.json", "solve_series_ternary.txt"):

@@ -79,6 +79,8 @@ from refconway import (
 )
 from specgen import (
     BIAS_MENU,
+    HUGE_A,
+    HUGE_D,
     RARE_A,
     WIDE_ALPHABET,
     random_pair,
@@ -101,11 +103,6 @@ WIDE_GAMES = (
     ("H:2/5,T:3/5", 4, 7),
     ("x:1/4,yy:3/4", 3, 6),
 )
-
-# a near-fair coin with D = 2**64 + 1, past one machine word, so the series
-# reduction's block is D itself
-HUGE_D = 2**64 + 1
-HUGE_A = f"a:{2**63}/{HUGE_D},b:{2**63 + 1}/{HUGE_D}"
 
 # games whose series reduction has a short block: D = 10**6 gives
 # B = D**3, and D = 2**64 + 1 gives B = D
@@ -807,64 +804,105 @@ class TestSeriesKernel:
             build_automaton(spec), model, 200
         )
 
-    def reduce(self, num, den, scale):
+    def reduce(self, num, k, scale, block=None):
+        """`_lowest_terms` of num / scale**k, as ints; `block` is shared by
+        calls the way one `game_distribution` call shares it."""
         with decimal.localcontext(solver._EXACT):
+            powers = [decimal.Decimal(scale) ** j for j in range(k + 1)]
             n, d = _lowest_terms(
-                decimal.Decimal(num), decimal.Decimal(den), _reduction_block(scale)
+                decimal.Decimal(num), k, powers, block or _reduction_block(scale)
             )
         # integers with no exponent, so that str never prints E-notation
         assert n.as_tuple().exponent == d.as_tuple().exponent == 0
+        # a denominator that is a power of D is that object of powers, which
+        # the series writer then prints once
+        exponents = {scale**j: j for j in range(k + 1)}
+        if int(d) in exponents:
+            assert d is powers[exponents[int(d)]]
         return int(n), int(d)
 
     def test_reduction_block(self):
-        assert _reduction_block(2) == (2**63, 2**63, 2**62)
-        assert _reduction_block(3) == (3**39, 3**39, 3**38)
-        assert _reduction_block(10**6) == (10**18, 10**18, 10**12)
-        assert _reduction_block(2**63) == (2**63, 2**63, 1)
-        assert _reduction_block(HUGE_D) == (HUGE_D, HUGE_D, 1)
+        assert _reduction_block(2)[:4] == (2, 2**63, 2**63, 2**62)
+        assert _reduction_block(3)[:4] == (3, 3**39, 3**39, 3**38)
+        assert _reduction_block(10**6)[:4] == (10**6, 10**18, 10**18, 10**12)
+        assert _reduction_block(2**63)[:4] == (2**63, 2**63, 2**63, 1)
+        assert _reduction_block(HUGE_D)[:4] == (HUGE_D, HUGE_D, HUGE_D, 1)
         for scale in REDUCTION_SCALES:
-            block, size, below = _reduction_block(scale)
+            base, block, size, below, exponents, units = _reduction_block(scale)
+            assert isinstance(base, decimal.Decimal) and base == scale
             assert isinstance(block, decimal.Decimal) and block == size
             assert size == below * scale
             assert size <= 2**63 < size * scale or size == scale > 2**63
+            # D**j -> j for 0 < j <= e, B last
+            assert exponents == {scale**j: j for j in range(1, len(exponents) + 1)}
+            assert max(exponents) == size
+            assert units == {}
 
     @pytest.mark.parametrize("scale", REDUCTION_SCALES)
     def test_reduction_matches_fraction(self, scale):
-        block = _reduction_block(scale)[1]
+        block = _reduction_block(scale)[2]
         e = round(math.log(block, scale))
         assert scale**e == block
         rng = random.Random(scale)
+        # one block for every term, as in one game_distribution call
+        shared = _reduction_block(scale)
         strips = whole = 0
         for k in sorted({0, 1, 2, e - 1, e, e + 1, 2 * e + 1}):
-            den = scale**k
-            assert self.reduce(0, den, scale) == (0, 1)
+            assert self.reduce(0, k, scale, shared) == (0, 1)
             for p in (*REDUCTION_SCALES[scale], scale):
                 for r in (1, 7, rng.getrandbits(80) | 1):
                     # v runs past both e and k, so with p = D the numerator
                     # holds more factors of D than B and than D**k
                     for v in range(k + e + 3):
                         num = r * p**v
-                        exact = F(num, den)
-                        assert self.reduce(num, den, scale) == (
+                        exact = F(num, scale**k)
+                        assert self.reduce(num, k, scale, shared) == (
                             exact.numerator,
                             exact.denominator,
                         )
                         common = math.gcd(num, block)
-                        # the rounds past the first: c does not divide D**(e-1)
+                        # past the first remainder: c does not divide D**(e-1)
                         strips += k >= e and (block // scale) % common != 0
                         whole += exact.denominator == 1 and k > 0
         assert strips and whole
 
     def test_reduction_edge_cases(self):
-        assert self.reduce(0, 2**10, 2) == (0, 1)
-        assert self.reduce(6**7, 6**7, 6) == (1, 1)
+        assert self.reduce(0, 10, 2) == (0, 1)
+        assert self.reduce(6**7, 7, 6) == (1, 1)
         # more factors of D than the power holds: the denominator reaches 1
-        assert self.reduce(5 * 6**9, 6**7, 6) == (5 * 6**2, 1)
+        assert self.reduce(5 * 6**9, 7, 6) == (5 * 6**2, 1)
         # D = 6 and a numerator divisible by 2 only: only the 2s cancel
-        assert self.reduce(2**5 * 5, 6**3, 6) == (20, 27)
-        assert self.reduce(2**2 * 5, 6**3, 6) == (5, 54)
-        assert self.reduce(9 * 7, 4**3, 4) == (63, 64)
-        assert self.reduce(2 * 7, 4**3, 4) == (7, 32)
+        assert self.reduce(2**5 * 5, 3, 6) == (20, 27)
+        assert self.reduce(2**2 * 5, 3, 6) == (5, 54)
+        assert self.reduce(9 * 7, 3, 4) == (63, 64)
+        assert self.reduce(2 * 7, 3, 4) == (7, 32)
+
+    @pytest.mark.parametrize(
+        "alphabet, patterns",
+        [
+            ("H:1/3,T:2/3", ("HTHTH", "TTHHT", "HHTTT")),
+            ("H:1/2,T:1/2", ("THH", "HTH", "HHT")),
+            ("H:1/4,T:3/4", ("HTHTH", "TTHHT", "HHTTT")),
+            ("a:1/2,b:1/3,c:1/6", ("ab", "bc", "ca")),
+            (HUGE_A, ("ab", "ba")),
+        ],
+        ids=["D=3", "D=2", "D=4", "D=6", "D=2**64+1"],
+    )
+    def test_denominators_are_shared(self, alphabet, patterns):
+        # every denominator that is a power of D, all of them where D is
+        # prime, is one object per value: the series writer prints each once
+        model = SourceModel.from_text(alphabet)
+        spec = validate_pattern_set([parse_pattern(t, model) for t in patterns], model)
+        scale, horizon = model.common_denominator, 300
+        powers = {scale**k for k in range(horizon + 1)}
+        objects = {}
+        for row in game_distribution(spec, horizon):
+            for _, d in row:
+                if int(d) in powers:
+                    assert objects.setdefault(int(d), d) is d
+                else:
+                    assert scale in (4, 6)
+        assert len(objects) > horizon // 2
 
     def test_ignores_the_callers_decimal_context(self, wide_specs):
         spec = wide_specs[1]
