@@ -4,14 +4,15 @@ Given m players who each pick a pattern over a finite alphabet with exact
 rational symbol probabilities, this package computes every player's win
 probability, the full probability generating function of the game, and
 expected waiting/duration statistics, all in exact rational arithmetic. Each
-answer has one route: the win-time series, for one, are `game_distribution`,
-the paper's recurrence. `simulate`, a seeded Monte Carlo player, checks a game
-by play. The absorbing-chain oracle, against which the benchmark checks every
-output, stays in `penney.oracle` and is not exported here. The other second
-routes live with the tests: Conway's leading numbers and the `Fraction`
-correlation builders in `tests/refconway.py`, next to the polynomial matrix,
-its Bareiss and cofactor determinants and the Taylor series of a rational
-function in `tests/refalgebra.py`.
+answer has one route, a function of the game's spec: the values are
+`solve_game`, the generating functions `game_pgfs` and the win-time series
+`game_distribution`, the paper's recurrence. `simulate`, a seeded Monte Carlo
+player, checks a game by play. The absorbing-chain oracle, against which the
+benchmark checks every output, stays in `penney.oracle` and is not exported
+here. The other second routes live with the tests: Conway's leading numbers
+and the `Fraction` correlation builders in `tests/refconway.py`, next to the
+polynomial matrix, its Bareiss and cofactor determinants and the Taylor
+series of a rational function in `tests/refalgebra.py`.
 """
 
 __version__ = "0.1.0"
@@ -31,6 +32,7 @@ from .solver import (
     GameSolution,
     best_response,
     game_distribution,
+    game_pgfs,
     response_table,
     solve_game,
 )
@@ -49,6 +51,7 @@ __all__ = [
     "ValidationError",
     "best_response",
     "game_distribution",
+    "game_pgfs",
     "parse_pattern",
     "response_table",
     "simulate",

@@ -25,9 +25,7 @@ class Record:
     `_fields` names the fields in order, and the constructor takes their values
     in that order; a trailing field with a class attribute of its name may be
     left out and takes that default. A subclass that validates writes its own
-    `__init__`, which stores each field in the instance dict. Attributes there
-    that are not fields, such as a `functools.cached_property`'s value, take
-    no part in equality, hash or repr.
+    `__init__`, which stores each field in the instance dict.
     """
 
     _fields: tuple[str, ...] = ()

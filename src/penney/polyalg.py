@@ -16,7 +16,6 @@ sparse storage would buy nothing.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from fractions import Fraction
 
@@ -37,7 +36,7 @@ class Polynomial(Record):
     """Dense univariate polynomial; ``coeffs[k]`` is the coefficient of s**k.
 
     Trailing zeros are trimmed on construction, so the zero polynomial is the
-    empty tuple and its degree is -inf (never a stored zero coefficient).
+    empty tuple (never a stored zero coefficient).
     """
 
     _fields = ("coeffs",)
@@ -52,10 +51,6 @@ class Polynomial(Record):
     @staticmethod
     def constant(value: Scalar) -> "Polynomial":
         return Polynomial((value,))
-
-    @property
-    def degree(self) -> "int | float":
-        return len(self.coeffs) - 1 if self.coeffs else -math.inf
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -39,8 +39,8 @@ once. They are exact `Decimal`s in a context that raises rather than
 rounds, because they print in linear time where `int` printing is quadratic
 in CPython.
 
-The generating functions themselves are solved only when read
-(`GameSolution.pgfs`, `tail_gf`). The substitution u = s/D turns M and the
+The generating functions themselves are a third solve, which no value and
+no series needs (`game_pgfs`). The substitution u = s/D turns M and the
 completion column into integer polynomials. Kronecker substitution evaluates
 each at u = 2**bits, with bits past a bound on every coefficient the solve
 can produce, so one integer `_cramer` yields det M and every Cramer numerator
@@ -65,7 +65,6 @@ keys rather than `Fraction` comparisons.
 from __future__ import annotations
 
 import decimal
-import functools
 import itertools
 import math
 import operator
@@ -206,14 +205,16 @@ def _unpack(value: int, bits: int) -> IntPoly:
     return coeffs
 
 
-def _solve_integer(spec: GameSpec) -> tuple[int, list[IntPoly], IntPoly, IntPoly]:
-    """D, the Cramer numerators, det M and the shared denominator, as
-    polynomials in u = s/D.
+def game_pgfs(spec: GameSpec) -> tuple[tuple[RationalFunction, ...], RationalFunction]:
+    """Per player the generating function of P(that player wins at toss n),
+    and the tail generating function f of P(game still running after n
+    tosses), whose value at 1 is E[T]. All share one denominator Q; f is
+    det M over it.
 
-    Kronecker substitution: every entry of [M(u) | c(u)] is evaluated at
-    u = 2**bits, one integer `_cramer` runs, and each result is read back by
-    `_unpack`. Evaluation is a ring map, so the packed results are the
-    polynomial ones evaluated, and they read back exactly while every
+    Kronecker substitution: every entry of [M(u) | c(u)], u = s/D, is
+    evaluated at u = 2**bits, one integer `_cramer` runs, and each result is
+    read back by `_unpack`. Evaluation is a ring map, so the packed results
+    are the polynomial ones evaluated, and they read back exactly while every
     coefficient is below 2**(bits-1) in absolute value; a nonzero pivot then
     packs to a nonzero integer, so the row swaps are the same too. Every
     coefficient of [M | c] is nonnegative, so a row's L1 norm is its sum, and
@@ -238,7 +239,9 @@ def _solve_integer(spec: GameSpec) -> tuple[int, list[IntPoly], IntPoly, IntPoly
     det_corr = _unpack(packed_det, bits)
     if not det_corr or det_corr[0] != 1:
         raise DegenerateGameError("det M is not 1 at the origin; the matrix is not I at 0")
-    return scale, [_unpack(n, bits) for n in packed], det_corr, _unpack(denominator, bits)
+    shared = _in_s(_unpack(denominator, bits), scale)
+    pgfs = tuple(RationalFunction(_in_s(_unpack(n, bits), scale), shared) for n in packed)
+    return pgfs, RationalFunction(_in_s(det_corr, scale), shared)
 
 
 # Exact integer arithmetic on Decimals: every operation that would round raises.
@@ -438,14 +441,9 @@ def _solve_at_one(
 
 
 class GameSolution(Record):
-    """All solved outputs of one game.
-
-    The fields are the values at s = 1, from `solve_game`'s two integer
-    solves of M(1); equality and repr rest on them. The generating functions
-    come from a third integer solve, of [M | c] packed at u = 2**bits
-    (`_solve_integer`), which runs when one of them is first read and is then
-    cached. The win-time series need no solution: they are
-    `game_distribution(spec, horizon)`.
+    """The values of one game at s = 1, from `solve_game`'s two integer
+    solves of M(1). The generating functions are `game_pgfs(spec)` and the
+    win-time series `game_distribution(spec, horizon)`.
     """
 
     _fields = ("spec", "win_probs", "expected_duration", "conditional_durations")
@@ -454,31 +452,9 @@ class GameSolution(Record):
     expected_duration: Fraction
     conditional_durations: tuple[Fraction, ...]
 
-    @functools.cached_property
-    def _integer_pgfs(self) -> tuple[int, list[IntPoly], IntPoly, IntPoly]:
-        """D, the Cramer numerators, det M and the shared denominator in u = s/D."""
-        return _solve_integer(self.spec)
-
-    @functools.cached_property
-    def pgfs(self) -> tuple[RationalFunction, ...]:
-        """Per player: the generating function of P(that player wins at toss n)."""
-        scale, numerators, _, denominator = self._integer_pgfs
-        shared = _in_s(denominator, scale)
-        return tuple(RationalFunction(_in_s(n, scale), shared) for n in numerators)
-
-    @functools.cached_property
-    def tail_gf(self) -> RationalFunction:
-        """Generating function of P(game still running after n tosses).
-
-        It is det M(s) over the shared pgf denominator; its value at 1 is the
-        expected duration.
-        """
-        scale, _, det_corr, denominator = self._integer_pgfs
-        return RationalFunction(_in_s(det_corr, scale), _in_s(denominator, scale))
-
 
 def solve_game(spec: GameSpec) -> GameSolution:
-    """Solve a validated game: win probabilities and durations now, pgfs when read."""
+    """Solve a validated game: win probabilities and durations; the pgfs are `game_pgfs`."""
     return GameSolution(spec, *_solve_at_one(spec))
 
 

@@ -33,6 +33,11 @@ def coefficient(p: Polynomial, k: int) -> Fraction:
     return p.coeffs[k] if 0 <= k < len(p.coeffs) else Fraction(0)
 
 
+def degree(p: Polynomial) -> int:
+    """The degree of p; -1 for the zero polynomial, below every other."""
+    return len(p.coeffs) - 1
+
+
 def series(f: RationalFunction, n: int) -> list[Fraction]:
     """First n+1 Taylor coefficients of f at 0, by the exact division recurrence.
 
@@ -103,7 +108,7 @@ def divide(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Quotient and remainder of polynomial long division, deg r < deg b."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    if a.degree < b.degree:
+    if degree(a) < degree(b):
         return ZERO, a
     rem = list(a.coeffs)
     lead = b.coeffs[-1]

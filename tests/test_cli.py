@@ -323,11 +323,12 @@ class TestGoldens:
     @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
     def test_values_need_no_polynomial_elimination(self, capsys, monkeypatch, name):
         # values at s = 1 come from two integer solves and series from the
-        # paper's recurrence; only the library's pgfs and tail_gf run the pgf solve
-        def refuse(spec):
+        # paper's recurrence; only the library's `game_pgfs` runs the pgf solve,
+        # and only it reads the packed results back with `_unpack`
+        def refuse(*args):
             raise RuntimeError("the pgf solve ran")
 
-        monkeypatch.setattr(penney.solver, "_solve_integer", refuse)
+        monkeypatch.setattr(penney.solver, "_unpack", refuse)
         assert main(GOLDEN_COMMANDS[name]) == 0
         assert capsys.readouterr().out.encode() == (GOLDEN_DIR / name).read_bytes()
 

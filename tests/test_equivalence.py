@@ -20,7 +20,7 @@ from penney.oracle import (
     step_distribution,
 )
 from penney.patterns import SourceModel, parse_pattern, validate_pattern_set
-from penney.solver import game_distribution, solve_game
+from penney.solver import game_distribution, game_pgfs, solve_game
 from refalgebra import as_fractions, rational_derivative, series
 from refconway import overlap_indicator, pattern_probability, symbols_probability
 from specgen import game_specs, random_spec
@@ -52,7 +52,7 @@ def test_tail_series_match_oracle_survival():
     for _ in range(25):
         spec = random_spec(rng)
         automaton = build_automaton(spec)
-        tail = series(solve_game(spec).tail_gf, 30)
+        tail = series(game_pgfs(spec)[1], 30)
         grid = step_distribution(automaton, spec.model, 30)
         survival = F(1)
         oracle_tail = []
@@ -87,7 +87,7 @@ def test_presummed_recurrence_replay():
         spec = random_spec(rng)
         longest = max(p.length for p in spec.patterns)
         distribution = as_fractions(game_distribution(spec, 10 + longest))
-        tail = series(solve_game(spec).tail_gf, 10)
+        tail = series(game_pgfs(spec)[1], 10)
         for a in spec.patterns:
             weight = pattern_probability(a, spec.model)
             for n in range(11):
@@ -110,13 +110,14 @@ ORACLE_TOTAL_LENGTH = 24
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(game_specs())
 def test_values_envelope(spec):
-    # the two integer solves against the lazy pgfs and, when small, the oracle
+    # the two integer solves against the pgfs and, when small, the oracle
     solution = solve_game(spec)
     values = (solution.win_probs, solution.expected_duration, solution.conditional_durations)
+    pgfs, tail = game_pgfs(spec)
     assert values == (
-        tuple(pgf.evaluate(1) for pgf in solution.pgfs),
-        solution.tail_gf.evaluate(1),
-        tuple(rational_derivative(pgf).evaluate(1) / pgf.evaluate(1) for pgf in solution.pgfs),
+        tuple(pgf.evaluate(1) for pgf in pgfs),
+        tail.evaluate(1),
+        tuple(rational_derivative(pgf).evaluate(1) / pgf.evaluate(1) for pgf in pgfs),
     )
     if sum(p.length for p in spec.patterns) <= ORACLE_TOTAL_LENGTH:
         automaton = build_automaton(spec)
@@ -133,10 +134,10 @@ SERIES_HORIZON = 40
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(game_specs())
 def test_series_envelope(spec):
-    # the paper's recurrence against the lazy pgfs and, when small, the oracle
-    solution = solve_game(spec)
+    # the paper's recurrence against the pgfs and, when small, the oracle
+    pgfs, _ = game_pgfs(spec)
     distribution = as_fractions(game_distribution(spec, SERIES_HORIZON))
-    assert distribution == [series(pgf, SERIES_HORIZON) for pgf in solution.pgfs]
+    assert distribution == [series(pgf, SERIES_HORIZON) for pgf in pgfs]
     if sum(p.length for p in spec.patterns) <= ORACLE_TOTAL_LENGTH:
         automaton = build_automaton(spec)
         assert distribution == step_distribution(automaton, spec.model, SERIES_HORIZON)

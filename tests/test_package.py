@@ -32,8 +32,7 @@ PACKAGE = Path(penney.__file__).resolve().parent
 REFERENCE_MODULES = ("refalgebra", "refconway")
 
 # What only the benchmark reaches: the chain oracle, against which it checks
-# every output, and the pgf denominator's degree, which its traced run reads.
-# They leave src/ in the benchmark change (ROADMAP items 2 and 4).
+# every output. It leaves src/ in the benchmark change (ROADMAP items 2 and 4).
 BENCHMARK_ONLY = {
     "oracle.Automaton.absorbing",
     "oracle.Automaton.player_count",
@@ -45,7 +44,6 @@ BENCHMARK_ONLY = {
     "oracle.expected_absorption_time",
     "oracle.solve_linear_system",
     "oracle.step_distribution",
-    "polyalg.Polynomial.degree",
 }
 
 
@@ -75,9 +73,9 @@ def test_readme_library_example_runs_as_documented():
         assert eval(expression, namespace) == eval(expected, namespace), line
         stated += 1
     assert stated >= 2
-    solution, spec = namespace["solution"], namespace["spec"]
+    spec, pgfs = namespace["spec"], namespace["pgfs"]
     distribution = namespace["game_distribution"](spec, 10)
-    assert as_fractions(distribution) == [series(pgf, 10) for pgf in solution.pgfs]
+    assert as_fractions(distribution) == [series(pgf, 10) for pgf in pgfs]
 
 
 def defined_functions() -> dict[tuple[str, int, str], str]:

@@ -274,13 +274,13 @@ class TestRecords:
             automaton.prefixes, automaton.transitions, automaton.winner, 0
         )
 
-    def test_generating_functions_are_cached_outside_equality(self, example_spec):
+    def test_a_solution_is_its_four_fields(self, example_spec):
         solution, fresh = solve_game(example_spec), solve_game(example_spec)
-        pgfs, tail = solution.pgfs, solution.tail_gf
-        assert solution.pgfs is pgfs and solution.tail_gf is tail
+        assert tuple(vars(solution)) == GameSolution._fields
         assert solution == fresh and hash(solution) == hash(fresh)
         assert repr(solution) == repr(fresh)
-        assert "pgfs" not in repr(solution) and "tail_gf" not in repr(solution)
+        for name in ("pgfs", "tail_gf"):
+            assert not hasattr(solution, name)
 
     def test_a_polynomial_is_not_a_sequence(self):
         assert 2 * S == S * 2 == Polynomial((0, 2))

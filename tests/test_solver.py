@@ -40,10 +40,10 @@ from penney.solver import (
     _ranking,
     _reduction_block,
     _solve_at_one,
-    _solve_integer,
     _unpack,
     best_response,
     game_distribution,
+    game_pgfs,
     response_table,
     solve_game,
 )
@@ -240,7 +240,7 @@ class TestWinningPgf:
         for _ in range(30):
             spec = random_single(rng)
             pattern = spec.patterns[0]
-            pgf = solve_game(spec).pgfs[0]
+            (pgf,), _ = game_pgfs(spec)
             weight = Polynomial(
                 [0] * pattern.length + [pattern_probability(pattern, spec.model)]
             )
@@ -335,11 +335,11 @@ class TestIntegerCore:
             ]
             det_corr = determinant(matrix)
             denominator = sum(numerators, Polynomial()) + (ONE - S) * det_corr
-            solution = solve_game(spec)
-            assert [pgf.numer for pgf in solution.pgfs] == numerators
-            assert all(pgf.denom == denominator for pgf in solution.pgfs)
-            assert solution.tail_gf.numer == det_corr
-            assert solution.tail_gf.denom == denominator
+            pgfs, tail = game_pgfs(spec)
+            assert [pgf.numer for pgf in pgfs] == numerators
+            assert all(pgf.denom == denominator for pgf in pgfs)
+            assert tail.numer == det_corr
+            assert tail.denom == denominator
 
     def test_matches_oracle(self, wide_specs):
         for spec in wide_specs:
@@ -353,14 +353,15 @@ class TestIntegerCore:
             assert solution.conditional_durations == conditionals
 
     def test_public_pgfs_give_the_values_at_one(self, wide_specs):
-        # E[T | j] = G_j'(1) / G_j(1) from the lazy pgfs, against the integer solves
+        # E[T | j] = G_j'(1) / G_j(1) from `game_pgfs`, against the integer solves
         for spec in wide_specs:
             solution = solve_game(spec)
+            pgfs, tail = game_pgfs(spec)
             conditionals = tuple(
-                rational_derivative(pgf).evaluate(1) / pgf.evaluate(1) for pgf in solution.pgfs
+                rational_derivative(pgf).evaluate(1) / pgf.evaluate(1) for pgf in pgfs
             )
             assert conditionals == solution.conditional_durations
-            assert solution.tail_gf.evaluate(1) == solution.expected_duration
+            assert tail.evaluate(1) == solution.expected_duration
 
     def test_matches_conway_route(self, wide_specs):
         rng = random.Random(32)
@@ -466,13 +467,12 @@ class TestCramerKernel:
 
     def test_determinant_not_one_at_origin_is_degenerate(self, fair, monkeypatch):
         self._diagonal(monkeypatch, "_scaled_correlation", lambda c: [2 * c[0], *c[1:]])
-        # the check on det M(0) belongs to the pgf solve, which runs when a pgf is read;
-        # with one player no pivot divides, with two the divisions are exact all the same
+        # the check on det M(0) belongs to the pgf solve, `game_pgfs`; with one
+        # player no pivot divides, with two the divisions are exact all the same
         with pytest.raises(DegenerateGameError, match="det M"):
-            solve_game(validate_pattern_set([parse_pattern("HH", fair)], fair)).pgfs
+            game_pgfs(validate_pattern_set([parse_pattern("HH", fair)], fair))
         with pytest.raises(DegenerateGameError, match="det M"):
-            spec = validate_pattern_set([parse_pattern(t, fair) for t in ("HH", "TH")], fair)
-            solve_game(spec).pgfs
+            game_pgfs(validate_pattern_set([parse_pattern(t, fair) for t in ("HH", "TH")], fair))
 
     # the ranked table and the running best share one scoring walk, and so its checks
     SCORERS = (response_table, best_response)
@@ -565,7 +565,7 @@ class TestDualSolve:
             raise RuntimeError("the pgf solve ran")
 
         monkeypatch.setattr(solver, "_cramer", counted)
-        monkeypatch.setattr(solver, "_solve_integer", refuse)
+        monkeypatch.setattr(solver, "game_pgfs", refuse)
         for spec in wide_specs:
             calls.clear()
             solve_game(spec)
@@ -573,13 +573,14 @@ class TestDualSolve:
             assert calls == [spec.player_count] * 2
 
     def test_matches_integer_route(self, wide_specs):
-        # the values of the lazy pgfs at s = 1, and E[T | j] = g_j'(1) / g_j(1)
+        # the values of `game_pgfs` at s = 1, and E[T | j] = g_j'(1) / g_j(1)
         for spec in wide_specs:
             solution = solve_game(spec)
+            pgfs, tail = game_pgfs(spec)
             values = (
-                tuple(pgf.evaluate(1) for pgf in solution.pgfs),
-                solution.tail_gf.evaluate(1),
-                tuple(rational_derivative(g).evaluate(1) / g.evaluate(1) for g in solution.pgfs),
+                tuple(pgf.evaluate(1) for pgf in pgfs),
+                tail.evaluate(1),
+                tuple(rational_derivative(g).evaluate(1) / g.evaluate(1) for g in pgfs),
             )
             assert _solve_at_one(spec) == values
             assert (
@@ -597,21 +598,19 @@ class TestDualSolve:
 
         # the error reaches the caller as it is, and no other route is tried
         monkeypatch.setattr(solver, "_divide_int", inexact)
-        monkeypatch.setattr(solver, "_solve_integer", refuse)
+        monkeypatch.setattr(solver, "game_pgfs", refuse)
         with pytest.raises(ArithmeticError, match="not divisible"):
             solve_game(example_spec)
 
-    def test_pgfs_are_solved_when_read(self, example_spec, monkeypatch, capsys):
-        calls = []
-        real = solver._solve_integer
+    def test_solution_holds_only_its_fields(self, example_spec, monkeypatch, capsys):
+        def refuse(*args):
+            raise RuntimeError("the pgf solve ran")
 
-        def counted(spec):
-            calls.append(spec)
-            return real(spec)
-
-        monkeypatch.setattr(solver, "_solve_integer", counted)
+        # `_unpack` reads the packed pgf solve back, and nothing else calls it
+        monkeypatch.setattr(solver, "_unpack", refuse)
         solution = solve_game(example_spec)
-        # every CLI answer and the win-time series come without the pgf solve
+        # every CLI answer and the win-time series come without the pgf solve,
+        # and none of them leaves anything on the solution
         distribution = game_distribution(example_spec, 5)
         assert distribution[0][3] == (1, 8)
         for argv in (
@@ -621,13 +620,26 @@ class TestDualSolve:
         ):
             assert cli.main(argv) == 0
         capsys.readouterr()
-        assert calls == []
-        assert solution.pgfs[0].evaluate(1) == F(5, 12)
-        assert solution.tail_gf.evaluate(1) == solution.expected_duration
-        assert calls == [example_spec]
-        assert as_fractions(distribution) == [series(pgf, 5) for pgf in solution.pgfs]
+        assert tuple(vars(solution)) == GameSolution._fields
         assert solution == solve_game(example_spec)
-        assert "pgfs" not in repr(solution)
+
+    def test_pgfs_are_one_elimination_of_m_rows(self, wide_specs, monkeypatch):
+        calls = []
+        real = solver._cramer
+
+        def counted(rows):
+            calls.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(solver, "_cramer", counted)
+        for spec in wide_specs:
+            solution = solve_game(spec)
+            calls.clear()
+            pgfs, tail = game_pgfs(spec)
+            # [M | c] packed at u = 2**bits: one m-row elimination for every pgf
+            assert calls == [spec.player_count]
+            assert tuple(pgf.evaluate(1) for pgf in pgfs) == solution.win_probs
+            assert tail.evaluate(1) == solution.expected_duration
 
 
 class TestWinningProbabilities:
@@ -651,8 +663,8 @@ class TestWinningProbabilities:
         rng = random.Random(15)
         for _ in range(20):
             spec = random_spec(rng)
-            solution = solve_game(spec)
-            assert tuple(pgf.evaluate(1) for pgf in solution.pgfs) == solution.win_probs
+            pgfs, _ = game_pgfs(spec)
+            assert tuple(pgf.evaluate(1) for pgf in pgfs) == solve_game(spec).win_probs
 
 
 class TestTwoPlayerOdds:
@@ -724,8 +736,8 @@ class TestDurations:
         rng = random.Random(19)
         for _ in range(20):
             spec = random_spec(rng)
-            solution = solve_game(spec)
-            assert solution.tail_gf.evaluate(1) == solution.expected_duration
+            _, tail = game_pgfs(spec)
+            assert tail.evaluate(1) == solve_game(spec).expected_duration
 
 
 class TestGameDistribution:
@@ -784,10 +796,10 @@ class TestSeriesKernel:
         ]
         assert {spec.model.common_denominator for spec in short_block} == {10**6, HUGE_D}
         for spec in [*wide_specs, *short_block, *(random_spec(rng) for _ in range(40))]:
-            solution = solve_game(spec)
+            pgfs, _ = game_pgfs(spec)
             terms = game_distribution(spec, 120)
             assert len(terms) == spec.player_count
-            for pgf, player in zip(solution.pgfs, terms):
+            for pgf, player in zip(pgfs, terms):
                 fractions = [F(int(n), int(d)) for n, d in player]
                 assert fractions == series(pgf, 120)
                 # each pair is already in lowest terms with a positive denominator
@@ -913,7 +925,7 @@ class TestSeriesKernel:
             ctx.traps[decimal.Rounded] = False
             assert game_distribution(spec, 150) == expected
             assert decimal.getcontext().prec == 6
-        assert as_fractions(expected) == [series(pgf, 150) for pgf in solve_game(spec).pgfs]
+        assert as_fractions(expected) == [series(pgf, 150) for pgf in game_pgfs(spec)[0]]
 
     def test_pairs_print_past_the_digit_limit(self):
         # on the 1/3 coin D**k passes 4300 digits at k = 9014
@@ -921,7 +933,7 @@ class TestSeriesKernel:
         spec = validate_pattern_set([parse_pattern(t, model) for t in ("TH", "HH")], model)
         horizon = 9100
         terms = game_distribution(spec, horizon)[0]
-        reference = series(solve_game(spec).pgfs[0], horizon)
+        reference = series(game_pgfs(spec)[0][0], horizon)
         past = [k for k, (_, d) in enumerate(terms) if d.adjusted() + 1 > 4300]
         assert len(past) > 50
         limit = cli._int_str_limit()
@@ -1029,22 +1041,32 @@ class TestBestResponse:
     def test_guibas_odlyzko_best_reply_shape(self, fair):
         # Guibas & Odlyzko (1981): on a fair coin the best same-length reply to
         # b_1...b_L is x b_1...b_{L-1} for some symbol x
+        def best_shaped(opponent):
+            shaped = []
+            for x in fair.symbols:
+                reply = Pattern((x, *opponent.symbols[:-1]))
+                try:
+                    spec = validate_pattern_set([opponent, reply], fair)
+                except ValidationError:
+                    continue
+                shaped.append(solve_game(spec).win_probs[-1])
+            return max(shaped)
+
         checked = 0
         for length in range(3, 8):
             for symbols in itertools.product(fair.symbols, repeat=length):
                 opponent = Pattern(symbols)
                 table = response_table([opponent], length, fair)
-                shaped = []
-                for x in fair.symbols:
-                    reply = Pattern((x, *symbols[:-1]))
-                    try:
-                        spec = validate_pattern_set([opponent, reply], fair)
-                    except ValidationError:
-                        continue
-                    shaped.append(solve_game(spec).win_probs[-1])
-                assert table[0][1] == max(shaped), str(opponent)
+                assert table[0][1] == best_shaped(opponent), str(opponent)
                 checked += 1
         assert checked == 248
+        # sampled opponents of length 13 to 16, and one at the CLI's longest, 20
+        rng = random.Random(1981)
+        lengths = [*(length for length in range(13, 17) for _ in range(3)), 20]
+        for length in lengths:
+            opponent = Pattern(tuple(rng.choice(fair.symbols) for _ in range(length)))
+            _, chance = best_response([opponent], length, fair)
+            assert chance == best_shaped(opponent), str(opponent)
 
     def test_integer_ranking_matches_fraction_order(self):
         big = 10**30
@@ -1270,13 +1292,13 @@ class TestStructuralIdentities:
             m = spec.player_count
             matrix = correlation_matrix(spec)
             column = completion_monomials(spec)
-            solution = solve_game(spec)
-            denominator = solution.pgfs[0].denom
+            pgfs, _ = game_pgfs(spec)
+            denominator = pgfs[0].denom
             for i in range(m):
                 left = column[i] * denominator
                 right = Polynomial()
                 for j in range(m):
-                    right = right + solution.pgfs[j].numer * (
+                    right = right + pgfs[j].numer * (
                         column[i] + one_minus_s * matrix.rows[i][j]
                     )
                 assert left == right
@@ -1285,22 +1307,22 @@ class TestStructuralIdentities:
         rng = random.Random(26)
         for _ in range(20):
             spec = random_spec(rng)
-            solution = solve_game(spec)
+            pgfs, tail = game_pgfs(spec)
             # every pgf and the tail share the denominator Q, so the identity
             # 1 - sum_j N_j / Q = (1 - s) * det M / Q is one on numerators
-            denominator = solution.tail_gf.denom
-            assert all(pgf.denom == denominator for pgf in solution.pgfs)
-            total = sum((pgf.numer for pgf in solution.pgfs), Polynomial())
-            assert denominator - total == (ONE - S) * solution.tail_gf.numer
+            denominator = tail.denom
+            assert all(pgf.denom == denominator for pgf in pgfs)
+            total = sum((pgf.numer for pgf in pgfs), Polynomial())
+            assert denominator - total == (ONE - S) * tail.numer
 
     def test_solver_denominators_are_one_at_origin(self):
         # series extraction relies on this; it pins the identity-at-zero shape
         rng = random.Random(27)
         for _ in range(20):
-            solution = solve_game(random_spec(rng))
-            assert solution.pgfs[0].denom.evaluate(0) == 1
-            assert solution.tail_gf.denom.evaluate(0) == 1
-            assert series(solution.tail_gf, 0) == [F(1)]
+            pgfs, tail = game_pgfs(random_spec(rng))
+            assert pgfs[0].denom.evaluate(0) == 1
+            assert tail.denom.evaluate(0) == 1
+            assert series(tail, 0) == [F(1)]
 
 
 class TestMetamorphic:
