@@ -11,9 +11,11 @@ generating function
 where M(s) is the correlation matrix and M_j replaces column j by the
 completion monomials P(A_i) * s^len(A_i).
 
-The values and the generating functions come from one elimination,
-`_cramer`: a fraction-free Gauss-Jordan pass on an integer [M | B] with row
-swaps and any number of right-hand columns B. The win-time series need none.
+Every route reads the entries of M from one overlap table, `_correlations`,
+one dict lookup per pattern symbol. The values and the generating functions
+come from one elimination, `_cramer`: a fraction-free Gauss-Jordan pass on an
+integer [M | B] with row swaps and any number of right-hand columns B. The
+win-time series need none.
 
 Win probabilities, the expected game length and the conditional lengths need
 only values at s = 1. With D the least common multiple of the
@@ -90,49 +92,33 @@ def _symbol_weights(model: SourceModel) -> dict[str, int]:
     return {s: p.numerator * (scale // p.denominator) for s, p in zip(model.symbols, model.probs)}
 
 
-def _scaled_correlation(a: Pattern, b: Pattern, weights: dict[str, int]) -> IntPoly:
-    """Correlation polynomial of `a` against `b` in u = s/D: integer coefficients.
+def _completion_weight(word: tuple[str, ...], weights: dict[str, int]) -> int:
+    """D**len(word) P(word): the completion monomial's coefficient in u = s/D."""
+    return math.prod(map(weights.__getitem__, word))
 
-    The coefficient of u**(len(a)-k) is D**(len(a)-k) P(last len(a)-k symbols
-    of `a`) when the first k symbols of `a` equal the last k symbols of `b`,
-    else 0.
+
+def _correlations(
+    heads: list[tuple[str, ...]], tails: list[tuple[str, ...]], weights: dict[str, int]
+) -> list[list[tuple[int, int, int]]]:
+    """Per head a, every (j, k, w) with k >= 1 and a[:k] == tails[j][-k:], in
+    tail order and then by k; w = D**(len(a)-k) P(a[k:]) is the coefficient of
+    u**(len(a)-k) in the correlation of a against tails[j] in u = s/D, and
+    every other coefficient is 0. Every prefix of every head goes in one dict,
+    and each suffix of each tail is looked up once; neither list need be
+    substring-free, and the tails need not be heads.
     """
-    head, tail = a.symbols, b.symbols
-    size = len(head)
-    coeffs = [0] * size
-    for k in range(1, min(size, len(tail)) + 1):
-        if head[:k] == tail[-k:]:
-            coeffs[size - k] = math.prod(map(weights.__getitem__, head[k:]))
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
-
-def _completion_weight(a: Pattern, weights: dict[str, int]) -> int:
-    """D**len(a) P(a): the completion monomial's coefficient in u = s/D."""
-    return math.prod(map(weights.__getitem__, a.symbols))
-
-
-def _entry_at_one(
-    a: Pattern, b: Pattern, weights: dict[str, int], powers: list[int]
-) -> tuple[int, int]:
-    """Entry (a, b) of M and its derivative in s, both at s = 1 and times D**len(a).
-
-    Coefficient c_t of `_scaled_correlation(a, b)` contributes c_t * (s/D)**t
-    to the entry. Times D**len(a) at s = 1 that is c_t * D**(len(a)-t), with
-    slope t * c_t * D**(len(a)-t). `powers[k]` is D**k. `solve_game` runs this
-    for every pair of players, and `_response_scores` once per request for the
-    opponents' block and for the column of each automaton state, never per
-    candidate.
-    """
-    size = a.length
-    value = slope = 0
-    for t, c in enumerate(_scaled_correlation(a, b, weights)):
-        if c:
-            term = c * powers[size - t]
-            value += term
-            slope += t * term
-    return value, slope
+    index: dict[tuple[str, ...], list[tuple[int, int]]] = {}
+    for i, a in enumerate(heads):
+        rest = 1
+        for k in range(len(a), 0, -1):
+            index.setdefault(a[:k], []).append((i, rest))
+            rest *= weights[a[k - 1]]
+    table: list[list[tuple[int, int, int]]] = [[] for _ in heads]
+    for j, b in enumerate(tails):
+        for k in range(1, len(b) + 1):
+            for i, w in index.get(b[-k:], ()):
+                table[i].append((j, k, w))
+    return table
 
 
 def _in_s(coeffs: IntPoly, scale: int) -> Polynomial:
@@ -224,14 +210,18 @@ def game_pgfs(spec: GameSpec) -> tuple[tuple[RationalFunction, ...], RationalFun
     """
     scale = spec.model.common_denominator
     weights = _symbol_weights(spec.model)
-    entries = [
-        [_scaled_correlation(a, b, weights) for b in spec.patterns]
-        + [[0] * a.length + [_completion_weight(a, weights)]]
-        for a in spec.patterns
-    ]
-    bound = (len(entries) + 1 + scale) * math.prod(sum(map(sum, row)) for row in entries)
-    bits = bound.bit_length() + 2
-    rows = [[sum(c << bits * t for t, c in enumerate(p)) for p in row] for row in entries]
+    words = [a.symbols for a in spec.patterns]
+    table = _correlations(words, words, weights)
+    completions = [_completion_weight(a, weights) for a in words]
+    norms = [w + sum(c for _, _, c in overlaps) for w, overlaps in zip(completions, table)]
+    bits = ((len(words) + 1 + scale) * math.prod(norms)).bit_length() + 2
+    rows = []
+    for a, w, overlaps in zip(words, completions, table):
+        # coefficient c of u**t packs to c << bits*t
+        row = [0] * len(words) + [w << bits * len(a)]
+        for j, k, c in overlaps:
+            row[j] += c << bits * (len(a) - k)
+        rows.append(row)
     packed_det, solved = _cramer(rows)
     packed = [n for n, in solved]
     # Q = sum_j N_j + (1 - s) det M, with s = D*u and u = 2**bits
@@ -269,8 +259,9 @@ def game_distribution(spec: GameSpec, horizon: int) -> list[list[tuple[Decimal, 
         G_{i,k} = w_i F_{k-len(A_i)} - sum_j sum_{t>=1} C_ij[t] G_{j,k-t},
         F_k = D F_{k-1} - sum_i G_{i,k},
 
-    with w_i = `_completion_weight(A_i)` and C_ij[t] the coefficients of
-    `_scaled_correlation(A_i, A_j)`. Every term is an integer, so nothing is
+    with w_i = `_completion_weight(A_i)` and C_ij[t] the correlation of A_i
+    against A_j in u = s/D, the weight that `_correlations` gives their
+    overlap of length len(A_i) - t. Every term is an integer, so nothing is
     divided. n and d are exact integers held as Decimals, computed in
     `_EXACT` whatever the caller's context, so that printing them takes time
     linear in their digits and is not bound by Python's int-to-str digit
@@ -281,20 +272,16 @@ def game_distribution(spec: GameSpec, horizon: int) -> list[list[tuple[Decimal, 
     weights = _symbol_weights(spec.model)
     scale = spec.model.common_denominator
     # entry pad + k is toss k; the pad of zeros stands for the tosses before 0
-    pad = max(a.length for a in spec.patterns)
+    words = [a.symbols for a in spec.patterns]
+    pad = max(map(len, words))
     with decimal.localcontext(_EXACT):
         zero, base = Decimal(0), Decimal(scale)
         wins = [[zero] * (pad + 1) for _ in spec.patterns]
         tail = [zero] * pad + [Decimal(1)]
         players = []
-        for a, own in zip(spec.patterns, wins):
-            overlaps = [
-                (row, t, Decimal(c))
-                for b, row in zip(spec.patterns, wins)
-                for t, c in enumerate(_scaled_correlation(a, b, weights))
-                if t and c
-            ]
-            players.append((own, a.length, Decimal(_completion_weight(a, weights)), overlaps))
+        for a, own, overlaps in zip(words, wins, _correlations(words, words, weights)):
+            terms = [(wins[j], len(a) - k, Decimal(c)) for j, k, c in overlaps if k < len(a)]
+            players.append((own, len(a), Decimal(_completion_weight(a, weights)), terms))
         for n in range(pad + 1, pad + horizon + 1):
             total = zero
             for own, length, weight, overlaps in players:
@@ -394,8 +381,9 @@ def _solve_at_one(
     """Win probabilities, E[T] and E[T | j] from two integer solves at s = 1.
 
     Row a of M(s) x = c(s) is scaled by D**len(a), which leaves x unchanged
-    and makes M(1), M'(1), c(1) and c'(1) integer: `_entry_at_one` for M,
-    (w_a, len(a) w_a) for the completion column. Dividing each pgf's
+    and makes M(1), M'(1), c(1) and c'(1) integer: each overlap (k, w) of
+    `_correlations` adds w D**k to M(1) and (len(a) - k) w D**k to M'(1), and
+    the completion column is (w_a, len(a) w_a). Dividing each pgf's
     numerator and denominator by det M gives g_j = x_j / (sum(x) + 1 - s), so
     win_j = x_j / sum(x), E[T] = 1 / sum(x) and
 
@@ -412,14 +400,20 @@ def _solve_at_one(
     """
     weights = _symbol_weights(spec.model)
     scale = spec.model.common_denominator
-    powers = [scale**k for k in range(max(a.length for a in spec.patterns) + 1)]
+    words = [a.symbols for a in spec.patterns]
+    powers = [scale**k for k in range(max(map(len, words)) + 1)]
     rows, slopes, completion_slopes = [], [], []
-    for a in spec.patterns:
-        values, slope_row = zip(*[_entry_at_one(a, b, weights, powers) for b in spec.patterns])
-        weight = _completion_weight(a, weights)
-        rows.append([*values, weight])
+    for a, overlaps in zip(words, _correlations(words, words, weights)):
+        size, weight = len(a), _completion_weight(a, weights)
+        row, slope_row = [0] * len(words) + [weight], [0] * len(words)
+        # coefficient c of u**(size-k) is c D**k at s = 1, times D**size
+        for j, k, c in overlaps:
+            term = c * powers[k]
+            row[j] += term
+            slope_row[j] += (size - k) * term
+        rows.append(row)
         slopes.append(slope_row)
-        completion_slopes.append(a.length * weight)
+        completion_slopes.append(size * weight)
     # M(1) again for the second solve, since `_cramer` overwrites `rows`
     second = [row[:-1] for row in rows]
     det_corr, solved = _cramer(rows)
@@ -524,7 +518,9 @@ def _response_scores(
     c = (w_b, w_c): u is the candidate's column, v its row, alpha its
     autocorrelation and w_c its completion weight. One `_cramer` on
     [A | w_b | u per automaton state] gives d = det A, p = adj(A) w_b and
-    every adj(A) u; then per candidate the bordered last step is
+    every adj(A) u; A and every u come from one `_correlations` call, with
+    the opponents as heads and the opponents and the states as tails. Then
+    per candidate the bordered last step is
 
         det M = d alpha - v . adj(A) u,   N_new = d w_c - v . p,
         sum of the opponents' N = (det M sum(p) - sum(adj(A) u) N_new) / d.
@@ -548,17 +544,18 @@ def _response_scores(
     weights = _symbol_weights(model)
     top = max([length, *(a.length for a in fixed)])
     powers = [model.common_denominator**k for k in range(top + 1)]
-    # [A | w_b | u per open state q], u the column of a candidate ending at q
+    # [A | w_b | u per open state q], u the column of a candidate ending at q;
+    # the empty tail, which overlaps nothing, holds w_b's column
     open_states = [q for q, stop in enumerate(stops) if not stop]
-    suffixes = [Pattern(prefixes[q]) if prefixes[q] else None for q in open_states]
-    rows = [
-        [
-            *(_entry_at_one(a, b, weights, powers)[0] for b in fixed),
-            _completion_weight(a, weights),
-            *(_entry_at_one(a, b, weights, powers)[0] if b else 0 for b in suffixes),
-        ]
-        for a in fixed
-    ]
+    heads = [a.symbols for a in fixed]
+    tails = [*heads, (), *(prefixes[q] for q in open_states)]
+    rows = []
+    for a, overlaps in zip(heads, _correlations(heads, tails, weights)):
+        row = [0] * len(tails)
+        row[len(heads)] = _completion_weight(a, weights)
+        for j, k, c in overlaps:
+            row[j] += c * powers[k]
+        rows.append(row)
     # A singular A, the opponents' own M(1), is raised when the first candidate
     # is scored; with no admissible candidate nothing is yielded.
     failure: ArithmeticError | None = None

@@ -4,12 +4,15 @@ Every grid here was derived by hand from the overlap definitions (and the
 win-probability closed forms re-derived through the leading-number cofactor
 formula), so the suites can compare the library against data it did not
 produce. `solver_entries` reads the solver's own entries of the correlation
-matrix, and `scaled_entries` puts a grid of polynomials in the same form.
+matrix, from its overlap table and from the matrices its value solve
+eliminates, and `scaled_entries` puts a grid of polynomials in the same form.
 """
 
 from __future__ import annotations
 
+import contextlib
 from fractions import Fraction
+from unittest import mock
 
 from penney import solver
 from penney.patterns import GameSpec
@@ -51,21 +54,56 @@ def det3(grid) -> Fraction:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
+class _Stop(Exception):
+    """Ends a spied solve once the matrix it builds has been read."""
+
+
+def _cramer_input(spec: GameSpec, first: tuple | None = None) -> list[list[int]]:
+    """The rows that `_solve_at_one` hands to `_cramer`: those of its first
+    solve, or, where `first` stands in for that solve's (det, numerators),
+    those of its second."""
+    seen: list[list[list[int]]] = []
+
+    def spy(rows):
+        seen.append([list(row) for row in rows])
+        if first is None or len(seen) == 2:
+            raise _Stop
+        return first
+
+    with mock.patch.object(solver, "_cramer", spy), contextlib.suppress(_Stop):
+        solver._solve_at_one(spec)
+    return seen[-1]
+
+
 def solver_entries(spec: GameSpec) -> list[list[tuple]]:
     """Per entry (a, b) of M: the solver's polynomial in s, and D**len(a) times
-    its value and its slope at s = 1, from the hot path's integer builders."""
+    its value and its slope at s = 1, as the hot path builds them.
+
+    The polynomial puts each weight w of `_correlations`' overlap (b, k) at
+    u**(len(a)-k), as `game_pgfs` and `game_distribution` read it. The values
+    are the M(1) that `_solve_at_one` hands to its first `_cramer`. The slopes
+    come from its second: had the first solve given det M(1) = 0 and N = e_j,
+    its right-hand side d c'(1) - M'(1) N is minus column j of M'(1).
+    """
     weights = solver._symbol_weights(spec.model)
     scale = spec.model.common_denominator
-    powers = [scale**k for k in range(max(a.length for a in spec.patterns) + 1)]
+    words = [a.symbols for a in spec.patterns]
+    m = len(words)
+    coefficients = [[[0] * len(a) for _ in words] for a in words]
+    for a, row, overlaps in zip(words, coefficients, solver._correlations(words, words, weights)):
+        for j, k, w in overlaps:
+            row[j][len(a) - k] = w
+    values = _cramer_input(spec)
+    slopes = [
+        [-row[-1] for row in _cramer_input(spec, (0, [[int(i == j)] for i in range(m)]))]
+        for j in range(m)
+    ]
     return [
         [
-            (
-                solver._in_s(solver._scaled_correlation(a, b, weights), scale),
-                *solver._entry_at_one(a, b, weights, powers),
-            )
-            for b in spec.patterns
+            (solver._in_s(coefficients[i][j], scale), values[i][j], slopes[j][i])
+            for j in range(m)
         ]
-        for a in spec.patterns
+        for i in range(m)
     ]
 
 

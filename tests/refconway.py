@@ -1,8 +1,9 @@
 """Conway's leading numbers and the `Fraction` correlation builders, for the tests only.
 
-The library builds every game's system from integers (`penney.solver`'s
-`_scaled_correlation` and `_entry_at_one`). The routes here are the textbook
-definitions instead: `overlap_indicator` and exact `Fraction` probabilities
+The library builds every game's system from integers, all from one overlap
+table (`penney.solver`'s `_correlations`, one dict of every pattern's
+prefixes). The routes here are the textbook definitions instead, one pair of
+patterns at a time: `overlap_indicator` and exact `Fraction` probabilities
 give the correlation polynomials, the correlation matrix and the completion
 column, and Conway's leading numbers give win probabilities and waiting
 times by cofactors (`conway_reference`). Nothing here imports

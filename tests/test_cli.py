@@ -52,6 +52,22 @@ class TestFormatting:
         assert format_decimal(F(-5, 4), 1) == "-1.2"
         assert format_decimal(F(31, 6), 0) == "5"
 
+    @given(st.data(), st.integers(0, 30))
+    @settings(max_examples=300, deadline=None)
+    def test_decimal_matches_exact_rounding(self, data, digits):
+        exact_ties = st.builds(
+            lambda n: F(2 * n + 1, 2 * 10**digits), st.integers(-(10**12), 10**12)
+        )
+        value = data.draw(
+            st.fractions(max_denominator=10**9) | exact_ties | st.just(F(0)), label="value"
+        )
+        # Fraction's round() goes half to even; a value that rounds to 0 has no "-"
+        scaled = round(abs(value) * 10**digits)
+        text = str(scaled).rjust(digits + 1, "0")
+        if digits:
+            text = f"{text[:-digits]}.{text[-digits:]}"
+        assert format_decimal(value, digits) == ("-" if value < 0 and scaled else "") + text
+
     def test_sqrt_decimal(self):
         assert sqrt_decimal(F(1, 4), 6) == "0.500000"
         assert sqrt_decimal(F(2), 3) == "1.414"

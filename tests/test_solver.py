@@ -187,7 +187,49 @@ def showcase(p: F):
     return validate_pattern_set(patterns, model)
 
 
+# the overlap table's alphabets: coins, multi-character labels, and 300 symbols
+OVERLAP_MODELS = (
+    SourceModel.from_text("H:1/2,T:1/2"),
+    SourceModel.from_text("H:1/3,T:2/3"),
+    SourceModel.from_text("x:1/4,yy:3/4"),
+    WIDE_ALPHABET,
+)
+
+
+@st.composite
+def overlap_cases(draw):
+    """A model, heads of unequal lengths, and tails that mix other words, the
+    empty word and prefixes of the heads, as best-response's automaton states
+    are; neither list need be substring-free."""
+    model = draw(st.sampled_from(OVERLAP_MODELS))
+    # three symbols at most, so that words over the wide alphabet overlap too
+    word = st.lists(st.sampled_from(model.symbols[:3]), min_size=1, max_size=8).map(tuple)
+    heads = draw(st.lists(word, min_size=1, max_size=5))
+    prefixes = [a[:k] for a in heads for k in range(len(a) + 1)]
+    tails = draw(st.lists(word | st.sampled_from(prefixes), min_size=1, max_size=8))
+    return model, heads, tails
+
+
 class TestCorrelationPolynomial:
+    @given(overlap_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_overlap_table_matches_the_definition(self, case):
+        model, heads, tails = case
+        scale = model.common_denominator
+        table = solver._correlations(heads, tails, solver._symbol_weights(model))
+        assert len(table) == len(heads)
+        for a, overlaps in zip(heads, table):
+            # the empty tail has no k to test
+            expected = [
+                (j, k)
+                for j, b in enumerate(tails)
+                for k in range(1, min(len(a), len(b)) + 1)
+                if overlap_indicator(Pattern(a), Pattern(b), k)
+            ]
+            assert [(j, k) for j, k, _ in overlaps] == expected
+            for _, k, w in overlaps:
+                assert w == symbols_probability(a[k:], model) * scale ** (len(a) - k)
+
     @pytest.mark.parametrize("p", TEST_BIASES)
     def test_showcase_entries(self, p):
         spec = showcase(p)
@@ -454,19 +496,27 @@ class TestCramerKernel:
             _divide_int(7, 2)
 
     @staticmethod
-    def _diagonal(monkeypatch, name, diagonal):
-        """Make the solvers see `diagonal(entry)` for every diagonal entry that
-        `solver.<name>` builds."""
-        real = getattr(solver, name)
+    def _diagonal(monkeypatch, diagonal):
+        """Make every solver see `diagonal(size, own)` in place of `own`, the
+        overlaps of a pattern of length `size` with itself that
+        `solver._correlations` reports."""
+        real = solver._correlations
 
-        def patched(a, b, *args):
-            entry = real(a, b, *args)
-            return diagonal(entry) if a == b else entry
+        def patched(heads, tails, weights):
+            table = real(heads, tails, weights)
+            for a, overlaps in zip(heads, table):
+                own = [entry for entry in overlaps if tails[entry[0]] == a]
+                others = [entry for entry in overlaps if tails[entry[0]] != a]
+                overlaps[:] = others + diagonal(len(a), own)
+            return table
 
-        monkeypatch.setattr(solver, name, patched)
+        monkeypatch.setattr(solver, "_correlations", patched)
 
     def test_determinant_not_one_at_origin_is_degenerate(self, fair, monkeypatch):
-        self._diagonal(monkeypatch, "_scaled_correlation", lambda c: [2 * c[0], *c[1:]])
+        # the full overlap, k = len(a), is the diagonal entry's constant term in u
+        self._diagonal(
+            monkeypatch, lambda size, own: [(j, k, 2 * w if k == size else w) for j, k, w in own]
+        )
         # the check on det M(0) belongs to the pgf solve, `game_pgfs`; with one
         # player no pivot divides, with two the divisions are exact all the same
         with pytest.raises(DegenerateGameError, match="det M"):
@@ -497,12 +547,12 @@ class TestCramerKernel:
                     score([], 2, fair)
             # one opponent: det A is the opponent's diagonal entry
             with monkeypatch.context() as patch:
-                self._diagonal(patch, "_entry_at_one", lambda entry: (0, 0))
+                self._diagonal(patch, lambda size, own: [])
                 with pytest.raises(DegenerateGameError, match="leading minor"):
                     score([parse_pattern("HH", fair)], 2, fair)
 
     def test_response_opponents_minor_raises_only_with_a_candidate(self, fair, monkeypatch):
-        self._diagonal(monkeypatch, "_entry_at_one", lambda entry: (0, 0))
+        self._diagonal(monkeypatch, lambda size, own: [])
         # two opponents: `_cramer` meets the vanishing order-1 minor of A as a divisor
         pair = [parse_pattern(text, fair) for text in ("HH", "TT")]
         for score in self.SCORERS:
