@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import __version__
 from .oracle import simulate
-from .patterns import Record, SourceModel, ValidationError, parse_pattern, validate_pattern_set
+from .patterns import SourceModel, ValidationError, parse_pattern, validate_pattern_set
 from .solver import best_response, game_distribution, response_table, solve_game
 
 SCHEMA_VERSION = 1
@@ -38,10 +38,10 @@ def format_exact(value: Fraction | int) -> str:
 
 
 def _ratio_texts(pairs, tails: dict[int, str]) -> list[str]:
-    """`format_ratio(n, d)` for each (n, d) of a Series, with the "/d" text
+    """`format_ratio(n, d)` for each (n, d) of a series, with the "/d" text
     of each denominator object printed once and kept in `tails` by id(d).
 
-    An id is unique while its object lives, and the Series keeps every term
+    An id is unique while its object lives, and the document keeps every term
     alive while it is written (`copy.deepcopy`'s memo keys by id likewise;
     hashing a long Decimal costs about as much as printing it). So `tails`
     must be new for each document and dropped with it.
@@ -61,21 +61,25 @@ def _ratio_width(num: Decimal, den: Decimal) -> int:
     return width if den == 1 else width + den.adjusted() + 2
 
 
+def _fixed_point(scaled: int, digits: int) -> str:
+    """The text of scaled / 10**digits, scaled >= 0, with `digits` decimals."""
+    if digits == 0:
+        return format_exact(scaled)
+    whole, frac = divmod(scaled, 10**digits)
+    return f"{format_exact(whole)}.{frac:0{digits}d}"
+
+
 def format_decimal(value: Fraction, digits: int) -> str:
     """Fixed-point decimal rendering of an exact rational, round-half-even."""
     if digits < 0:
         raise ValueError("digits must be nonnegative")
     num, den = value.numerator, value.denominator
-    unit = 10**digits
-    scaled, rem = divmod(abs(num) * unit, den)
+    scaled, rem = divmod(abs(num) * 10**digits, den)
     double = 2 * rem
     if double > den or (double == den and scaled % 2 == 1):
         scaled += 1
     sign = "-" if num < 0 and scaled else ""
-    if digits == 0:
-        return f"{sign}{format_exact(scaled)}"
-    whole, frac = divmod(scaled, unit)
-    return f"{sign}{format_exact(whole)}.{frac:0{digits}d}"
+    return sign + _fixed_point(scaled, digits)
 
 
 def sqrt_decimal(value: Fraction, digits: int) -> str:
@@ -84,10 +88,7 @@ def sqrt_decimal(value: Fraction, digits: int) -> str:
         raise ValueError("square root of a negative value")
     num, den = value.numerator, value.denominator
     scaled = math.isqrt(num * den * 10 ** (2 * digits)) // den
-    if digits == 0:
-        return format_exact(scaled)
-    whole, frac = divmod(scaled, 10**digits)
-    return f"{format_exact(whole)}.{frac:0{digits}d}"
+    return _fixed_point(scaled, digits)
 
 
 def _parse_inputs(args) -> tuple[SourceModel, list]:
@@ -170,21 +171,6 @@ def _check_trial_count(trials: int) -> None:
         )
 
 
-class Series(Record):
-    """The series block of a solve document: P(player j wins at toss k) = n/d
-    for k <= horizon, as the (n, d) integers of `game_distribution`.
-
-    `write_document` prints it in batches; its text is never held whole.
-    Only the text of each distinct denominator object is held, for one call,
-    so that a denominator several terms share is printed once.
-    """
-
-    _fields = ("horizon", "patterns", "terms")
-    horizon: int
-    patterns: list[str]
-    terms: list[list[tuple[Decimal, Decimal]]]
-
-
 def cmd_solve(args) -> dict:
     model, patterns = _parse_inputs(args)
     if args.series is not None:
@@ -214,7 +200,7 @@ def cmd_solve(args) -> dict:
     doc["expected_duration"] = format_exact(solution.expected_duration)
     doc["expected_duration_decimal"] = format_decimal(solution.expected_duration, digits)
     if args.series is not None:
-        doc["series"] = Series(args.series, doc["patterns"], game_distribution(spec, args.series))
+        doc["series"] = game_distribution(spec, args.series)
     return doc
 
 
@@ -368,27 +354,32 @@ _BATCH = 256
 
 def write_document(doc: dict, as_json: bool, out: io.TextIOBase) -> None:
     """Write `doc` and a newline to `out`: `json.dumps(doc, indent=2)` or
-    `render_table(doc)`, with a solve document's Series as the last key.
+    `render_table(doc)`, with a solve document's series as the last key.
 
-    The series is written in batches of terms, each formatted from its
-    integers; its coefficients are digits and '/', so need no JSON escaping.
+    A solve document's series is `game_distribution`'s list: per player of
+    `doc["patterns"]`, P(player j wins at toss k) = n/d for k = 0..N as the
+    (n, d) integers. It is written in batches of terms, each formatted from
+    its integers, and its text is never held whole; its coefficients are
+    digits and '/', so need no JSON escaping. Only the text of each distinct
+    denominator object is held, for one call, so that a denominator several
+    terms share is printed once.
     """
     series = doc.get("series")
     head = {key: value for key, value in doc.items() if key != "series"}
     if not as_json:
         out.write(render_table(head))
         if series is not None:
-            _write_series_table(series, out)
+            _write_series_table(doc["patterns"], series, out)
     elif series is None:
         out.write(json.dumps(head, indent=2))
     else:
         # drop the closing "\n}" to append the series as the last key
         out.write(
             f'{json.dumps(head, indent=2)[:-2]},\n  "series": {{\n'
-            f'    "horizon": {series.horizon},\n    "players": ['
+            f'    "horizon": {len(series[0]) - 1},\n    "players": ['
         )
         tails: dict[int, str] = {}
-        for player, (pattern, terms) in enumerate(zip(series.patterns, series.terms), start=1):
+        for player, (pattern, terms) in enumerate(zip(doc["patterns"], series), start=1):
             out.write(
                 f'{"," if player > 1 else ""}\n      {{\n        "player": {player},\n'
                 f'        "pattern": {json.dumps(pattern)},\n        "coefficients": ['
@@ -406,19 +397,22 @@ def write_document(doc: dict, as_json: bool, out: io.TextIOBase) -> None:
     out.write("\n")
 
 
-def _write_series_table(series: Series, out: io.TextIOBase) -> None:
+def _write_series_table(
+    patterns: list[str], terms: list[list[tuple[Decimal, Decimal]]], out: io.TextIOBase
+) -> None:
     """The series as table rows, one per toss; widths from the digit counts."""
-    widths = [max(4, len(str(series.horizon)))] + [
-        max(len(pattern), max(_ratio_width(n, d) for n, d in terms))
-        for pattern, terms in zip(series.patterns, series.terms)
+    horizon = len(terms[0]) - 1
+    widths = [max(4, len(str(horizon)))] + [
+        max(len(pattern), max(_ratio_width(n, d) for n, d in column))
+        for pattern, column in zip(patterns, terms)
     ]
     out.write(
-        f"\nwin distribution through toss {series.horizon}:"
-        f"\n{_table_row(['toss', *series.patterns], widths)}"
+        f"\nwin distribution through toss {horizon}:"
+        f"\n{_table_row(['toss', *patterns], widths)}"
     )
     tails: dict[int, str] = {}
-    for start in range(0, series.horizon + 1, _BATCH):
-        columns = [_ratio_texts(terms[start : start + _BATCH], tails) for terms in series.terms]
+    for start in range(0, horizon + 1, _BATCH):
+        columns = [_ratio_texts(column[start : start + _BATCH], tails) for column in terms]
         out.write(
             "".join(
                 "\n" + _table_row([str(k), *cells], widths)

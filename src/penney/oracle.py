@@ -33,13 +33,14 @@ class Automaton(Record):
     State k is the prefix `prefixes[k]`; `transitions[k][a]` is the successor
     on alphabet symbol index a. A state whose prefix is a full pattern is
     absorbing (self-loops only) and `winner[k]` names the 0-based player.
+    The game starts in state `start`, the empty prefix.
     """
 
     _fields = ("prefixes", "transitions", "winner", "start")
     prefixes: tuple[tuple[str, ...], ...]
     transitions: tuple[tuple[int, ...], ...]
     winner: tuple[int | None, ...]
-    start: int = 0
+    start: int
 
     @property
     def state_count(self) -> int:
@@ -88,7 +89,7 @@ def build_automaton(spec: GameSpec) -> Automaton:
             row.append(dest)
         transitions.append(tuple(row))
 
-    automaton = Automaton(tuple(prefixes), tuple(transitions), winner)
+    automaton = Automaton(tuple(prefixes), tuple(transitions), winner, 0)
     # Structural invariants: total, one terminal per pattern, terminals self-loop.
     if not (
         all(len(row) == len(spec.model.symbols) for row in automaton.transitions)

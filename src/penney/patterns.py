@@ -22,9 +22,8 @@ class Record:
     """Base of the package's value types: a read-only record, equal to and
     hashed like another record of its class with equal fields.
 
-    `_fields` names the fields in order, and the constructor takes their values
-    in that order; a trailing field with a class attribute of its name may be
-    left out and takes that default. A subclass that validates writes its own
+    `_fields` names the fields in order, and the constructor takes exactly
+    their values in that order. A subclass that validates writes its own
     `__init__`, which stores each field in the instance dict.
     """
 
@@ -33,10 +32,7 @@ class Record:
     def __init__(self, *values) -> None:
         cls = type(self)
         if len(values) != len(cls._fields):
-            omitted = cls._fields[len(values) :]
-            if not omitted or not all(hasattr(cls, name) for name in omitted):
-                raise TypeError(f"{cls.__name__} takes the fields {', '.join(cls._fields)}")
-            values += tuple(getattr(cls, name) for name in omitted)
+            raise TypeError(f"{cls.__name__} takes the fields {', '.join(cls._fields)}")
         self.__dict__.update(zip(cls._fields, values))
 
     def _values(self) -> tuple:
@@ -75,7 +71,7 @@ class SourceModel(Record):
     """Finite alphabet with one exact positive probability per symbol.
 
     Symbol labels may be multi-character; no label may be a prefix of another,
-    which keeps pattern text unambiguous under longest-match tokenization.
+    so at most one label matches at each position of a pattern's text.
     """
 
     _fields = ("symbols", "probs")
@@ -163,14 +159,14 @@ class Pattern(Record):
 
 
 def parse_pattern(text: str, model: SourceModel) -> Pattern:
-    """Tokenize pattern text into alphabet symbols by longest match."""
+    """Tokenize pattern text into alphabet symbols. No label of the model is a
+    prefix of another, so at most one label matches at each position."""
     if not text:
         raise ValidationError("empty pattern")
-    labels = sorted(model.symbols, key=len, reverse=True)
     out: list[str] = []
     i = 0
     while i < len(text):
-        for label in labels:
+        for label in model.symbols:
             if text.startswith(label, i):
                 out.append(label)
                 i += len(label)
@@ -203,20 +199,15 @@ class GameSpec(Record):
                     raise ValidationError(
                         f"pattern {idx} ({pattern}) uses symbol {symbol!r} outside the alphabet"
                     )
-        for i in range(len(pats)):
-            for j in range(len(pats)):
-                if i == j:
-                    continue
-                if pats[i].symbols == pats[j].symbols:
-                    if i < j:
-                        raise ValidationError(
-                            f"patterns {i + 1} and {j + 1} are duplicates: {pats[i]}"
-                        )
-                    continue
-                if _contains(pats[j].symbols, pats[i].symbols):
+        # of two equal patterns the one listed first is met first, as pattern i
+        for i, a in enumerate(pats):
+            for j, b in enumerate(pats):
+                if i != j and _contains(b.symbols, a.symbols):
+                    if a.symbols == b.symbols:
+                        raise ValidationError(f"patterns {i + 1} and {j + 1} are duplicates: {a}")
                     raise ValidationError(
-                        f"pattern {i + 1} ({pats[i]}) occurs inside pattern {j + 1} "
-                        f"({pats[j]}); substring-free sets required"
+                        f"pattern {i + 1} ({a}) occurs inside pattern {j + 1} "
+                        f"({b}); substring-free sets required"
                     )
         self.__dict__.update(model=model, patterns=pats)
 

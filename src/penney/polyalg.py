@@ -82,10 +82,6 @@ class Polynomial(Record):
         return Polynomial(-c for c in self.coeffs)
 
     def __sub__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        if isinstance(other, (Fraction, int)):
-            other = Polynomial.constant(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other: Scalar) -> "Polynomial":

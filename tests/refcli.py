@@ -17,16 +17,16 @@ from fractions import Fraction
 from penney.cli import render_table
 
 
-def series_block(series) -> dict:
+def series_block(patterns: list[str], terms: list) -> dict:
     return {
-        "horizon": series.horizon,
+        "horizon": len(terms[0]) - 1,
         "players": [
             {
                 "player": i,
                 "pattern": pattern,
-                "coefficients": [str(Fraction(int(n), int(d))) for n, d in terms],
+                "coefficients": [str(Fraction(int(n), int(d))) for n, d in column],
             }
-            for i, (pattern, terms) in enumerate(zip(series.patterns, series.terms), start=1)
+            for i, (pattern, column) in enumerate(zip(patterns, terms), start=1)
         ],
     }
 
@@ -41,7 +41,7 @@ def _table_rows(rows: list[list[str]]) -> str:
 def reference_text(doc: dict, as_json: bool) -> str:
     """What `write_document(doc, as_json, out)` must write for a solve document
     with a series."""
-    block = series_block(doc["series"])
+    block = series_block(doc["patterns"], doc["series"])
     if as_json:
         return json.dumps({**doc, "series": block}, indent=2) + "\n"
     rows = [["toss"] + [p["pattern"] for p in block["players"]]]

@@ -72,6 +72,14 @@ class TestFormatting:
         assert sqrt_decimal(F(1, 4), 6) == "0.500000"
         assert sqrt_decimal(F(2), 3) == "1.414"
         assert sqrt_decimal(F(0), 4) == "0.0000"
+        assert sqrt_decimal(F(9, 4), 0) == "1"
+        assert sqrt_decimal(F(10**6), 0) == "1000"
+
+    def test_decimal_renderings_refuse_bad_input(self):
+        with pytest.raises(ValueError, match="digits must be nonnegative"):
+            format_decimal(F(1, 3), -1)
+        with pytest.raises(ValueError, match="square root of a negative value"):
+            sqrt_decimal(F(-1, 4), 6)
 
     def test_numbers_past_the_digit_limit(self):
         # `str` of an int or Fraction this long raises ValueError under the default limit
@@ -433,8 +441,7 @@ def series_document(alphabet: str, patterns: str, horizon: int, as_json: bool) -
     doc = penney.cli.cmd_solve(penney.cli.build_parser().parse_args(argv))
     model = SourceModel.from_text(alphabet)
     spec = validate_pattern_set([parse_pattern(p, model) for p in patterns.split(",")], model)
-    terms = penney.solver.game_distribution(spec, horizon)
-    doc["series"] = penney.cli.Series(horizon, doc["patterns"], terms)
+    doc["series"] = penney.solver.game_distribution(spec, horizon)
     return doc
 
 
@@ -505,16 +512,16 @@ class TestSeriesStream:
         # the second document's Decimals are made just after the first's are
         # freed, so they take the same memory, and so ids, with other values
         second = series_document("H:1/4,T:3/4", "HTT,THT,TTH", 300, True)
-        digits = [[(str(n), str(d)) for n, d in row] for row in second["series"].terms]
+        digits = [[(str(n), str(d)) for n, d in row] for row in second["series"]]
         first = series_document("H:1/3,T:2/3", "HTHTH,TTHHT,HHTTT", 400, True)
         penney.cli.write_document(first, True, io.StringIO())
-        freed = {id(d): str(d) for row in first["series"].terms for _, d in row}
+        freed = {id(d): str(d) for row in first["series"] for _, d in row}
         del first
         gc.collect()
         # equal denominators share one object, as the solver's powers of D do
         shared = {d: Decimal(d) for d in dict.fromkeys(d for row in digits for _, d in row)}
         terms = [[(Decimal(n), shared[d]) for n, d in row] for row in digits]
-        second["series"] = penney.cli.Series(300, second["patterns"], terms)
+        second["series"] = terms
         assert any(freed.get(id(d), str(d)) != str(d) for row in terms for _, d in row)
         out = io.StringIO()
         penney.cli.write_document(second, True, out)

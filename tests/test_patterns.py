@@ -11,7 +11,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from penney.cli import Series
 from penney.oracle import Automaton, build_automaton, simulate
 from penney.patterns import (
     Pattern,
@@ -189,6 +188,19 @@ class TestValidatePatternSet:
                 [parse_pattern("HH", fair), parse_pattern("HH", fair)], fair
             )
 
+    def test_first_offending_pair_is_reported(self, fair):
+        # both sets hold a duplicate and a substring; pairs are met with the
+        # first index outermost, so each names the pair that comes first
+        def spec(texts):
+            return validate_pattern_set([parse_pattern(t, fair) for t in texts], fair)
+
+        with pytest.raises(ValidationError, match=r"^patterns 1 and 3 are duplicates: HTH$"):
+            spec(["HTH", "HT", "HTH"])
+        with pytest.raises(
+            ValidationError, match=r"^pattern 1 \(HT\) occurs inside pattern 2 \(HTH\);"
+        ):
+            spec(["HT", "HTH", "HT"])
+
     def test_wrong_alphabet_rejected(self, fair):
         other = SourceModel(("a", "b"), (F(1, 2), F(1, 2)))
         with pytest.raises(ValidationError, match="outside the alphabet"):
@@ -216,7 +228,6 @@ def one_record_of_each_type() -> list[Record]:
         solve_game(spec),
         build_automaton(spec),
         simulate(spec, 50, seed=3),
-        Series(2, ("HTH", "THH"), (((0, 1), (0, 3), (1, 9)),) * 2),
     ]
 
 
@@ -267,12 +278,14 @@ class TestRecords:
             GameSolution(spec, solution.win_probs)
         with pytest.raises(TypeError):
             Automaton((), (), (), 0, 0)
-        # a trailing field with a class default may be left out
         automaton = build_automaton(spec)
         assert automaton.start == 0
         assert automaton == Automaton(
             automaton.prefixes, automaton.transitions, automaton.winner, 0
         )
+        # every field is given: none has a default
+        with pytest.raises(TypeError, match="prefixes, transitions, winner, start"):
+            Automaton(automaton.prefixes, automaton.transitions, automaton.winner)
 
     def test_a_solution_is_its_four_fields(self, example_spec):
         solution, fresh = solve_game(example_spec), solve_game(example_spec)

@@ -74,6 +74,18 @@ class TestPolynomial:
         with pytest.raises(ArithmeticError):
             exact_div(Polynomial([1, 0, 1]), Polynomial([1, 1]))
 
+    def test_difference_with_a_scalar(self):
+        assert S - 1 == Polynomial([-1, 1])
+        assert S - F(1, 2) == Polynomial([F(-1, 2), 1])
+        assert 1 - S == Polynomial([1, -1])
+        for other in ([1], 2.0, None):
+            with pytest.raises(TypeError):
+                S - other
+
+    def test_zero_prints_as_zero(self):
+        assert str(Polynomial()) == "0"
+        assert str(S - S) == "0"
+
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             Polynomial([0.5])
@@ -141,6 +153,11 @@ class TestRationalFunction:
         assert series(rational_derivative(f), n) == [
             (k + 1) * coefficients[k + 1] for k in range(n + 1)
         ]
+
+    def test_scalar_numerator(self):
+        geometric = RationalFunction(1, ONE - S)
+        assert geometric.numer == ONE
+        assert geometric.evaluate(F(1, 2)) == 2
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):

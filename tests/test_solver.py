@@ -551,6 +551,13 @@ class TestCramerKernel:
                 with pytest.raises(DegenerateGameError, match="leading minor"):
                     score([parse_pattern("HH", fair)], 2, fair)
 
+    def test_response_length_must_be_positive(self, fair):
+        # the CLI refuses --length 0 itself; the library's check is its own
+        for score in self.SCORERS:
+            for opponents in ([], [parse_pattern("HT", fair)]):
+                with pytest.raises(ValidationError, match="at least 1"):
+                    score(opponents, 0, fair)
+
     def test_response_opponents_minor_raises_only_with_a_candidate(self, fair, monkeypatch):
         self._diagonal(monkeypatch, lambda size, own: [])
         # two opponents: `_cramer` meets the vanishing order-1 minor of A as a divisor
