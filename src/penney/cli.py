@@ -16,6 +16,7 @@ import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from types import GeneratorType
 
 from . import __version__
 from .oracle import simulate
@@ -25,21 +26,32 @@ from .solver import best_response, game_distribution, response_table, solve_game
 SCHEMA_VERSION = 1
 
 
-def format_ratio(num: Decimal, den: Decimal) -> str:
-    """`str(Fraction(num, den))` for a pair already in lowest terms, den > 0,
-    printed through Decimal, which has no int-to-str digit limit."""
+# `sys.set_int_max_str_digits` takes no limit below 640 but 0 (no limit), so
+# `str` prints an integer of fewer than 3 * 640 bits, at most 578 digits, under
+# any limit the interpreter can have.
+_STR_BITS = 3 * 640
+
+
+def format_exact(value: Fraction | int) -> str:
+    """`str(value)` for an exact rational or integer, past Python's int-to-str
+    digit limit too.
+
+    A value whose numerator and denominator have fewer than `_STR_BITS` bits
+    prints through `str`; a longer one through `Decimal`, which has no digit
+    limit.
+    """
+    num, den = value.numerator, value.denominator
+    if num.bit_length() < _STR_BITS and den.bit_length() < _STR_BITS:
+        return str(num) if den == 1 else "%d/%d" % (num, den)
+    num, den = Decimal(num), Decimal(den)
     # % calls str, where an f-string would take the slower Decimal.__format__
     return str(num) if den == 1 else "%s/%s" % (num, den)
 
 
-def format_exact(value: Fraction | int) -> str:
-    """`str(value)` for an exact rational or integer."""
-    return format_ratio(Decimal(value.numerator), Decimal(value.denominator))
-
-
 def _ratio_texts(pairs, tails: dict[int, str]) -> list[str]:
-    """`format_ratio(n, d)` for each (n, d) of a series, with the "/d" text
-    of each denominator object printed once and kept in `tails` by id(d).
+    """The "n/d" text, "n" when d is 1, of each (n, d) Decimal pair of a
+    series in lowest terms, with the "/d" text of each denominator object
+    printed once and kept in `tails` by id(d).
 
     An id is unique while its object lives, and the document keeps every term
     alive while it is written (`copy.deepcopy`'s memo keys by id likewise;
@@ -56,17 +68,19 @@ def _ratio_texts(pairs, tails: dict[int, str]) -> list[str]:
 
 
 def _ratio_width(num: Decimal, den: Decimal) -> int:
-    """len(format_ratio(num, den)), from the digit counts of the two integers."""
+    """The length of the (num, den) pair's text in `_ratio_texts`, from the
+    digit counts of the two integers."""
     width = num.adjusted() + 1
     return width if den == 1 else width + den.adjusted() + 2
 
 
 def _fixed_point(scaled: int, digits: int) -> str:
     """The text of scaled / 10**digits, scaled >= 0, with `digits` decimals."""
+    text = format_exact(scaled)
     if digits == 0:
-        return format_exact(scaled)
-    whole, frac = divmod(scaled, 10**digits)
-    return f"{format_exact(whole)}.{frac:0{digits}d}"
+        return text
+    text = text.rjust(digits + 1, "0")
+    return f"{text[:-digits]}.{text[-digits:]}"
 
 
 def format_decimal(value: Fraction, digits: int) -> str:
@@ -171,6 +185,25 @@ def _check_trial_count(trials: int) -> None:
         )
 
 
+# The most tosses simulate expects to play, trials * E[T]: 1 to 2 minutes. The
+# simulator played 5.6-9.2M tosses per second (3 in-process runs each of five
+# games, fair coin to ternary, 10^4 to 10^6 games, one core of a 2-vCPU Xeon,
+# Python 3.11.7), and wider alphabets are slower. It admits 10^8 games of
+# THH,HTH,HHT on a fair coin, whose E[T] is 31/6.
+MAX_TOSSES = 6 * 10**8
+
+
+def _check_toss_count(trials: int, expected_duration: Fraction) -> None:
+    """Refuse a --trials whose expected tosses, trials * E[T], exceed MAX_TOSSES."""
+    tosses = trials * expected_duration
+    if tosses > MAX_TOSSES:
+        raise ValidationError(
+            f"--trials {trials} would toss about {format_decimal(tosses, 0)} times "
+            f"(E[T] = {format_decimal(expected_duration, 2)} tosses a game), more than "
+            f"the {MAX_TOSSES} (6*10^8) simulate allows"
+        )
+
+
 def cmd_solve(args) -> dict:
     model, patterns = _parse_inputs(args)
     if args.series is not None:
@@ -209,6 +242,7 @@ def cmd_simulate(args) -> dict:
     model, patterns = _parse_inputs(args)
     spec = validate_pattern_set(patterns, model)
     solution = solve_game(spec)
+    _check_toss_count(args.trials, solution.expected_duration)
     report = simulate(spec, args.trials, args.seed)
     digits = args.digits
 
@@ -351,50 +385,116 @@ def render_table(doc: dict) -> str:
 # Series terms per write: the text of one batch is built at a time, never the whole.
 _BATCH = 256
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, indent: str, parts: list[str], out: io.TextIOBase) -> None:
+    """Append the text that `json.dumps(value, indent=2)` gives `value` to
+    `parts`, for a value whose lines start with `indent`: a newline and two
+    spaces per level of nesting.
+
+    The value is a dict with str keys, a list, a str, an int, a bool or a
+    generator. A generator stands for a nonempty list of strings that need
+    no escaping, written in batches: `parts` is first written to `out` and
+    emptied, and then each nonempty list of strings the generator yields is
+    written as it comes, so that the text of the whole list is never held.
+    """
+    kind = type(value)
+    if kind is str:
+        parts.append(_quote(value))
+    elif kind is dict:
+        if not value:
+            parts.append("{}")
+            return
+        inner = indent + "  "
+        lead = "{" + inner
+        for key, item in value.items():
+            # most leaves are strings: they are quoted here, without a call
+            if type(item) is str:
+                parts.append(f"{lead}{_quote(key)}: {_quote(item)}")
+            else:
+                parts.append(f"{lead}{_quote(key)}: ")
+                _json_text(item, inner, parts, out)
+            lead = "," + inner
+        parts.append(indent + "}")
+    elif kind is list:
+        if not value:
+            parts.append("[]")
+            return
+        inner = indent + "  "
+        lead = "[" + inner
+        for item in value:
+            if type(item) is str:
+                parts.append(lead + _quote(item))
+            else:
+                parts.append(lead)
+                _json_text(item, inner, parts, out)
+            lead = "," + inner
+        parts.append(indent + "]")
+    elif kind is bool:
+        parts.append("true" if value else "false")
+    elif kind is int:
+        parts.append(str(value))
+    elif kind is GeneratorType:
+        out.write("".join(parts))
+        parts.clear()
+        inner = indent + "  "
+        lead = f'[{inner}"'
+        for texts in value:
+            out.write(lead + f'",{inner}"'.join(texts) + '"')
+            lead = f',{inner}"'
+        parts.append(indent + "]")
+    else:
+        raise TypeError(f"{kind.__name__} is not a document value")
+
 
 def write_document(doc: dict, as_json: bool, out: io.TextIOBase) -> None:
     """Write `doc` and a newline to `out`: `json.dumps(doc, indent=2)` or
-    `render_table(doc)`, with a solve document's series as the last key.
+    `render_table(doc)` and then a solve document's series.
 
-    A solve document's series is `game_distribution`'s list: per player of
-    `doc["patterns"]`, P(player j wins at toss k) = n/d for k = 0..N as the
-    (n, d) integers. It is written in batches of terms, each formatted from
-    its integers, and its text is never held whole; its coefficients are
-    digits and '/', so need no JSON escaping. Only the text of each distinct
-    denominator object is held, for one call, so that a denominator several
-    terms share is printed once.
+    Every JSON document is written by `_json_text`, whose bytes are those of
+    `json.dumps(doc, indent=2)`: strings are escaped by the C encoder that
+    `json` uses, and only the layout is Python.
+
+    A solve document's series, its last key, is `game_distribution`'s list:
+    per player of `doc["patterns"]`, P(player j wins at toss k) = n/d for
+    k = 0..N as the (n, d) integers. It is written in batches of terms, each
+    formatted from its integers, and its text is never held whole: in JSON,
+    each player's coefficients are a generator of batches. Only the text of
+    each distinct denominator object is held, for one call, so that a
+    denominator several terms share is printed once.
     """
     series = doc.get("series")
-    head = {key: value for key, value in doc.items() if key != "series"}
-    if not as_json:
-        out.write(render_table(head))
+    if as_json:
+        if series is not None:
+            tails: dict[int, str] = {}
+            doc = {
+                **doc,
+                "series": {
+                    "horizon": len(series[0]) - 1,
+                    "players": [
+                        {"player": i, "pattern": pattern, "coefficients": _batches(terms, tails)}
+                        for i, (pattern, terms) in enumerate(zip(doc["patterns"], series), start=1)
+                    ],
+                },
+            }
+        parts: list[str] = []
+        _json_text(doc, "\n", parts, out)
+        out.write("".join(parts))
+    else:
+        out.write(render_table(doc))
         if series is not None:
             _write_series_table(doc["patterns"], series, out)
-    elif series is None:
-        out.write(json.dumps(head, indent=2))
-    else:
-        # drop the closing "\n}" to append the series as the last key
-        out.write(
-            f'{json.dumps(head, indent=2)[:-2]},\n  "series": {{\n'
-            f'    "horizon": {len(series[0]) - 1},\n    "players": ['
-        )
-        tails: dict[int, str] = {}
-        for player, (pattern, terms) in enumerate(zip(doc["patterns"], series), start=1):
-            out.write(
-                f'{"," if player > 1 else ""}\n      {{\n        "player": {player},\n'
-                f'        "pattern": {json.dumps(pattern)},\n        "coefficients": ['
-            )
-            lead = '\n          "'
-            for start in range(0, len(terms), _BATCH):
-                texts = _ratio_texts(terms[start : start + _BATCH], tails)
-                out.write(lead + '",\n          "'.join(texts) + '"')
-                lead = ',\n          "'
-            out.write("\n        ]\n      }")
-        out.write("\n    ]\n  }\n}")
     # The newline goes alone, as `print` writes it. On an unbuffered stdout
     # (python -u) a write cut short by the reader leaving returns without an
     # error; only the next write raises BrokenPipeError.
     out.write("\n")
+
+
+def _batches(terms: list, tails: dict[int, str]):
+    """The texts of a series column's (n, d) terms, `_BATCH` at a time."""
+    for start in range(0, len(terms), _BATCH):
+        yield _ratio_texts(terms[start : start + _BATCH], tails)
 
 
 def _write_series_table(
@@ -459,14 +559,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: building it costs more than a light request."""
-    return build_parser()
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and each command's subparser by name, built once per
+    process: building them costs more than a light request."""
+    parser = build_parser()
+    # argparse has no public name for a parser's subcommands
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, commands
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    """Parse `argv` (default `sys.argv[1:]`), run its command and print the
+    document; the exit code.
+
+    An argv that begins with a command's name, and that the command's own
+    parser takes whole, is parsed by that parser alone, as the top-level
+    parser would hand it on. Any other argv, including one that leaves a
+    token over, goes to the top-level parser, so every help, usage and error
+    text is argparse's own.
+    """
+    parser, commands = _parsers()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = commands.get(argv[0]) if argv else None
+    extras = None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras != []:  # no command first, or a token left over
+        args = parser.parse_args(argv)
     if args.digits < 0:
         parser.error("--digits must be nonnegative")
     # a decimal's fractional field has at most --digits digits, so the limit suffices

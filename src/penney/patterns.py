@@ -77,6 +77,10 @@ class SourceModel(Record):
     _fields = ("symbols", "probs")
     symbols: tuple[str, ...]
     probs: tuple[Fraction, ...]
+    # Least common multiple D of the probability denominators, computed once:
+    # every probability is an integer multiple of 1/D, so any product of k
+    # symbol probabilities is an integer over D**k.
+    common_denominator: int
 
     def __init__(self, symbols: Iterable[str], probs: Iterable) -> None:
         labels = tuple(symbols)
@@ -107,7 +111,10 @@ class SourceModel(Record):
         if sum(values) != 1:
             raise ValidationError(f"probabilities must sum to exactly 1 (got {sum(values)})")
         self.__dict__.update(
-            symbols=labels, probs=values, _lookup={s: i for i, s in enumerate(labels)}
+            symbols=labels,
+            probs=values,
+            common_denominator=math.lcm(*(p.denominator for p in values)),
+            _lookup={s: i for i, s in enumerate(labels)},
         )
 
     @classmethod
@@ -122,15 +129,6 @@ class SourceModel(Record):
             symbols.append(label.strip())
             probs.append(value.strip())
         return cls(symbols, probs)
-
-    @property
-    def common_denominator(self) -> int:
-        """Least common multiple D of the probability denominators.
-
-        Every probability is an integer multiple of 1/D, so any product of k
-        symbol probabilities is an integer over D**k.
-        """
-        return math.lcm(*(p.denominator for p in self.probs))
 
     def index(self, symbol: str) -> int:
         if symbol not in self._lookup:

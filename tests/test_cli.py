@@ -8,7 +8,7 @@ import io
 import json
 import subprocess
 import sys
-from contextlib import contextmanager, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -88,6 +88,28 @@ class TestFormatting:
         assert format_decimal(F(big), 2) == f"1{'0' * 5000}.00"
         assert format_decimal(F(-big), 0) == f"-1{'0' * 5000}"
         assert sqrt_decimal(F(big * big), 1) == f"1{'0' * 5000}.0"
+
+    def test_str_and_decimal_routes_agree_at_their_boundary(self):
+        # fewer than 3 * 640 bits print through str, more through Decimal;
+        # both are under the default limit here, so str(Fraction) is the reference
+        for bits in (1, 1918, 1919, 1920, 1921, 4000):
+            for value in (F(2**bits - 1), F(2**bits + 1), F(1, 2**bits - 1), F(2**bits + 1, 3)):
+                assert format_exact(value) == str(value)
+                assert format_exact(value.numerator) == str(value.numerator)
+            scaled = round(F(2**bits - 1, 10**6) * 10**6)
+            assert format_decimal(F(2**bits - 1, 10**6), 6) == f"{scaled // 10**6}.{scaled % 10**6:06d}"
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_values_print_under_the_lowest_digit_limit(self):
+        # 640 digits is the lowest limit Python takes; these values pass it
+        value = F(10**700 + 1, 3)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            texts = [format_exact(value), format_decimal(value, 2), sqrt_decimal(value * value, 1)]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert texts == [f"1{'0' * 699}1/3", f"3{'3' * 699}.67", f"3{'3' * 699}.6"]
 
 
 class TestExitCodes:
@@ -175,6 +197,37 @@ class TestExitCodes:
             assert (code, calls, captured.out) == (2, [], "")
             assert f"--trials {trials}" in captured.err
             assert str(10**8) in captured.err
+
+    @pytest.mark.parametrize(
+        "alphabet, patterns, trials, admitted",
+        [
+            ("H:1/2,T:1/2", "HH,TT", 10**8, True),  # E[T] = 3
+            ("H:1/2,T:1/2", "THH,HTH,HHT", 10**8, True),  # E[T] = 31/6
+            ("H:1/2,T:1/2", "HHH", 42_857_142, True),  # E[T] = 14: 599,999,988 tosses
+            ("H:1/2,T:1/2", "HHH", 42_857_143, False),  # 600,000,002 tosses
+            (f"H:1/{2**64},T:{2**64 - 1}/{2**64}", "H", 10, False),  # E[T] = 2^64
+        ],
+    )
+    def test_toss_budget(self, capsys, monkeypatch, alphabet, patterns, trials, admitted):
+        # a stub stands in for the simulation, so no long run is played
+        calls = []
+
+        def stub(spec, trials, seed=0):
+            calls.append(trials)
+            wins = (trials,) + (0,) * (spec.player_count - 1)
+            empirical = (F(1),) + (F(0),) * (spec.player_count - 1)
+            return SimulationReport(trials, wins, 2 * trials, seed, empirical)
+
+        monkeypatch.setattr(penney.cli, "simulate", stub)
+        argv = ["simulate", "--alphabet", alphabet, "--patterns", patterns]
+        code = main([*argv, "--trials", str(trials)])
+        captured = capsys.readouterr()
+        if admitted:
+            assert (code, calls) == (0, [trials])
+        else:
+            assert (code, calls, captured.out) == (2, [], "")
+            assert f"--trials {trials} would toss about" in captured.err
+            assert str(penney.cli.MAX_TOSSES) in captured.err
 
     @pytest.mark.parametrize(
         "argv",
@@ -279,6 +332,11 @@ class TestExitCodes:
         assert stderr == b""
 
 
+# labels that JSON must escape: non-ASCII, a quote and a backslash
+ESCAPED_ALPHABET = 'é:1/4,":1/4,\\:1/4,☃:1/4'
+ESCAPED_PATTERNS = 'é"\\,☃é,"☃'
+
+
 class TestJsonDocuments:
     def test_solve_roundtrips_exact_rationals(self, capsys):
         assert main(
@@ -334,6 +392,127 @@ class TestJsonDocuments:
         assert doc["best"]["pattern"] == "TH"
         assert F(doc["best"]["win_probability"]) == F(3, 4)
         assert [c["pattern"] for c in doc["candidates"]] == ["TH", "HT", "TT"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--patterns", ESCAPED_PATTERNS],
+            ["simulate", "--patterns", ESCAPED_PATTERNS, "--trials", "2000"],
+            ["best-response", "--opponents", 'é",☃\\', "--length", "2", "--verbose"],
+        ],
+    )
+    def test_labels_the_writer_must_escape(self, capsys, argv):
+        # labels may hold any non-space character but ':' and ','
+        argv = [*argv, "--alphabet", ESCAPED_ALPHABET]
+        assert main([*argv, "--json"]) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2) + "\n"
+        assert doc["alphabet"]["symbols"] == ["é", '"', "\\", "☃"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith('alphabet: é:1/4, ":1/4, \\:1/4, ☃:1/4\n')
+
+
+# strings with what JSON escapes: non-ASCII, astral, quotes, backslashes, controls
+json_strings = st.text(st.characters() | st.sampled_from('"\\é☃\U0001f600\n\x00\x7f'), max_size=12)
+json_values = st.recursive(
+    json_strings | st.integers(-(10**30), 10**30) | st.booleans(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_strings, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(json_strings.filter(lambda key: key != "series"), json_values))
+    def test_writer_matches_json_dumps(self, doc):
+        out = io.StringIO()
+        penney.cli.write_document(doc, True, out)
+        assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(game_specs(), st.integers(0, 300))
+    def test_series_document_parses_to_its_coefficients(self, spec, horizon):
+        alphabet = ",".join(f"{s}:{p}" for s, p in zip(spec.model.symbols, spec.model.probs))
+        patterns = ",".join(str(p) for p in spec.patterns)
+        doc = series_document(alphabet, patterns, horizon, True)
+        out = io.StringIO()
+        penney.cli.write_document(doc, True, out)
+        parsed = json.loads(out.getvalue())
+        assert out.getvalue() == json.dumps(parsed, indent=2) + "\n"
+        assert parsed["series"]["horizon"] == horizon
+        columns = [player["coefficients"] for player in parsed["series"]["players"]]
+        assert [[exact_value(text) for text in column] for column in columns] == [
+            [F(int(n), int(d)) for n, d in column] for column in doc["series"]
+        ]
+
+
+def parse_outcome(monkeypatch, argv: list[str], top_level_only: bool) -> tuple:
+    """The namespace that `main(argv)` hands its command (None if none), its
+    stdout, its stderr and its exit code; with `top_level_only`, every argv
+    goes to `build_parser().parse_args`."""
+    seen = []
+    with monkeypatch.context() as patch:
+        patch.setattr(penney.cli, "_answer", lambda args: seen.append(args) or 0)
+        if top_level_only:
+            patch.setattr(penney.cli, "_parsers", lambda: (penney.cli.build_parser(), {}))
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    return (seen or [None])[0], out.getvalue(), err.getvalue(), code
+
+
+PARSE_TOKENS = [
+    "solve", "simulate", "best-response", "frobnicate", "-h", "--help", "--version",
+    "--patterns", "--pat", "--patterns=HT", "HT,TH", "--", "--json", "--digits", "3", "x",
+    "-1", "--series", "--trials", "--seed", "--opponents", "--length", "--verbose", "--ver",
+    "--v", "--alphabet", "H:1/3,T:2/3", "-hx",
+]
+
+
+class TestParse:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["--version"],
+            ["frobnicate"],
+            ["frobnicate", "--patterns", "HT"],
+            ["solve", "-h"],
+            ["simulate", "--help"],
+            ["best-response", "-h"],
+            ["solve", "--patterns", "HT", "--version"],
+            ["--version", "solve"],
+            ["solve", "--pat", "HT,TH"],
+            ["solve", "--patterns=HT", "--json"],
+            ["solve", "--", "--patterns", "HT"],
+            ["solve", "--patterns", "HT", "--"],
+            ["--", "solve", "--patterns", "HT"],
+            ["solve"],
+            ["best-response", "--opponents", "HH"],
+            ["solve", "--patterns", "HT", "--digits", "x"],
+            ["simulate", "--patterns", "HT", "--trials", "1e3"],
+            ["solve", "--patterns", "HT", "extra"],
+            ["solve", "extra", "--patterns", "HT"],
+            ["best-response", "--opponents", "HH", "--length", "2", "--ver"],
+            ["solve", "--patterns", "HT", "--digits", "-1"],
+            ["simulate", "--patterns", "HT", "--trials", "0", "--seed", "4"],
+            ["solve", "--alphabet", "H:1/3,T:2/3", "--patterns", "HTHTH,TTHHT,HHTTT", "--json"],
+        ],
+    )
+    def test_main_parses_like_the_top_level_parser(self, monkeypatch, argv):
+        assert parse_outcome(monkeypatch, argv, False) == parse_outcome(monkeypatch, argv, True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(PARSE_TOKENS), max_size=7))
+    def test_token_mixes_parse_like_the_top_level_parser(self, argv):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            ours = parse_outcome(monkeypatch, argv, False)
+            theirs = parse_outcome(monkeypatch, argv, True)
+        assert ours == theirs
 
 
 class TestGoldens:
@@ -583,7 +762,7 @@ class TestSeriesStream:
         whole = capsys.readouterr().out
 
         class InterruptedStream(io.StringIO):
-            # the head, the first player's opening and one batch of coefficients go through
+            # the head with the first player's opening, then two batches of coefficients, go through
             writes = 0
 
             def write(self, text):

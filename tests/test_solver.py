@@ -542,7 +542,8 @@ class TestCramerKernel:
                 patch.setattr(
                     solver, "_symbol_weights", lambda model: dict.fromkeys(model.symbols, 1)
                 )
-                patch.setattr(SourceModel, "common_denominator", 0)
+                # D is computed once, in the model's constructor
+                patch.setitem(fair.__dict__, "common_denominator", 0)
                 with pytest.raises(DegenerateGameError, match="degenerate at s = 1"):
                     score([], 2, fair)
             # one opponent: det A is the opponent's diagonal entry
@@ -999,7 +1000,7 @@ class TestSeriesKernel:
             # the Fraction route's value, and in lowest terms as a Fraction is
             assert (int(n), int(d)) == (exact.numerator, exact.denominator)
             # str prints each integer's digits, with no exponent, past the limit too
-            text = cli.format_ratio(n, d)
+            (text,) = cli._ratio_texts([(n, d)], {})
             assert text.replace("/", "", 1).isdigit()
             if d.adjusted() < limit:
                 assert text == str(exact)
