@@ -188,8 +188,13 @@ def _check_trial_count(trials: int) -> None:
 # The most tosses simulate expects to play, trials * E[T]: 1 to 2 minutes. The
 # simulator played 5.6-9.2M tosses per second (3 in-process runs each of five
 # games, fair coin to ternary, 10^4 to 10^6 games, one core of a 2-vCPU Xeon,
-# Python 3.11.7), and wider alphabets are slower. It admits 10^8 games of
-# THH,HTH,HHT on a fair coin, whose E[T] is 31/6.
+# Python 3.11.7). It admits 10^8 games of THH,HTH,HHT on a fair coin, whose
+# E[T] is 31/6. That rate holds for games with few kept bounds: the 150
+# single-symbol patterns s001, s003, ..., s299 of a uniform 300-symbol alphabet
+# ran at 320-354k tosses per second (best of 3, 10^5 games, same host), so
+# --trials 10^8 of that game, 2*10^8 expected tosses, is admitted and would take
+# about 9 to 11 minutes (extrapolated, not run). ROADMAP item 9 is to scale
+# this budget with the kept bounds.
 MAX_TOSSES = 6 * 10**8
 
 

@@ -223,23 +223,10 @@ class SimulationReport(Record):
     seed: int
     empirical_probs: tuple[Fraction, ...]
 
-    def __init__(
-        self,
-        trials: int,
-        wins: tuple[int, ...],
-        total_tosses: int,
-        seed: int,
-        empirical_probs: tuple[Fraction, ...],
-    ) -> None:
-        if sum(wins) != trials:
-            raise InvariantError(f"{sum(wins)} wins recorded for {trials} trials")
-        self.__dict__.update(
-            trials=trials,
-            wins=wins,
-            total_tosses=total_tosses,
-            seed=seed,
-            empirical_probs=empirical_probs,
-        )
+    def __init__(self, *values) -> None:
+        super().__init__(*values)
+        if sum(self.wins) != self.trials:
+            raise InvariantError(f"{sum(self.wins)} wins recorded for {self.trials} trials")
 
     @property
     def mean_tosses(self) -> Fraction:
@@ -287,44 +274,20 @@ def _lane_constants(width: int) -> tuple[int, int, int]:
     return ones, ones * _MASK64, int.from_bytes(counters, "little")
 
 
-def _lane_bytes(value: int, width: int) -> bytes:
-    """Byte 8 of every `width`-byte lane, bits 64 to 71, lane 0 first."""
-    return value.to_bytes(_LANES * width, "little")[8::width]
+def _lane_bytes(value: int, width: int, size: int = 1) -> bytearray:
+    """Bytes 8 to 8 + `size` of every `width`-byte lane, lane 0 first."""
+    lanes = value.to_bytes(_LANES * width, "little")
+    units = bytearray(size * _LANES)
+    for j in range(size):
+        units[j::size] = lanes[8 + j :: width]
+    return units
 
 
-# Above 256 codes a toss takes several bytes of 7 bits each, and only its
-# first byte has the top bit set, so a match of whole encoded tosses can only
-# start where a toss starts.
-_LEAD_UNIT = bytes(0x80 | b & 0x7F for b in range(256))
-_TRAIL_UNIT = bytes(b & 0x7F for b in range(256))
-
-
-def _unit_tables(codes: int) -> list[bytes]:
-    """One byte translation per byte of a toss, most significant first: byte j
-    of the toss of code i is tables[j][(i >> 7 * (width - 1 - j)) & 0xFF]."""
-    if codes <= 256:
-        return [bytes(range(256))]
-    width = -(-(codes - 1).bit_length() // 7)
-    return [_LEAD_UNIT] + [_TRAIL_UNIT] * (width - 1)
-
-
-def _encode(codes: Sequence[int], tables: Sequence[bytes]) -> bytes:
-    """Tosses of the given codes as bytes, as `_unit_tables` sets out."""
-    width = len(tables)
-    return bytes(
-        table[code >> 7 * (width - 1 - j) & 0xFF]
-        for code in codes
-        for j, table in enumerate(tables)
-    )
-
-
-def _toss_blocks(
-    state: int, common: int, bounds: Sequence[int], tables: Sequence[bytes]
-) -> Iterator[bytes]:
+def _toss_blocks(state: int, common: int, bounds: Sequence[int]) -> Iterator[str]:
     """The accepted tosses of the stream that starts at `state`, `_LANES`
-    draws at a time, each toss as the `_encode` of its code: the number of
-    the cumulative bounds `bounds`, on the scale of D = `common`, that its
-    residue reaches.
+    draws at a time, as one string per block with one character per toss:
+    the character whose code point is the number of the cumulative bounds
+    `bounds`, on the scale of D = `common`, that the toss's residue reaches.
 
     Draw i of the stream is mix64(state + (i + 1) * gamma), so a block of
     counters is one add away from the last. Every lane is masked to 64 bits
@@ -334,6 +297,12 @@ def _toss_blocks(
     r = z - D * floor(z / D) comes from one Barrett step with
     k = 64 + D.bit_length(), exact for every z < 2**64, and each bound b
     with r >= b is found as the carry of r + (2**64 - b).
+
+    A toss is read from bit 64 of its lane: byte 8 as Latin-1 up to 256
+    codes, and bytes 8 to 11 as UTF-32-LE, surrogates passed, above that.
+    UTF-16 would read a high and a low surrogate, two tosses, as one
+    character. A code past U+10FFFF would need over 1.1M kept bounds, whose
+    `complements` alone, about 70 KB each, could not be held.
     """
     lane = _lane_width(common)
     ones, mask, counters = _lane_constants(lane)
@@ -343,7 +312,7 @@ def _toss_blocks(
     reject = (1 << 64) % common * ones
     shift = 64 + common.bit_length()
     barrett = -(-(1 << shift) // common)
-    width = len(tables)
+    size, encoding = (4, "utf-32-le") if len(bounds) >= 256 else (1, "latin-1")
     x = (counters + state * ones) & mask
     while True:
         z = ((x ^ x >> 30) & mask) * _MIX1 & mask
@@ -355,33 +324,25 @@ def _toss_blocks(
         code = 0
         for complement in complements:
             code += (r + complement) & carry
-        units = [
-            _lane_bytes(code >> 7 * (width - 1 - j), lane).translate(table)
-            for j, table in enumerate(tables)
-        ]
+        tosses = _lane_bytes(code, lane, size).decode(encoding, "surrogatepass")
         rejected = (z + reject) & carry
         if rejected:
-            kept = _lane_bytes(rejected ^ carry, lane)
-            units = [bytes(compress(unit, kept)) for unit in units]
-        tosses = bytearray(width * len(units[0]))
-        for j, unit in enumerate(units):
-            tosses[j::width] = unit
-        yield bytes(tosses)
+            tosses = "".join(compress(tosses, _lane_bytes(rejected ^ carry, lane)))
+        yield tosses
 
 
 def _play_stream(
-    blocks: Iterator[bytes],
+    blocks: Iterator[str],
     games: int,
     finder: re.Pattern,
-    players: dict[bytes, int],
-    width: int,
+    players: dict[str, int],
     keep: int,
     wins: list[int],
 ) -> int:
     """Play `games` games on the stream's tosses; count each winner in `wins`
     and return the tosses played. `finder` is one group around the
-    alternation of the encoded patterns, and `players` maps each encoding to
-    its player.
+    alternation of the patterns, each written as the characters of its
+    tosses, and `players` maps each such string to its player.
 
     In a substring-free set the pattern occurrence that starts first also
     ends first, and no other starts there, so each leftmost match of the
@@ -389,11 +350,11 @@ def _play_stream(
     of a block yields its games' matches at the odd places and stops at the
     last game asked for; the text after the last match is the last part.
     Matches inside the scanned text are final: an occurrence that runs past
-    its end ends later. Of an unfinished game only the last `keep` bytes can
-    still begin a match, so only they are carried into the next block.
+    its end ends later. Of an unfinished game only the last `keep` tosses
+    can still begin a match, so only they are carried into the next block.
     """
     played = 0
-    pending = b""
+    pending = ""
     while True:
         text = pending + next(blocks)
         parts = finder.split(text, games)
@@ -403,9 +364,9 @@ def _play_stream(
         end = len(text) - len(parts[-1])
         games -= len(matches)
         if not games:
-            return played + end // width
+            return played + end
         cut = max(end, len(text) - keep)
-        played += cut // width
+        played += cut
         pending = text[cut:]
 
 
@@ -419,9 +380,10 @@ def simulate(spec: GameSpec, trials: int, seed: int = 0) -> SimulationReport:
     are played one after another on one splitmix64 stream, whose state starts
     at the first splitmix64 output from `seed`, so the report is bit-identical
     for a fixed seed. Draws are made a block at a time as whole-int lane
-    arithmetic (`_toss_blocks`), and games are found by one regular-expression
-    split of each block's tosses (`_play_stream`); the counts are those of
-    playing toss by toss on the prefix automaton.
+    arithmetic, each toss one character of a string (`_toss_blocks`), and
+    games are found by one regular-expression split of each block's string
+    (`_play_stream`); the counts are those of playing toss by toss on the
+    prefix automaton.
     """
     if trials < 1:
         raise ValidationError("trials must be at least 1")
@@ -441,19 +403,17 @@ def simulate(spec: GameSpec, trials: int, seed: int = 0) -> SimulationReport:
     # such symbol has a code of its own, and a run of other symbols shares one.
     used = {model.index(s) for p in spec.patterns for s in p.symbols}
     kept = [i for i in range(len(bounds) - 1) if i in used or i + 1 in used]
-    tables = _unit_tables(len(kept) + 1)
     encodings = [
-        _encode([bisect_left(kept, model.index(s)) for s in p.symbols], tables)
+        "".join(chr(bisect_left(kept, model.index(s))) for s in p.symbols)
         for p in spec.patterns
     ]
-    finder = re.compile(b"(" + b"|".join(map(re.escape, encodings)) + b")")
+    finder = re.compile("(" + "|".join(map(re.escape, encodings)) + ")")
     players = {encoded: i for i, encoded in enumerate(encodings)}
-    width = len(tables)
-    keep = width * (max(p.length for p in spec.patterns) - 1)
+    keep = max(p.length for p in spec.patterns) - 1
     wins = [0] * spec.player_count
     state = _mix64((seed + _GAMMA) & _MASK64)
-    blocks = _toss_blocks(state, common, [bounds[i] for i in kept], tables)
-    total_tosses = _play_stream(blocks, trials, finder, players, width, keep, wins)
+    blocks = _toss_blocks(state, common, [bounds[i] for i in kept])
+    total_tosses = _play_stream(blocks, trials, finder, players, keep, wins)
 
     empirical = tuple(Fraction(w, trials) for w in wins)
     return SimulationReport(trials, tuple(wins), total_tosses, seed, empirical)

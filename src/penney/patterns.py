@@ -24,7 +24,8 @@ class Record:
 
     `_fields` names the fields in order, and the constructor takes exactly
     their values in that order. A subclass that validates writes its own
-    `__init__`, which stores each field in the instance dict.
+    `__init__`, which either stores each field in the instance dict or
+    calls this one and then checks the stored fields.
     """
 
     _fields: tuple[str, ...] = ()

@@ -44,6 +44,17 @@ GOLDEN_COMMANDS = {
         "--series",
         "40",
     ],
+    "simulate_ternary.txt": [
+        "simulate",
+        "--alphabet",
+        "a:1/2,b:1/3,c:1/6",
+        "--patterns",
+        "ab,bc,ca",
+        "--trials",
+        "20000",
+        "--seed",
+        "7",
+    ],
 }
 
 if __name__ == "__main__":

@@ -193,6 +193,11 @@ class TestExitCodes:
         captured = capsys.readouterr()
         if admitted:
             assert (code, calls) == (0, [trials])
+            # every win goes to player 1, an error of 1/2 against the exact
+            # 1/2, far past 3 sigma, so both player rows read NO
+            rows = captured.out.splitlines()[3:5]
+            assert [row.split()[:2] for row in rows] == [["1", "HH"], ["2", "TT"]]
+            assert all(row.endswith(" NO") for row in rows)
         else:
             assert (code, calls, captured.out) == (2, [], "")
             assert f"--trials {trials}" in captured.err

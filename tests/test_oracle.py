@@ -325,14 +325,25 @@ def simulation_cases(draw):
 
 
 _LONG_GAME = validate_pattern_set([Pattern("H" * 13)], SourceModel.from_text("H:1/2,T:1/2"))
-# Three codes, one byte per toss: s000, s001, and s002 to s299 sharing one.
+# Three codes, one Latin-1 character per toss: s000, s001, and s002 to s299
+# sharing one.
 _WIDE_GAME = validate_pattern_set([Pattern(["s001"])], WIDE_ALPHABET)
-# Every symbol borders a used one, so the tosses take 300 codes of two bytes
-# each, and s001 is the two bytes 0x80 0x01. Were the lead byte 0x00, the pair
-# would also straddle a toss whose code is a multiple of 128 and a toss from
-# 128 to 255.
-_WIDE_TWO_BYTE_GAME = validate_pattern_set(
+# Every symbol borders a used one, so the tosses take all 300 codes, one
+# UTF-32 character each, and the code of a symbol is its index.
+_WIDE_UTF32_GAME = validate_pattern_set(
     [Pattern([symbol]) for symbol in WIDE_ALPHABET.symbols[1::2]], WIDE_ALPHABET
+)
+# The two sides of the switch between the decodings: s001, s003, ..., s253
+# and s254 keep 255 bounds, so 256 codes, the last one Latin-1 holds; s000,
+# s001, s003, ..., s255 keep 256 bounds, so 257 codes, the first UTF-32 case.
+# There s256 to s299 share code 256, which read as one byte would be s000's 0.
+_WIDE_LATIN1_TOP_GAME = validate_pattern_set(
+    [Pattern([symbol]) for symbol in WIDE_ALPHABET.symbols[1:254:2] + ("s254",)],
+    WIDE_ALPHABET,
+)
+_WIDE_UTF32_FIRST_GAME = validate_pattern_set(
+    [Pattern([symbol]) for symbol in ("s000",) + WIDE_ALPHABET.symbols[1:256:2]],
+    WIDE_ALPHABET,
 )
 
 
@@ -341,7 +352,9 @@ _WIDE_TWO_BYTE_GAME = validate_pattern_set(
 # 16382 tosses per game on average, so games cross the edges of the draw blocks
 @example((_LONG_GAME, 5, 11))
 @example((_WIDE_GAME, 40, 5))
-@example((_WIDE_TWO_BYTE_GAME, 40, 5))
+@example((_WIDE_UTF32_GAME, 40, 5))
+@example((_WIDE_LATIN1_TOP_GAME, 40, 5))
+@example((_WIDE_UTF32_FIRST_GAME, 40, 5))
 def test_simulate_matches_the_scalar_loop(case):
     spec, trials, seed = case
     assert simulate(spec, trials, seed) == reference_simulate(spec, trials, seed)

@@ -32,7 +32,7 @@ PACKAGE = Path(penney.__file__).resolve().parent
 REFERENCE_MODULES = ("refalgebra", "refconway")
 
 # What only the benchmark reaches: the chain oracle, against which it checks
-# every output. It leaves src/ in the benchmark change (ROADMAP item 4).
+# every output. It leaves src/ in the benchmark change (ROADMAP item 3).
 BENCHMARK_ONLY = {
     "oracle.Automaton.absorbing",
     "oracle.Automaton.player_count",
