@@ -19,7 +19,7 @@ from fractions import Fraction
 from types import GeneratorType
 
 from . import __version__
-from .oracle import simulate
+from .oracle import kept_bounds, simulate
 from .patterns import SourceModel, ValidationError, parse_pattern, validate_pattern_set
 from .solver import best_response, game_distribution, response_table, solve_game
 
@@ -154,20 +154,35 @@ def _check_series_digits(model: SourceModel, horizon: int) -> None:
 
 # The most best-response candidates the CLI enumerates: binary replies up to L = 20.
 # Without --verbose only the running best is held: L = 20 on the 1/3 coin against
-# two length-16 opponents takes 4.4 s and peaks at 17.6 MiB (Python 3.11, 2-vCPU
-# Xeon). --verbose holds the whole table, about 1.4 KiB per candidate: at L = 16
-# against them, --verbose --json peaks at 105.8 MiB for 65,536 rows (14.9 at start).
+# two length-16 opponents takes 2.3 s in `best_response` (best of 5 in one
+# process) and the command peaks at 16.4 MiB (Python 3.11, 2-vCPU Xeon).
+# --verbose holds the whole table, about 1.4 KiB per candidate: at L = 16 against
+# them, --verbose --json peaks at 105.8 MiB for 65,536 rows (14.9 at start).
 MAX_CANDIDATES = 2**20
 
 
-def _check_candidate_count(model: SourceModel, length: int) -> None:
-    """Refuse a reply length whose |alphabet|**length candidates exceed MAX_CANDIDATES."""
+# The most rows --verbose ranks and prints. The table holds about 1.4 KiB per
+# row until it is written, so this ceiling, binary --length 18, peaks near
+# 360 MiB; L = 18 against the two length-16 opponents above peaked at 364 MiB
+# (7.2 s), and L = 20, which MAX_CANDIDATES admits, would need about 1.4 GiB.
+MAX_VERBOSE_ROWS = 2**18
+
+
+def _check_candidate_count(model: SourceModel, length: int, verbose: bool) -> None:
+    """Refuse a reply length whose |alphabet|**length candidates exceed
+    MAX_CANDIDATES, or MAX_VERBOSE_ROWS with --verbose."""
     size = len(model.symbols)
     # a model has at least two symbols, so L > 20 already passes 2**20; skip the big power
     if length > 20 or size**length > MAX_CANDIDATES:
         raise ValidationError(
             f"--length {length} would enumerate {size}^{length} candidates, more than "
             f"the {MAX_CANDIDATES} (2^20) best-response allows"
+        )
+    if verbose and size**length > MAX_VERBOSE_ROWS:
+        raise ValidationError(
+            f"--verbose --length {length} would rank {size}^{length} candidates, more than "
+            f"the {MAX_VERBOSE_ROWS} (2^18) rows --verbose allows; "
+            "without --verbose only the best reply is kept"
         )
 
 
@@ -185,26 +200,40 @@ def _check_trial_count(trials: int) -> None:
         )
 
 
-# The most tosses simulate expects to play, trials * E[T]: 1 to 2 minutes. The
-# simulator played 5.6-9.2M tosses per second (3 in-process runs each of five
-# games, fair coin to ternary, 10^4 to 10^6 games, one core of a 2-vCPU Xeon,
-# Python 3.11.7). It admits 10^8 games of THH,HTH,HHT on a fair coin, whose
-# E[T] is 31/6. That rate holds for games with few kept bounds: the 150
-# single-symbol patterns s001, s003, ..., s299 of a uniform 300-symbol alphabet
-# ran at 320-354k tosses per second (best of 3, 10^5 games, same host), so
-# --trials 10^8 of that game, 2*10^8 expected tosses, is admitted and would take
-# about 9 to 11 minutes (extrapolated, not run). ROADMAP item 9 is to scale
-# this budget with the kept bounds.
+# The most tosses simulate expects to play, trials * E[T], counted in tosses of
+# a game with one kept bound (`oracle.kept_bounds`), as every coin game has:
+# 1 to 2 minutes. The simulator played 5.6-9.2M tosses per second (3
+# in-process runs each of five games, fair coin to ternary, 10^4 to 10^6
+# games, one core of a 2-vCPU Xeon, Python 3.11.7). It admits 10^8 games of
+# THH,HTH,HHT on a fair coin, whose E[T] is 31/6.
 MAX_TOSSES = 6 * 10**8
 
+# Each kept bound costs a whole-int add and AND per block of tosses, so a toss
+# with k kept bounds is charged (TOSS_BOUND_OFFSET + k) / (TOSS_BOUND_OFFSET + 1)
+# one-bound tosses. The least-squares line through 14 measured rates (best of
+# 3, about 10^6 tosses each, same host) is 184 + 11.4 k ns per toss, whose
+# intercept is 16 bounds' worth. The games ran from k = 1 (coins, 262-292 ns)
+# and k = 2 (ternary, 320 ns) through doubled symbols of a uniform 300-symbol
+# alphabet, k = 4 to 299 (156 to 3,559 ns), to its 150 one-symbol patterns
+# s001, s003, ..., s299 (k = 299, 3,501 ns). Charged 315/17 each, that game is
+# admitted up to 16,190,476 games (about 32M tosses, 2 minutes at that rate);
+# uncharged, 10^8 of them, 9 to 11 minutes, were admitted.
+TOSS_BOUND_OFFSET = 16
 
-def _check_toss_count(trials: int, expected_duration: Fraction) -> None:
-    """Refuse a --trials whose expected tosses, trials * E[T], exceed MAX_TOSSES."""
+
+def _check_toss_count(trials: int, expected_duration: Fraction, kept: int) -> None:
+    """Refuse a --trials whose expected tosses, trials * E[T], each charged
+    for its `kept` kept bounds, exceed MAX_TOSSES."""
     tosses = trials * expected_duration
-    if tosses > MAX_TOSSES:
+    charged = tosses * Fraction(TOSS_BOUND_OFFSET + kept, TOSS_BOUND_OFFSET + 1)
+    if charged > MAX_TOSSES:
+        cost = "" if kept == 1 else (
+            f", as slow as {format_decimal(charged, 0)} tosses of a coin game "
+            f"for the {kept} symbol interval ends each toss is tested against"
+        )
         raise ValidationError(
             f"--trials {trials} would toss about {format_decimal(tosses, 0)} times "
-            f"(E[T] = {format_decimal(expected_duration, 2)} tosses a game), more than "
+            f"(E[T] = {format_decimal(expected_duration, 2)} tosses a game){cost}, more than "
             f"the {MAX_TOSSES} (6*10^8) simulate allows"
         )
 
@@ -247,7 +276,7 @@ def cmd_simulate(args) -> dict:
     model, patterns = _parse_inputs(args)
     spec = validate_pattern_set(patterns, model)
     solution = solve_game(spec)
-    _check_toss_count(args.trials, solution.expected_duration)
+    _check_toss_count(args.trials, solution.expected_duration, len(kept_bounds(spec)))
     report = simulate(spec, args.trials, args.seed)
     digits = args.digits
 
@@ -289,7 +318,7 @@ def cmd_simulate(args) -> dict:
 def cmd_best_response(args) -> dict:
     model = SourceModel.from_text(args.alphabet)
     opponents = [parse_pattern(token.strip(), model) for token in args.opponents.split(",")]
-    _check_candidate_count(model, args.length)
+    _check_candidate_count(model, args.length, args.verbose)
     if args.verbose:
         table = response_table(opponents, args.length, model)
         if not table:

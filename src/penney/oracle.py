@@ -370,6 +370,20 @@ def _play_stream(
         pending = text[cut:]
 
 
+def kept_bounds(spec: GameSpec) -> list[int]:
+    """The interval ends the simulator tests each toss against: the index i
+    of every cumulative bound between symbols i and i + 1, the last bound
+    excepted, where symbol i or i + 1 is one that some pattern uses.
+
+    A toss's code is the number of kept bounds its residue reaches, so every
+    such symbol has a code of its own, and a run of other symbols shares one.
+    Each kept bound costs a whole-int add and AND per block of draws.
+    """
+    model = spec.model
+    used = {model.index(s) for p in spec.patterns for s in p.symbols}
+    return [i for i in range(len(model.symbols) - 1) if i in used or i + 1 in used]
+
+
 def simulate(spec: GameSpec, trials: int, seed: int = 0) -> SimulationReport:
     """Play `trials` games to completion with a deterministic seeded generator.
 
@@ -398,11 +412,7 @@ def simulate(spec: GameSpec, trials: int, seed: int = 0) -> SimulationReport:
     if bounds[-1] != common:
         raise InvariantError("scaled symbol probabilities do not sum to the common denominator")
 
-    # Only the bounds next to a symbol that some pattern uses are kept. A
-    # toss's code is the number of kept bounds its residue reaches, so every
-    # such symbol has a code of its own, and a run of other symbols shares one.
-    used = {model.index(s) for p in spec.patterns for s in p.symbols}
-    kept = [i for i in range(len(bounds) - 1) if i in used or i + 1 in used]
+    kept = kept_bounds(spec)
     encodings = [
         "".join(chr(bisect_left(kept, model.index(s))) for s in p.symbols)
         for p in spec.patterns

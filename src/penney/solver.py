@@ -57,7 +57,11 @@ can bring, and each candidate costs the bordered last step. The candidates
 are the leaves of one depth-first walk over the symbol trie: the row, the
 completion weight and the KMP borders grow one symbol per depth, the column
 is a table over the opponents' prefix automaton, and a subtree is cut where
-the walk completes an opponent.
+the walk completes an opponent. The leaves are scored in place by their
+parents, the leaf frames: a leaf frame builds no border row and pushes no
+child, each leaf reads its border from the frame's parent row, and what all
+its leaves share, their Cramer numerator N_new but for the leaf's own symbol
+weight, is computed once per frame.
 `best_response` keeps only a running best, compared exactly by
 cross-multiplying the integer scores, and builds one `Pattern` and one
 `Fraction`; `response_table` keeps every row and ranks them by exact integer
@@ -573,16 +577,24 @@ def _response_scores(
 
     # each substring of an opponent, with the opponents that end in it
     substrings: dict[tuple[str, ...], list[int]] = {}
-    for j, b in enumerate(fixed):
-        for start in range(b.length):
-            for stop in range(start + 1, b.length + 1):
-                ends = substrings.setdefault(b.symbols[start:stop], [])
-                if stop == b.length:
+    for j, b in enumerate(heads):
+        size = len(b)
+        for start in range(size):
+            for stop in range(start + 1, size + 1):
+                ends = substrings.setdefault(b[start:stop], [])
+                if stop == size:
                     ends.append(j)
 
-    symbol_weights = [weights[s] for s in symbols]
-    # per state: the (symbol index, successor) moves that complete no opponent
-    moves = [[(x, target) for x, target in enumerate(row) if not stops[target]] for row in transitions]
+    # per state: the moves that complete no opponent, each as (symbol index,
+    # successor, symbol weight, the symbol as a 1-tuple)
+    moves = [
+        [
+            (x, target, weights[symbols[x]], (symbols[x],))
+            for x, target in enumerate(row)
+            if not stops[target]
+        ]
+        for row in transitions
+    ]
     mul = operator.mul
     # indexed by depth t along the current path c:
     path = [0] * length  # the symbol index c[t]
@@ -590,6 +602,7 @@ def _response_scores(
     self_entry = [0] * (length + 1)  # at_one(c[:t], c[:t]), summed over c[:t]'s borders
     # borders[t][x]: the longest proper border of c[:t] followed by symbol x
     borders = [[0] * len(symbols)] * (length + 1)
+    leaf_depth = length - 1
 
     # A frame is an inner node c[:depth] = `prefix` of the trie, at automaton
     # `state`. `inside` says whether `prefix` is a substring of an opponent.
@@ -599,8 +612,15 @@ def _response_scores(
     # of the symbols added. The node's own entries of the tables above (its
     # last symbol, weight, longest proper border and alpha) are written when it
     # is popped; the entries below `depth` are then its ancestors', since
-    # every frame pushed after it is deeper in the trie. Leaves are scored
-    # without a frame.
+    # every frame pushed after it is deeper in the trie.
+    #
+    # A frame at `leaf_depth`, whose children are the leaves, pushes nothing
+    # and writes no border row: each leaf reads its longest border from the
+    # parent's row, c[:border] followed by the leaf's symbol x, where that row
+    # differs from the frame's own only at x = c[border]. What every leaf of
+    # the frame shares is computed once: the weight that the symbols after
+    # `row`'s depth add, but the leaf's own, and the factor of which each
+    # leaf's N_new is the multiple by its symbol weight.
     stack = [(0, 0, (), [0] * len(fixed), 1, bool(fixed), 0, 1, 0, 0)]
     while stack:
         depth, state, prefix, row, row_weight, inside, last, weight, border, alpha = stack.pop()
@@ -608,53 +628,66 @@ def _response_scores(
             path[depth - 1] = last
             prefix_weight[depth] = weight
             self_entry[depth] = alpha
-            node_borders = list(borders[border])
-            node_borders[path[border]] = border + 1
-            borders[depth] = node_borders
-        weight_before = weight
         child = depth + 1
         power = powers[child]
-        border_row = borders[depth]
-        if child == length:
-            # the same for every leaf of this frame: the weight that the symbols after
-            # `row`'s depth add, but the leaf's own, and v . p
-            frame_scale = weight_before // row_weight
-            row_completion = sum(map(mul, row, completion))
-        children = []
-        for x, target in moves[state]:
-            weight = weight_before * symbol_weights[x]
-            border = border_row[x]
-            alpha = power
-            if border:
-                # c[:child] = c[:child-border] + c[:border], so the symbols after
-                # the border weigh as much as the first child - border
-                alpha += prefix_weight[child - border] * self_entry[border]
-            word = prefix + (symbols[x],)
-            ends = substrings.get(word) if inside else None
-            if child < length:
+        if depth < leaf_depth:
+            border_row = borders[0]
+            if depth:
+                border_row = list(borders[border])
+                border_row[path[border]] = border + 1
+                borders[depth] = border_row
+            weight_before = weight
+            children = []
+            for x, target, symbol_weight, symbol in moves[state]:
+                weight = weight_before * symbol_weight
+                border = border_row[x]
+                alpha = power
+                if border:
+                    # c[:child] = c[:child-border] + c[:border], so the symbols after
+                    # the border weigh as much as the first child - border
+                    alpha += prefix_weight[child - border] * self_entry[border]
+                word = prefix + symbol
+                ends = substrings.get(word) if inside else None
                 if ends is None:
                     children.append((child, target, word, row, row_weight, False, x, weight, border, alpha))
                 else:
                     # `prefix` is inside too, so `row` is its own v
-                    child_row = [v * symbol_weights[x] for v in row]
+                    child_row = [v * symbol_weight for v in row]
                     for j in ends:
                         child_row[j] += power
                     children.append((child, target, word, child_row, weight, True, x, weight, border, alpha))
-            elif ends is None:
-                if failure is not None:
-                    raise failure
-                adjugate_column, column_total = columns[target]
-                scale = frame_scale * symbol_weights[x]
-                det = det_a * alpha - scale * sum(map(mul, row, adjugate_column))
-                new = det_a * weight - scale * row_completion
-                total = new + _divide_int(det * completion_total - column_total * new, det_a)
-                if not (det and new and total):
-                    raise DegenerateGameError(
-                        f"candidate {Pattern(word)} makes the game degenerate at s = 1"
-                    )
-                yield word, new, total
-        # popped last child first, so the walk keeps alphabet order
-        stack.extend(reversed(children))
+            # popped last child first, so the walk keeps alphabet order
+            stack.extend(reversed(children))
+            continue
+        # a leaf's border is border + 1 where its symbol is c[border], the
+        # parent's row otherwise; the root, the leaf frame when length is 1, has none
+        parent_row = borders[border]
+        hit = path[border] if depth else -1
+        frame_scale = weight // row_weight
+        factor = det_a * weight - frame_scale * sum(map(mul, row, completion))
+        for x, target, symbol_weight, symbol in moves[state]:
+            word = prefix + symbol
+            if inside and word in substrings:
+                continue
+            if failure is not None:
+                raise failure
+            leaf_border = border + 1 if x == hit else parent_row[x]
+            alpha = power
+            if leaf_border:
+                alpha += prefix_weight[child - leaf_border] * self_entry[leaf_border]
+            adjugate_column, column_total = columns[target]
+            det = det_a * alpha - frame_scale * symbol_weight * sum(map(mul, row, adjugate_column))
+            new = factor * symbol_weight
+            # the sum of the opponents' N, an exact quotient
+            rest, remainder = divmod(det * completion_total - column_total * new, det_a)
+            if remainder:
+                raise ArithmeticError("bordered step is not divisible by det A")
+            total = new + rest
+            if not (det and new and total):
+                raise DegenerateGameError(
+                    f"candidate {Pattern(word)} makes the game degenerate at s = 1"
+                )
+            yield word, new, total
 
 
 def response_table(

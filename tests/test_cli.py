@@ -28,6 +28,11 @@ from refcli import reference_text
 from specgen import HUGE_A, RARE_A, game_specs
 
 
+# specgen.WIDE_ALPHABET as --alphabet text, and 150 one-symbol patterns of it
+WIDE_TEXT = ",".join(f"s{i:03d}:1/300" for i in range(300))
+WIDE_GAME = ",".join(f"s{i:03d}" for i in range(1, 300, 2))
+
+
 def exact_value(text: str) -> F:
     """A CLI's exact rational string as a Fraction, with no int-from-str digit limit."""
     num, _, den = text.partition("/")
@@ -179,6 +184,38 @@ class TestExitCodes:
             assert f"{size}^{length} candidates" in captured.err
             assert str(2**20) in captured.err
 
+    @pytest.mark.parametrize(
+        "alphabet, opponent, length, admitted",
+        [
+            ("H:1/2,T:1/2", "HH", 18, True),
+            ("H:1/2,T:1/2", "HH", 19, False),
+            ("H:1/2,T:1/2", "HH", 20, False),
+            ("a:1/2,b:1/3,c:1/6", "ab", 11, True),
+            ("a:1/2,b:1/3,c:1/6", "ab", 12, False),
+        ],
+    )
+    def test_verbose_row_budget(self, capsys, monkeypatch, alphabet, opponent, length, admitted):
+        # a stub stands in for the ranked table, so no long reply is enumerated;
+        # every refused length here is one that MAX_CANDIDATES admits
+        calls = []
+
+        def stub(opponents, length, model):
+            calls.append(length)
+            return [(opponents[0], F(1, 2))]
+
+        monkeypatch.setattr(penney.cli, "response_table", stub)
+        argv = ["best-response", "--alphabet", alphabet, "--opponents", opponent, "--json"]
+        code = main([*argv, "--length", str(length), "--verbose"])
+        captured = capsys.readouterr()
+        if admitted:
+            assert (code, calls) == (0, [length])
+            assert len(json.loads(captured.out)["candidates"]) == 1
+        else:
+            assert (code, calls, captured.out) == (2, [], "")
+            size = len(alphabet.split(","))
+            assert f"{size}^{length} candidates" in captured.err
+            assert str(penney.cli.MAX_VERBOSE_ROWS) in captured.err
+
     @pytest.mark.parametrize("trials, admitted", [(10**8, True), (10**8 + 1, False)])
     def test_trials_budget(self, capsys, monkeypatch, trials, admitted):
         # a stub stands in for the simulation, so no long run is played
@@ -211,6 +248,12 @@ class TestExitCodes:
             ("H:1/2,T:1/2", "HHH", 42_857_142, True),  # E[T] = 14: 599,999,988 tosses
             ("H:1/2,T:1/2", "HHH", 42_857_143, False),  # 600,000,002 tosses
             (f"H:1/{2**64},T:{2**64 - 1}/{2**64}", "H", 10, False),  # E[T] = 2^64
+            # 150 one-symbol patterns of a uniform 300-symbol alphabet: E[T] = 2 and
+            # 299 kept bounds, so each toss is charged 315/17: about 599,999,993 and
+            # 600,000,030 charged tosses
+            pytest.param(WIDE_TEXT, WIDE_GAME, 16_190_476, True, id="wide-16190476-True"),
+            pytest.param(WIDE_TEXT, WIDE_GAME, 16_190_477, False, id="wide-16190477-False"),
+            pytest.param(WIDE_TEXT, WIDE_GAME, 10**8, False, id="wide-100000000-False"),
         ],
     )
     def test_toss_budget(self, capsys, monkeypatch, alphabet, patterns, trials, admitted):
@@ -233,6 +276,7 @@ class TestExitCodes:
             assert (code, calls, captured.out) == (2, [], "")
             assert f"--trials {trials} would toss about" in captured.err
             assert str(penney.cli.MAX_TOSSES) in captured.err
+            assert ("299 symbol interval ends" in captured.err) == (patterns == WIDE_GAME)
 
     @pytest.mark.parametrize(
         "argv",

@@ -576,13 +576,20 @@ class TestCramerKernel:
                 best_response(opponents, length, fair)
 
     def test_response_bordered_step_checks_the_remainder(self, fair, monkeypatch):
-        real = solver._divide_int
-        # with one opponent A's elimination divides nothing, so the only division is
-        # the bordered step's, sum(N_opponents) * det A / det A, here with det A = 6
-        monkeypatch.setattr(solver, "_divide_int", lambda a, d: real(a + 1, d))
+        real = solver._cramer
+
+        def det_off_by_one(rows):
+            det, solved = real(rows)
+            return det + 1, solved
+
+        # the bordered step divides sum(N_opponents) * det A by det A; a det A that
+        # does not match the adjugate columns leaves a remainder. With one opponent
+        # that division is exact whatever det A is, so the game has two.
+        monkeypatch.setattr(solver, "_cramer", det_off_by_one)
+        pair = [parse_pattern(text, fair) for text in ("HH", "TT")]
         for score in self.SCORERS:
             with pytest.raises(ArithmeticError, match="not divisible"):
-                score([parse_pattern("HH", fair)], 2, fair)
+                score(pair, 3, fair)
 
 
 class TestDualSolve:
