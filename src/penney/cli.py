@@ -202,22 +202,24 @@ def _check_trial_count(trials: int) -> None:
 
 # The most tosses simulate expects to play, trials * E[T], counted in tosses of
 # a game with one kept bound (`oracle.kept_bounds`), as every coin game has:
-# 1 to 2 minutes. The simulator played 5.6-9.2M tosses per second (3
-# in-process runs each of five games, fair coin to ternary, 10^4 to 10^6
-# games, one core of a 2-vCPU Xeon, Python 3.11.7). It admits 10^8 games of
+# 1 to 2 minutes. The simulator played 6.6-8.6M tosses per second (best of 3
+# in-process runs of 10^6 games, each of five games, fair coin to ternary, one
+# core of a 2-vCPU Xeon, Python 3.11.7). It admits 10^8 games of
 # THH,HTH,HHT on a fair coin, whose E[T] is 31/6.
 MAX_TOSSES = 6 * 10**8
 
 # Each kept bound costs a whole-int add and AND per block of tosses, so a toss
 # with k kept bounds is charged (TOSS_BOUND_OFFSET + k) / (TOSS_BOUND_OFFSET + 1)
 # one-bound tosses. The least-squares line through 14 measured rates (best of
-# 3, about 10^6 tosses each, same host) is 184 + 11.4 k ns per toss, whose
-# intercept is 16 bounds' worth. The games ran from k = 1 (coins, 262-292 ns)
-# and k = 2 (ternary, 320 ns) through doubled symbols of a uniform 300-symbol
-# alphabet, k = 4 to 299 (156 to 3,559 ns), to its 150 one-symbol patterns
-# s001, s003, ..., s299 (k = 299, 3,501 ns). Charged 315/17 each, that game is
-# admitted up to 16,190,476 games (about 32M tosses, 2 minutes at that rate);
-# uncharged, 10^8 of them, 9 to 11 minutes, were admitted.
+# 3, about 10^6 tosses each, same host) is 70-82 + 8.1-8.3 k ns per toss over
+# two runs, whose intercept is 8 to 10 bounds' worth, below the offset of 16.
+# The games ran from k = 1 (coins, 115-126 ns) and k = 2 (ternary,
+# 150 ns) through doubled symbols of a uniform 300-symbol alphabet, k = 4 to
+# 299 (108 to 2,600 ns), to its 150 one-symbol patterns s001, s003, ..., s299
+# (k = 299, 2,382-2,543 ns). That game costs 19 to 22 coin-game tosses and is
+# charged 315/17, about 18.5: it is admitted up to 16,190,476 games (about 32M
+# tosses, 80 s at that rate); uncharged, 10^8 of them, about 8 minutes, were
+# admitted.
 TOSS_BOUND_OFFSET = 16
 
 

@@ -248,18 +248,26 @@ def _mix64(z: int) -> int:
 
 # Draws come in blocks of _LANES, all packed into one int, one lane per draw.
 # A lane of `_lane_width(D)` bytes holds the largest product the kernel forms,
-# and after its one right shift by more than 64 bits the next lane's bits land
-# above bit 64, where the mask drops them, so whole-int arithmetic acts on
-# every lane at once.
+# so no lane carries into the next, and after each of splitmix64's right
+# shifts, by at most 31 bits, the next lane's bits land above bit 64, where the
+# mask drops them, so whole-int arithmetic acts on every lane at once.
 _LANES = 4096
 
 
+def _fraction_bits(common: int) -> int:
+    """k, the least multiple of 8 with k >= 64 + D.bit_length() for D =
+    `common`: the fraction bits of the product that classifies each toss."""
+    return (64 + common.bit_length() + 7) // 8 * 8
+
+
 def _lane_width(common: int) -> int:
-    """The fewest whole bytes that hold 128 + D.bit_length() bits for D =
-    `common`: room for the Barrett product z * ceil(2**k / D) < 2**130 with
-    k = 64 + D.bit_length(), and, after the shift by k, for 64 bits below the
-    next lane's. 17 bytes on a coin, 25 at D = 2**64."""
-    return (128 + common.bit_length() + 7) // 8
+    """The fewest whole bytes that hold max(65 + k - D.bit_length(), k + 32)
+    bits for D = `common` and k = `_fraction_bits(D)`: room for the product
+    z * ceil(2**k / D) < 2**(65 + k - D.bit_length()) of a 64-bit draw z, and
+    for a 32-bit code at bit k. 17 bytes for every D < 2**40, 20 at
+    D = 2**63 + 1 and 2**64 - 1, 21 at D = 2**64."""
+    fraction = _fraction_bits(common)
+    return (max(65 + fraction - common.bit_length(), fraction + 32) + 7) // 8
 
 
 @functools.cache
@@ -274,12 +282,13 @@ def _lane_constants(width: int) -> tuple[int, int, int]:
     return ones, ones * _MASK64, int.from_bytes(counters, "little")
 
 
-def _lane_bytes(value: int, width: int, size: int = 1) -> bytearray:
-    """Bytes 8 to 8 + `size` of every `width`-byte lane, lane 0 first."""
+def _lane_bytes(value: int, width: int, start: int, size: int = 1) -> bytearray:
+    """Bytes `start` to `start` + `size` of every `width`-byte lane, lane 0
+    first."""
     lanes = value.to_bytes(_LANES * width, "little")
     units = bytearray(size * _LANES)
     for j in range(size):
-        units[j::size] = lanes[8 + j :: width]
+        units[j::size] = lanes[start + j :: width]
     return units
 
 
@@ -287,31 +296,42 @@ def _toss_blocks(state: int, common: int, bounds: Sequence[int]) -> Iterator[str
     """The accepted tosses of the stream that starts at `state`, `_LANES`
     draws at a time, as one string per block with one character per toss:
     the character whose code point is the number of the cumulative bounds
-    `bounds`, on the scale of D = `common`, that the toss's residue reaches.
+    `bounds`, on the scale of D = `common`, that the toss's residue
+    z mod D reaches.
 
     Draw i of the stream is mix64(state + (i + 1) * gamma), so a block of
     counters is one add away from the last. Every lane is masked to 64 bits
     before each multiply, so no product carries into the next lane. A draw
     z is rejected when z + (2**64 mod D) carries past 64 bits; one add and
-    one AND tell whether a block has any such lane. The residue
-    r = z - D * floor(z / D) comes from one Barrett step with
-    k = 64 + D.bit_length(), exact for every z < 2**64, and each bound b
-    with r >= b is found as the carry of r + (2**64 - b).
+    one AND tell whether a block has any such lane, and a power-of-two D,
+    with 2**64 mod D = 0, rejects none and skips them.
 
-    A toss is read from bit 64 of its lane: byte 8 as Latin-1 up to 256
-    codes, and bytes 8 to 11 as UTF-32-LE, surrogates passed, above that.
-    UTF-16 would read a high and a low surrogate, two tosses, as one
+    The residue r = z mod D itself is never formed (Lemire, Kaser & Kurz
+    2019). With k = `_fraction_bits(D)` and M = ceil(2**k / D), write
+    z = qD + r and z * M = q * 2**k + r * 2**k / D + z * e, 0 <= e < 1. As
+    2**k / D > 2**64 > z * e, the fraction bits F = z * M mod 2**k lie in
+    [r * 2**k / D, (r + 1) * 2**k / D), so r >= b exactly when
+    F >= ceil(b * 2**k / D), and each bound is found as the carry of
+    F + 2**k - ceil(b * 2**k / D) at bit k.
+
+    A toss is read from bit k of its lane: byte k/8 as Latin-1 up to 256
+    codes, and bytes k/8 to k/8 + 3 as UTF-32-LE, surrogates passed, above
+    that. UTF-16 would read a high and a low surrogate, two tosses, as one
     character. A code past U+10FFFF would need over 1.1M kept bounds, whose
     `complements` alone, about 70 KB each, could not be held.
     """
     lane = _lane_width(common)
     ones, mask, counters = _lane_constants(lane)
-    complements = [((1 << 64) - bound) * ones for bound in bounds]
+    fraction = _fraction_bits(common)
+    first, *rest = [
+        ((1 << fraction) + (-bound << fraction) // common) * ones for bound in bounds
+    ]
+    multiplier = -((-1 << fraction) // common)
+    low = ones * ((1 << fraction) - 1)
+    tops = ones << fraction
     carry = ones << 64
     step = (_LANES * _GAMMA & _MASK64) * ones
     reject = (1 << 64) % common * ones
-    shift = 64 + common.bit_length()
-    barrett = -(-(1 << shift) // common)
     size, encoding = (4, "utf-32-le") if len(bounds) >= 256 else (1, "latin-1")
     x = (counters + state * ones) & mask
     while True:
@@ -319,15 +339,16 @@ def _toss_blocks(state: int, common: int, bounds: Sequence[int]) -> Iterator[str
         z = ((z ^ z >> 27) & mask) * _MIX2 & mask
         z = (z ^ z >> 31) & mask
         x = (x + step) & mask
-        r = z - ((z * barrett >> shift) & mask) * common
-        # the code sits at bit 64 of each lane, where the carries land
-        code = 0
-        for complement in complements:
-            code += (r + complement) & carry
-        tosses = _lane_bytes(code, lane, size).decode(encoding, "surrogatepass")
-        rejected = (z + reject) & carry
-        if rejected:
-            tosses = "".join(compress(tosses, _lane_bytes(rejected ^ carry, lane)))
+        f = z * multiplier & low
+        # the code sits at bit k of each lane, where the carries land
+        code = (f + first) & tops
+        for complement in rest:
+            code += (f + complement) & tops
+        tosses = _lane_bytes(code, lane, fraction // 8, size).decode(encoding, "surrogatepass")
+        if reject:
+            rejected = (z + reject) & carry
+            if rejected:
+                tosses = "".join(compress(tosses, _lane_bytes(rejected ^ carry, lane, 8)))
         yield tosses
 
 

@@ -33,13 +33,25 @@ def _mix(state: int) -> int:
     return z ^ (z >> 31)
 
 
+def draw_symbol(z: int, reject_from: int, common: int, bounds: list[int]) -> int | None:
+    """The symbol a draw z stands for: None when z >= `reject_from`, the
+    rejected top of the 64-bit range, and otherwise the first symbol whose
+    cumulative bound, on the scale of D = `common`, z mod D falls below."""
+    if z >= reject_from:
+        return None
+    r = z % common
+    symbol = 0
+    while r >= bounds[symbol]:
+        symbol += 1
+    return symbol
+
+
 def reference_simulate(spec: GameSpec, trials: int, seed: int = 0) -> SimulationReport:
     """Play `trials` games toss by toss on the prefix automaton.
 
     The stream's state starts at the splitmix64 output of seed + gamma. Each
     toss advances it by gamma, mixes it, rejects a draw
-    z >= 2**64 - (2**64 mod D), and maps z mod D to the symbol whose
-    cumulative bound it first falls below.
+    z >= 2**64 - (2**64 mod D), and maps z mod D to a symbol (`draw_symbol`).
     """
     if trials < 1:
         raise ValidationError("trials must be at least 1")
@@ -62,13 +74,9 @@ def reference_simulate(spec: GameSpec, trials: int, seed: int = 0) -> Simulation
         steps = 0
         while True:
             state = (state + _GAMMA) & _MASK64
-            z = _mix(state)
-            if z >= reject_from:
+            symbol = draw_symbol(_mix(state), reject_from, common, bounds)
+            if symbol is None:
                 continue
-            r = z % common
-            symbol = 0
-            while r >= bounds[symbol]:
-                symbol += 1
             steps += 1
             u = transitions[u][symbol]
             if winner[u] is not None:

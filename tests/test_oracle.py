@@ -5,14 +5,20 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from penney.oracle import (
+    _GAMMA,
     _LANES,
+    _MASK64,
+    _MIX1,
+    _MIX2,
     _lane_width,
+    _toss_blocks,
     InvariantError,
     SimulationReport,
     absorption_probabilities,
@@ -35,7 +41,7 @@ from penney.patterns import (
 from penney.polyalg import Polynomial, RationalFunction
 from penney.solver import game_pgfs, solve_game
 from refalgebra import rational_derivative
-from refsim import reference_simulate
+from refsim import _mix, draw_symbol, reference_simulate
 from specgen import WIDE_ALPHABET, random_spec
 
 
@@ -255,18 +261,56 @@ class TestSimulate:
         [
             ("a:1/2,b:1/2", 2, 17),
             ("a:1/3,b:2/3", 3, 17),
-            (f"a:{2**62}/{2**63 + 1},b:{2**62 + 1}/{2**63 + 1}", 2**63 + 1, 24),
-            (f"a:{2**63 - 1}/{2**64 - 1},b:{2**63}/{2**64 - 1}", 2**64 - 1, 24),
-            (f"a:{2**63 - 1}/{2**64},b:{2**63 + 1}/{2**64}", 2**64, 25),
+            (f"a:{2**62}/{2**63 + 1},b:{2**62 + 1}/{2**63 + 1}", 2**63 + 1, 20),
+            (f"a:{2**63 - 1}/{2**64 - 1},b:{2**63}/{2**64 - 1}", 2**64 - 1, 20),
+            (f"a:{2**63 - 1}/{2**64},b:{2**63 + 1}/{2**64}", 2**64, 21),
         ],
     )
     def test_every_lane_width(self, text, common, lane):
-        # the lane holds 128 + D.bit_length() bits, in whole bytes
+        # with k the least multiple of 8 at or above 64 + D.bit_length(), the
+        # lane holds max(65 + k - D.bit_length(), k + 32) bits, in whole bytes
         model = SourceModel.from_text(text)
         assert model.common_denominator == common
         assert _lane_width(common) == lane
         spec = validate_pattern_set([parse_pattern(t, model) for t in ("aab", "bba", "abab")], model)
         assert simulate(spec, 1000, seed=9) == reference_simulate(spec, 1000, seed=9)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a:1/2,b:1/2",
+            "a:1/3,b:2/3",
+            "a:1/2,b:1/3,c:1/6",
+            "a:1/257,b:128/257,c:128/257",
+            "a:1/259,b:129/259,c:129/259",
+            "a:1/300,b:149/300,c:1/2",
+            f"a:{2**62}/{2**63 + 1},b:{2**62 + 1}/{2**63 + 1}",
+            f"a:{2**63 - 1}/{2**64 - 1},b:{2**63}/{2**64 - 1}",
+            f"a:{2**63 - 1}/{2**64},b:{2**63 + 1}/{2**64}",
+        ],
+    )
+    def test_planted_draws_at_every_threshold(self, text):
+        # lane 0 of a block draws z: the first toss, or its absence when z is
+        # rejected, is the scalar z mod D classification at each edge of the
+        # symbol intervals and of the rejected range. D = 259 needs all of
+        # k >= 64 + D.bit_length(): with k = 72, 2**72 mod 259 = 1 makes
+        # z * ceil(2**72 / 259) overshoot a threshold near the top of the range.
+        model = SourceModel.from_text(text)
+        common = model.common_denominator
+        bounds = [int(p * common) for p in accumulate(model.probs)]
+        reject_from = (1 << 64) - (1 << 64) % common
+        top = (reject_from - 1) // common * common
+        planted = {0, reject_from - 1} | {top + b + d for b in bounds[:-1] for d in (-1, 0)}
+        if reject_from < 1 << 64:
+            planted.add(reject_from)
+        for z in sorted(planted):
+            state = (_unmix(z) - _GAMMA) & _MASK64
+            assert _mix((state + _GAMMA) & _MASK64) == z
+            draws = (_mix((state + i * _GAMMA) & _MASK64) for i in range(1, _LANES + 1))
+            symbols = (draw_symbol(draw, reject_from, common, bounds) for draw in draws)
+            first = next(symbol for symbol in symbols if symbol is not None)
+            tosses = next(_toss_blocks(state, common, bounds[:-1]))
+            assert tosses[0] == chr(first), (text, z)
 
     def test_games_around_the_first_block_end(self):
         # on a fair coin no draw is rejected, so the first block holds _LANES
@@ -285,6 +329,22 @@ class TestSimulate:
         assert reference_simulate(spec, first + 1, seed).total_tosses > _LANES
         for trials in range(first - 3, first + 4):
             assert simulate(spec, trials, seed) == reference_simulate(spec, trials, seed)
+
+
+def _unmix(z: int) -> int:
+    """The splitmix64 state whose output is z: each xor-shift and each odd
+    multiplier of the output function undone, last first."""
+    for shift, multiplier in ((31, _MIX2), (27, _MIX1)):
+        z = _unshift(z, shift) * pow(multiplier, -1, 1 << 64) & _MASK64
+    return _unshift(z, 30)
+
+
+def _unshift(y: int, shift: int) -> int:
+    """The x with x ^ (x >> shift) == y, for 64-bit x and y."""
+    x = y
+    for _ in range(64 // shift):
+        x = y ^ x >> shift
+    return x
 
 
 # Alphabets sampled by the equivalence test, each with its longest pattern:
