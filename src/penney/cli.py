@@ -127,28 +127,26 @@ def _header(command: str, model: SourceModel) -> dict:
     }
 
 
-def _int_str_limit() -> int:
-    """Python's int-to-str digit limit, or its default of 4300 where the
-    interpreter sets none (PYTHONINTMAXSTRDIGITS=0, or a Python without one)."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+# The most digits of --digits, and of a --series coefficient's denominator.
+# Long values print through Decimal (`format_exact`), so these ceilings are
+# penney's own: the interpreter's int-to-str digit limit changes no answer.
+MAX_DIGITS = 4300
 
 
 def _check_series_digits(model: SourceModel, horizon: int) -> None:
-    """Refuse a horizon whose coefficients could pass Python's int-to-str digit limit.
+    """Refuse a horizon whose denominators could pass MAX_DIGITS digits.
 
     Every coefficient through toss N is at most 1 with a denominator dividing
-    D**N (D the common denominator of the alphabet), so nothing exceeds that
-    limit when D**N has at most that many digits. The series are printed from
-    Decimals, which the limit does not cover, so this is the --series budget.
+    D**N (D the common denominator of the alphabet), so no denominator has
+    more digits than D**N.
     """
-    limit = _int_str_limit()
     scale = model.common_denominator
-    # D >= 2, so D**N >= 10**limit once N >= 4 * limit; skip the big powers then.
-    if horizon >= 4 * limit or scale**horizon >= 10**limit:
+    # D >= 2, so D**N >= 10**MAX_DIGITS once N >= 4 * MAX_DIGITS; skip the big powers then.
+    if horizon >= 4 * MAX_DIGITS or scale**horizon >= 10**MAX_DIGITS:
         raise ValidationError(
             f"--series {horizon} is too long for this alphabet: its coefficients have "
-            f"denominators up to {scale}^{horizon}, more than the {limit} digits of "
-            "Python's int-to-str limit (4300 where the interpreter sets none)"
+            f"denominators up to {scale}^{horizon}, more than the {MAX_DIGITS} digits "
+            "--series allows"
         )
 
 
@@ -186,9 +184,9 @@ def _check_candidate_count(model: SourceModel, length: int, verbose: bool) -> No
         )
 
 
-# The most games simulate plays: about 2 minutes for THH,HTH,HHT on a fair
-# coin, at ~1M games per second (0.75-1.14M over 15 in-process runs of 10^6
-# games, one core of a 2-vCPU Xeon, Python 3.11.7).
+# The most games simulate plays: about 80 s for THH,HTH,HHT on a fair coin, at
+# ~1.2M games per second (median of 30 in-process runs of 10^6 games, 0.81-1.38M,
+# one core of a shared 2-vCPU Xeon, Python 3.11.7).
 MAX_TRIALS = 10**8
 
 
@@ -277,8 +275,9 @@ def cmd_simulate(args) -> dict:
     _check_trial_count(args.trials)
     model, patterns = _parse_inputs(args)
     spec = validate_pattern_set(patterns, model)
+    kept = kept_bounds(spec)
     solution = solve_game(spec)
-    _check_toss_count(args.trials, solution.expected_duration, len(kept_bounds(spec)))
+    _check_toss_count(args.trials, solution.expected_duration, len(kept))
     report = simulate(spec, args.trials, args.seed)
     digits = args.digits
 
@@ -625,13 +624,8 @@ def main(argv: "list[str] | None" = None) -> int:
         args = parser.parse_args(argv)
     if args.digits < 0:
         parser.error("--digits must be nonnegative")
-    # a decimal's fractional field has at most --digits digits, so the limit suffices
-    limit = _int_str_limit()
-    if args.digits > limit:
-        parser.error(
-            f"--digits {args.digits} is more than the {limit} digits of Python's "
-            "int-to-str limit (4300 where the interpreter sets none)"
-        )
+    if args.digits > MAX_DIGITS:
+        parser.error(f"--digits {args.digits} is more than the {MAX_DIGITS} digits penney allows")
     if getattr(args, "series", None) is not None and args.series < 0:
         parser.error("--series must be nonnegative")
     if getattr(args, "trials", None) is not None and args.trials < 1:

@@ -216,17 +216,20 @@ def step_distribution(
 class SimulationReport(Record):
     """Outcome counts of a seeded simulation run."""
 
-    _fields = ("trials", "wins", "total_tosses", "seed", "empirical_probs")
+    _fields = ("trials", "wins", "total_tosses", "seed")
     trials: int
     wins: tuple[int, ...]
     total_tosses: int
     seed: int
-    empirical_probs: tuple[Fraction, ...]
 
     def __init__(self, *values) -> None:
         super().__init__(*values)
         if sum(self.wins) != self.trials:
             raise InvariantError(f"{sum(self.wins)} wins recorded for {self.trials} trials")
+
+    @property
+    def empirical_probs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(w, self.trials) for w in self.wins)
 
     @property
     def mean_tosses(self) -> Fraction:
@@ -398,9 +401,16 @@ def kept_bounds(spec: GameSpec) -> list[int]:
 
     A toss's code is the number of kept bounds its residue reaches, so every
     such symbol has a code of its own, and a run of other symbols shares one.
-    Each kept bound costs a whole-int add and AND per block of draws.
+    Each kept bound costs a whole-int add and AND per block of draws. A
+    common denominator D above 2**64 is refused: no 64-bit draw can split it.
     """
     model = spec.model
+    common = model.common_denominator
+    if common > 1 << 64:
+        raise ValidationError(
+            f"the probabilities' common denominator {common} is above 2^64, "
+            "more than a 64-bit draw can split exactly"
+        )
     used = {model.index(s) for p in spec.patterns for s in p.symbols}
     return [i for i in range(len(model.symbols) - 1) if i in used or i + 1 in used]
 
@@ -409,31 +419,27 @@ def simulate(spec: GameSpec, trials: int, seed: int = 0) -> SimulationReport:
     """Play `trials` games to completion with a deterministic seeded generator.
 
     Symbols are drawn by exact integer-interval inversion: each probability is
-    scaled to the common denominator D and a 64-bit splitmix64 draw is reduced
-    mod D, with rejection of the top sliver of the 64-bit range so rational
-    biases like 1/3 carry no modulo bias; D may be at most 2**64. The games
-    are played one after another on one splitmix64 stream, whose state starts
-    at the first splitmix64 output from `seed`, so the report is bit-identical
-    for a fixed seed. Draws are made a block at a time as whole-int lane
-    arithmetic, each toss one character of a string (`_toss_blocks`), and
-    games are found by one regular-expression split of each block's string
-    (`_play_stream`); the counts are those of playing toss by toss on the
-    prefix automaton.
+    scaled to the common denominator D, and each 64-bit splitmix64 draw z is
+    placed among the cumulative bounds by its residue z mod D, read from the
+    fraction bits of one product without being formed. The top sliver of the
+    64-bit range is rejected so rational biases like 1/3 carry no modulo
+    bias; D may be at most 2**64 (`kept_bounds`). The games are played one
+    after another on one splitmix64 stream, whose state starts at the first
+    splitmix64 output from `seed`, so the report is bit-identical for a fixed
+    seed. Draws are made a block at a time as whole-int lane arithmetic, each
+    toss one character of a string (`_toss_blocks`), and games are found by
+    one regular-expression split of each block's string (`_play_stream`); the
+    counts are those of playing toss by toss on the prefix automaton.
     """
     if trials < 1:
         raise ValidationError("trials must be at least 1")
+    kept = kept_bounds(spec)
     model = spec.model
     common = model.common_denominator
-    if common > 1 << 64:
-        raise ValidationError(
-            f"the probabilities' common denominator {common} is above 2^64, "
-            "more than a 64-bit draw can split exactly"
-        )
     bounds = list(accumulate(int(p * common) for p in model.probs))
     if bounds[-1] != common:
         raise InvariantError("scaled symbol probabilities do not sum to the common denominator")
 
-    kept = kept_bounds(spec)
     encodings = [
         "".join(chr(bisect_left(kept, model.index(s))) for s in p.symbols)
         for p in spec.patterns
@@ -445,6 +451,4 @@ def simulate(spec: GameSpec, trials: int, seed: int = 0) -> SimulationReport:
     state = _mix64((seed + _GAMMA) & _MASK64)
     blocks = _toss_blocks(state, common, [bounds[i] for i in kept])
     total_tosses = _play_stream(blocks, trials, finder, players, keep, wins)
-
-    empirical = tuple(Fraction(w, trials) for w in wins)
-    return SimulationReport(trials, tuple(wins), total_tosses, seed, empirical)
+    return SimulationReport(trials, tuple(wins), total_tosses, seed)

@@ -272,7 +272,7 @@ def game_distribution(spec: GameSpec, horizon: int) -> list[list[tuple[Decimal, 
     limit. Only the spec is read; nothing is solved.
     """
     if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+        raise ValidationError("horizon must be nonnegative")
     weights = _symbol_weights(spec.model)
     scale = spec.model.common_denominator
     # entry pad + k is toss k; the pad of zeros stands for the tosses before 0

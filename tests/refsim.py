@@ -12,7 +12,6 @@ automaton, which the block simulator does not use.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 
 from penney.oracle import (
@@ -83,6 +82,4 @@ def reference_simulate(spec: GameSpec, trials: int, seed: int = 0) -> Simulation
                 wins[winner[u]] += 1
                 total_tosses += steps
                 break
-
-    empirical = tuple(Fraction(w, trials) for w in wins)
-    return SimulationReport(trials, tuple(wins), total_tosses, seed, empirical)
+    return SimulationReport(trials, tuple(wins), total_tosses, seed)

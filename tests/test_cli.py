@@ -20,7 +20,7 @@ from childenv import child_env
 import penney.cli
 import penney.solver
 from goldentable import GOLDEN_COMMANDS, GOLDEN_DIR
-from penney.cli import _int_str_limit, format_decimal, format_exact, main, sqrt_decimal
+from penney.cli import MAX_DIGITS, format_decimal, format_exact, main, sqrt_decimal
 from penney.oracle import SimulationReport
 from penney.patterns import SourceModel, parse_pattern, validate_pattern_set
 from penney.solver import solve_game
@@ -149,7 +149,7 @@ class TestExitCodes:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert str(_int_str_limit()) in captured.err
+        assert str(MAX_DIGITS) in captured.err
         assert "3^9200" in captured.err
 
     @pytest.mark.parametrize(
@@ -223,7 +223,7 @@ class TestExitCodes:
 
         def stub(spec, trials, seed=0):
             calls.append(trials)
-            return SimulationReport(trials, (trials, 0), 2 * trials, seed, (F(1), F(0)))
+            return SimulationReport(trials, (trials, 0), 2 * trials, seed)
 
         monkeypatch.setattr(penney.cli, "simulate", stub)
         code = main(["simulate", "--patterns", "HH,TT", "--trials", str(trials)])
@@ -263,8 +263,7 @@ class TestExitCodes:
         def stub(spec, trials, seed=0):
             calls.append(trials)
             wins = (trials,) + (0,) * (spec.player_count - 1)
-            empirical = (F(1),) + (F(0),) * (spec.player_count - 1)
-            return SimulationReport(trials, wins, 2 * trials, seed, empirical)
+            return SimulationReport(trials, wins, 2 * trials, seed)
 
         monkeypatch.setattr(penney.cli, "simulate", stub)
         argv = ["simulate", "--alphabet", alphabet, "--patterns", patterns]
@@ -286,38 +285,90 @@ class TestExitCodes:
         ],
     )
     def test_digits_past_the_digit_limit_is_usage_error(self, argv):
-        limit = _int_str_limit()
-        result = run_cli(*argv, "--digits", str(limit + 700))
+        result = run_cli(*argv, "--digits", str(MAX_DIGITS + 700))
         assert result.returncode == 2
         assert result.stdout == b""
-        assert f"the {limit} digits".encode() in result.stderr
+        assert f"the {MAX_DIGITS} digits".encode() in result.stderr
         assert b"Traceback" not in result.stderr
 
     def test_digits_at_the_digit_limit_render(self, capsys):
-        limit = _int_str_limit()
-        assert main(["solve", "--patterns", "HTH,TTH", "--digits", str(limit), "--json"]) == 0
+        assert main(["solve", "--patterns", "HTH,TTH", "--digits", str(MAX_DIGITS), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         whole, frac = doc["players"][0]["win_probability_decimal"].split(".")
-        assert whole == "0" and len(frac) == limit
+        assert whole == "0" and len(frac) == MAX_DIGITS
 
+    @pytest.mark.parametrize("interpreter_limit", ["640", "0", "100000"])
     @pytest.mark.parametrize(
-        "argv",
+        "argv, code",
         [
-            ["solve", "--patterns", "HTH,TTH", "--digits", "5000"],
-            ["solve", "--alphabet", RARE_A, "--patterns", "ab", "--series", "800"],
+            pytest.param(["--digits", "4300"], 0, id="digits-4300"),
+            pytest.param(["--digits", "4301"], 2, id="digits-4301"),
+            # D = 2**64 + 1: D**223 has 4,297 digits and D**224 has 4,316
+            pytest.param(["--alphabet", HUGE_A, "--series", "223"], 0, id="series-223"),
+            pytest.param(["--alphabet", HUGE_A, "--series", "224"], 2, id="series-224"),
         ],
     )
-    def test_budgets_hold_without_an_interpreter_digit_limit(self, argv):
-        # PYTHONINTMAXSTRDIGITS=0 lifts Python's limit; the CLI's budgets stay at 4300
+    def test_ceilings_ignore_the_interpreter_digit_limit(self, interpreter_limit, argv, code):
+        # 640 is the lowest limit Python takes, 0 none; each argv has one answer
+        patterns = "aab,abb" if "--series" in argv else "HTH,TTH"
         result = subprocess.run(
-            [sys.executable, "-m", "penney", *argv],
+            [sys.executable, "-m", "penney", "solve", "--patterns", patterns, *argv, "--json"],
             capture_output=True,
             timeout=120,
-            env={**child_env(), "PYTHONINTMAXSTRDIGITS": "0"},
+            env={**child_env(), "PYTHONINTMAXSTRDIGITS": interpreter_limit},
         )
-        assert result.returncode == 2
-        assert result.stdout == b""
-        assert b"4300" in result.stderr
+        assert result.returncode == code, result.stderr.decode()
+        assert b"Traceback" not in result.stderr
+        if code == 0:
+            assert json.loads(result.stdout)["command"] == "solve"
+        else:
+            assert result.stdout == b"" and b"the 4300 digits" in result.stderr
+
+    @pytest.mark.parametrize(
+        "argv, refusal",
+        [
+            pytest.param(["solve", "--patterns", "HH", "--digits", "4301"], "--digits 4301", id="digits"),
+            pytest.param(
+                ["solve", "--alphabet", "H:1/3,T:2/3", "--patterns", "HH", "--series", "9200"],
+                "--series 9200",
+                id="series",
+            ),
+            pytest.param(
+                ["best-response", "--opponents", "HH", "--length", "21"], "--length 21", id="length"
+            ),
+            pytest.param(
+                ["best-response", "--opponents", "HH", "--length", "19", "--verbose"],
+                "--verbose --length 19",
+                id="verbose",
+            ),
+            pytest.param(
+                ["simulate", "--patterns", "HH,TT", "--trials", "100000001"],
+                "--trials 100000001",
+                id="trials",
+            ),
+            pytest.param(
+                ["simulate", "--alphabet", HUGE_A, "--patterns", "aab,abb"],
+                "above 2^64",
+                id="denominator",
+            ),
+        ],
+    )
+    def test_request_refusals_come_before_any_solve(self, capsys, monkeypatch, argv, refusal):
+        # every solver the CLI calls fails the test if it runs; a refusal that
+        # needs only the request is made before any of them
+        def solver(*args, **kwargs):
+            raise AssertionError("a solver ran before the refusal")
+
+        solvers = ("solve_game", "game_distribution", "best_response", "response_table", "simulate")
+        for name in solvers:
+            monkeypatch.setattr(penney.cli, name, solver)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert refusal in captured.err
 
     @pytest.mark.parametrize(
         "argv",
@@ -725,8 +776,8 @@ class TestSeriesStream:
         ],
     )
     def test_writer_matches_the_document_route(self, alphabet, patterns, horizon):
-        # past toss 222 the 2**64 + 1 coin's denominators pass the int-to-str
-        # digit limit that `--series` keeps to, so the document is built here
+        # past toss 223 the 2**64 + 1 coin's denominators pass the 4300 digits
+        # that `--series` allows, so the document is built here
         for as_json in (False, True):
             doc = series_document(alphabet, patterns, horizon, as_json)
             with unlimited_int_digits():

@@ -200,7 +200,7 @@ class TestSimulate:
 
     def test_report_rejects_inconsistent_counts(self):
         with pytest.raises(InvariantError):
-            SimulationReport(3, (1, 1), 5, 0, (F(1, 3), F(1, 3)))
+            SimulationReport(3, (1, 1), 5, 0)
 
     def test_requires_trials(self, example_spec):
         with pytest.raises(ValidationError):
