@@ -1,9 +1,9 @@
-"""Independent ground truth for the analytic solver.
+"""Ground truth for the tests and the benchmark, and the `simulate` command's simulator.
 
-Two completely separate routes to the same numbers: an exact absorbing-chain
-analysis on the pattern-prefix automaton (Aho-Corasick construction, rational
-Gaussian elimination), and a seeded Monte Carlo simulator. Neither touches the
-correlation-polynomial machinery; they share only the pattern and model types.
+`Automaton` to `step_distribution` solve an exact absorbing chain on the pattern
+prefixes, each move found by trying every suffix of prefix + symbol, by rational
+Gaussian elimination. `kept_bounds` and `simulate` are a seeded Monte Carlo
+simulator. Neither touches the correlation polynomials or the solver.
 """
 
 from __future__ import annotations

@@ -175,9 +175,13 @@ def parse_pattern(text: str, model: SourceModel) -> Pattern:
     return Pattern(out)
 
 
-def _contains(haystack: tuple[str, ...], needle: tuple[str, ...]) -> bool:
-    width = len(needle)
-    return any(haystack[i : i + width] == needle for i in range(len(haystack) - width + 1))
+def delimited(symbols: Iterable[str]) -> str:
+    """The text "," + each symbol + ",": () is "," and ("H", "T") is ",H,T,".
+    `SourceModel` refuses "," and whitespace in labels, so a match of one text
+    in another, or in texts joined by "\n", never starts or ends inside a
+    symbol: `a in b` says that a's symbols occur inside b's, and
+    `b.endswith(a)` that they end b's."""
+    return ",".join(("", *symbols, ""))
 
 
 class GameSpec(Record):
@@ -199,14 +203,15 @@ class GameSpec(Record):
                         f"pattern {idx} ({pattern}) uses symbol {symbol!r} outside the alphabet"
                     )
         # of two equal patterns the one listed first is met first, as pattern i
-        for i, a in enumerate(pats):
-            for j, b in enumerate(pats):
-                if i != j and _contains(b.symbols, a.symbols):
-                    if a.symbols == b.symbols:
+        texts = [delimited(p.symbols) for p in pats]
+        for i, (a, text) in enumerate(zip(pats, texts)):
+            for j, other in enumerate(texts):
+                if i != j and text in other:
+                    if text == other:
                         raise ValidationError(f"patterns {i + 1} and {j + 1} are duplicates: {a}")
                     raise ValidationError(
                         f"pattern {i + 1} ({a}) occurs inside pattern {j + 1} "
-                        f"({b}); substring-free sets required"
+                        f"({pats[j]}); substring-free sets required"
                     )
         self.__dict__.update(model=model, patterns=pats)
 

@@ -52,20 +52,12 @@ Best responses need only the values: `_response_scores` scores each candidate
 by the generalised Conway formula, the ratio of two Cramer numerators of its
 game's M(1) x = c(1) over Z. Only the candidate's own row, column and
 autocorrelation change from one candidate to the next, so one `_cramer`
-eliminates the opponents' block per request, with every column a candidate
-can bring, and each candidate costs the bordered last step. The candidates
-are the leaves of one depth-first walk over the symbol trie: the row, the
-completion weight and the KMP borders grow one symbol per depth, the column
-is a table over the opponents' prefix automaton, and a subtree is cut where
-the walk completes an opponent. The leaves are scored in place by their
-parents, the leaf frames: a leaf frame builds no border row and pushes no
-child, each leaf reads its border from the frame's parent row, and what all
-its leaves share, their Cramer numerator N_new but for the leaf's own symbol
-weight, is computed once per frame.
-`best_response` keeps only a running best, compared exactly by
-cross-multiplying the integer scores, and builds one `Pattern` and one
-`Fraction`; `response_table` keeps every row and ranks them by exact integer
-keys rather than `Fraction` comparisons.
+eliminates the opponents' block per request, and each candidate, a leaf of
+one depth-first walk over the symbol trie, costs the bordered last step,
+taken in place by the leaf's parent. `best_response` keeps only a running
+best, compared exactly by cross-multiplying the integer scores, and builds
+one `Pattern` and one `Fraction`; `response_table` keeps every row and ranks
+them by exact integer keys rather than `Fraction` comparisons.
 """
 
 from __future__ import annotations
@@ -78,7 +70,8 @@ from collections.abc import Iterable, Iterator
 from decimal import Decimal
 from fractions import Fraction
 
-from .patterns import GameSpec, Pattern, Record, SourceModel, ValidationError, validate_pattern_set
+from .patterns import GameSpec, Pattern, Record, SourceModel, ValidationError, delimited
+from .patterns import validate_pattern_set
 from .polyalg import Polynomial, RationalFunction
 
 # Integer polynomials in u = s/D: coefficient lists, lowest degree first, with
@@ -207,18 +200,25 @@ def game_pgfs(spec: GameSpec) -> tuple[tuple[RationalFunction, ...], RationalFun
     are the polynomial ones evaluated, and they read back exactly while every
     coefficient is below 2**(bits-1) in absolute value; a nonzero pivot then
     packs to a nonzero integer, so the row swaps are the same too. Every
-    coefficient of [M | c] is nonnegative, so a row's L1 norm is its sum, and
-    it is at least 1, from M's diagonal. Every minor of [M | c], which every
-    entry of the elimination is, then has L1 norm at most the product of the
-    row norms, and Q = sum(N) + (1 - D u) det M at most m + 1 + D times that.
+    coefficient of [M | c] is nonnegative, so on |u| = 1 each entry e_ij is at
+    most its L1 norm, its value at u = 1. A coefficient is at most its
+    polynomial's maximum modulus there (Cauchy), and a determinant at most the
+    product of its rows' 2-norms (Hadamard): no coefficient of det M or an N
+    exceeds H = prod_i sqrt(sum_j L1(e_ij)**2). Every row's 2-norm is at least
+    1, from M's diagonal, so H bounds every minor, which every entry of the
+    elimination is, and Q = sum(N) + (1 - D u) det M is at most (m + 1 + D) H.
     """
     scale = spec.model.common_denominator
     weights = _symbol_weights(spec.model)
     words = [a.symbols for a in spec.patterns]
     table = _correlations(words, words, weights)
     completions = [_completion_weight(a, weights) for a in words]
-    norms = [w + sum(c for _, _, c in overlaps) for w, overlaps in zip(completions, table)]
-    bits = ((len(words) + 1 + scale) * math.prod(norms)).bit_length() + 2
+    norms = [[0] * len(words) + [w] for w in completions]
+    for row, overlaps in zip(norms, table):
+        for j, _, c in overlaps:
+            row[j] += c
+    hadamard = math.isqrt(math.prod(sum(e * e for e in row) for row in norms)) + 1
+    bits = ((len(words) + 1 + scale) * hadamard).bit_length() + 2
     rows = []
     for a, w, overlaps in zip(words, completions, table):
         # coefficient c of u**t packs to c << bits*t
@@ -510,10 +510,10 @@ def _prefix_automaton(
 
 def _response_scores(
     opponents: Iterable[Pattern], length: int, model: SourceModel
-) -> Iterator[tuple[tuple[str, ...], int, int]]:
+) -> Iterator[tuple[str, int, int]]:
     """Every admissible pattern of `length` against the opponents, in alphabet
-    order, as (symbols, N_new, total): the newcomer wins with probability
-    N_new / total. Both are nonzero, and they carry one common sign.
+    order, as (its `delimited` text, N_new, total): the newcomer wins with
+    probability N_new / total. Both are nonzero, and they carry one sign.
 
     Each score is the generalised Conway formula at s = 1: with M(1) x = c(1),
     the newcomer wins with probability N_new / sum(N), N the Cramer
@@ -535,8 +535,9 @@ def _response_scores(
     weight, and the KMP border table, whose chain gives alpha. What depends
     on its suffix comes from the opponents' prefix automaton
     (`_prefix_automaton`): u is a table per state, and a subtree is cut where
-    the walk completes an opponent. An opponent contains the candidate when
-    the candidate is in the table of the opponents' substrings.
+    the walk completes an opponent. A word, carried as its `delimited` text,
+    lies inside an opponent where it occurs in the opponents' texts joined by
+    "\n", and ends each opponent whose text ends with it.
     """
     if length < 1:
         raise ValidationError("response length must be at least 1")
@@ -575,21 +576,13 @@ def _response_scores(
         columns[q] = (column, sum(column))
     completion_total = sum(completion)
 
-    # each substring of an opponent, with the opponents that end in it
-    substrings: dict[tuple[str, ...], list[int]] = {}
-    for j, b in enumerate(heads):
-        size = len(b)
-        for start in range(size):
-            for stop in range(start + 1, size + 1):
-                ends = substrings.setdefault(b[start:stop], [])
-                if stop == size:
-                    ends.append(j)
-
+    texts = [delimited(b) for b in heads]
+    haystack = "\n".join(texts)
     # per state: the moves that complete no opponent, each as (symbol index,
-    # successor, symbol weight, the symbol as a 1-tuple)
+    # successor, symbol weight, the text the symbol appends)
     moves = [
         [
-            (x, target, weights[symbols[x]], (symbols[x],))
+            (x, target, weights[symbols[x]], symbols[x] + ",")
             for x, target in enumerate(row)
             if not stops[target]
         ]
@@ -605,7 +598,8 @@ def _response_scores(
     leaf_depth = length - 1
 
     # A frame is an inner node c[:depth] = `prefix` of the trie, at automaton
-    # `state`. `inside` says whether `prefix` is a substring of an opponent.
+    # `state`; `prefix` is its delimited text, and `inside` says whether that
+    # text occurs in an opponent's.
     # `row` is v (at_one(c[:t], b) per opponent b) at the last depth t at which
     # c[:t] was one, and `row_weight` is D**t P(c[:t]). Past that depth no
     # prefix of c is a suffix of an opponent, so v only scales with the weight
@@ -621,7 +615,7 @@ def _response_scores(
     # the frame shares is computed once: the weight that the symbols after
     # `row`'s depth add, but the leaf's own, and the factor of which each
     # leaf's N_new is the multiple by its symbol weight.
-    stack = [(0, 0, (), [0] * len(fixed), 1, bool(fixed), 0, 1, 0, 0)]
+    stack = [(0, 0, delimited(()), [0] * len(fixed), 1, bool(fixed), 0, 1, 0, 0)]
     while stack:
         depth, state, prefix, row, row_weight, inside, last, weight, border, alpha = stack.pop()
         if depth:
@@ -647,15 +641,15 @@ def _response_scores(
                     # the border weigh as much as the first child - border
                     alpha += prefix_weight[child - border] * self_entry[border]
                 word = prefix + symbol
-                ends = substrings.get(word) if inside else None
-                if ends is None:
-                    children.append((child, target, word, row, row_weight, False, x, weight, border, alpha))
-                else:
+                if inside and word in haystack:
                     # `prefix` is inside too, so `row` is its own v
                     child_row = [v * symbol_weight for v in row]
-                    for j in ends:
-                        child_row[j] += power
+                    for j, text in enumerate(texts):
+                        if text.endswith(word):
+                            child_row[j] += power
                     children.append((child, target, word, child_row, weight, True, x, weight, border, alpha))
+                else:
+                    children.append((child, target, word, row, row_weight, False, x, weight, border, alpha))
             # popped last child first, so the walk keeps alphabet order
             stack.extend(reversed(children))
             continue
@@ -667,7 +661,7 @@ def _response_scores(
         factor = det_a * weight - frame_scale * sum(map(mul, row, completion))
         for x, target, symbol_weight, symbol in moves[state]:
             word = prefix + symbol
-            if inside and word in substrings:
+            if inside and word in haystack:
                 continue
             if failure is not None:
                 raise failure
@@ -685,7 +679,7 @@ def _response_scores(
             total = new + rest
             if not (det and new and total):
                 raise DegenerateGameError(
-                    f"candidate {Pattern(word)} makes the game degenerate at s = 1"
+                    f"candidate {Pattern(word[1:-1].split(','))} makes the game degenerate at s = 1"
                 )
             yield word, new, total
 
@@ -700,7 +694,7 @@ def response_table(
     scores are `_response_scores`'.
     """
     table = [
-        (Pattern(word), Fraction(new, total))
+        (Pattern(word[1:-1].split(",")), Fraction(new, total))
         for word, new, total in _response_scores(opponents, length, model)
     ]
     return [table[i] for i in _ranking([value for _, value in table])]
@@ -727,4 +721,4 @@ def best_response(
         raise ValidationError(
             f"no admissible pattern of length {length} against the given opponents"
         )
-    return Pattern(best), Fraction(best_new, best_total)
+    return Pattern(best[1:-1].split(",")), Fraction(best_new, best_total)

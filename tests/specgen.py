@@ -14,14 +14,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from penney.patterns import (
-    GameSpec,
-    Pattern,
-    SourceModel,
-    ValidationError,
-    _contains,
-    validate_pattern_set,
-)
+from penney.patterns import GameSpec, Pattern, SourceModel, ValidationError, validate_pattern_set
 
 BIAS_MENU = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 5))
 
@@ -33,6 +26,12 @@ HUGE_D = 2**64 + 1
 HUGE_A = f"a:{2**63}/{HUGE_D},b:{2**63 + 1}/{HUGE_D}"
 # more than 256 symbols, with multi-character labels
 WIDE_ALPHABET = SourceModel([f"s{i:03d}" for i in range(300)], [Fraction(1, 300)] * 300)
+
+
+def _contains(haystack: tuple[str, ...], needle: tuple[str, ...]) -> bool:
+    """The reference substring rule: some window of `haystack` equals `needle`."""
+    width = len(needle)
+    return any(haystack[i : i + width] == needle for i in range(len(haystack) - width + 1))
 
 
 def random_model(rng: random.Random) -> SourceModel:

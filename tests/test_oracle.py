@@ -34,7 +34,6 @@ from penney.patterns import (
     Pattern,
     SourceModel,
     ValidationError,
-    _contains,
     parse_pattern,
     validate_pattern_set,
 )
@@ -42,7 +41,7 @@ from penney.polyalg import Polynomial, RationalFunction
 from penney.solver import game_pgfs, solve_game
 from refalgebra import rational_derivative
 from refsim import _mix, draw_symbol, reference_simulate
-from specgen import WIDE_ALPHABET, random_spec
+from specgen import WIDE_ALPHABET, _contains, random_spec
 
 
 class TestBuildAutomaton:

@@ -10,6 +10,8 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from penney.oracle import Automaton, build_automaton, simulate
 from penney.patterns import (
@@ -28,7 +30,7 @@ from refconway import (
     pattern_probability,
     symbols_probability,
 )
-from specgen import random_spec
+from specgen import _contains, random_spec
 
 
 class TestSourceModel:
@@ -201,6 +203,12 @@ class TestValidatePatternSet:
         ):
             spec(["HT", "HTH", "HT"])
 
+    def test_a_label_ending_another_is_not_inside_it(self):
+        # as text without delimiters, "a" lies inside "xa"
+        model = SourceModel.from_text("a:1/2,xa:1/2")
+        spec = validate_pattern_set([parse_pattern(t, model) for t in ("a", "xa")], model)
+        assert [p.symbols for p in spec.patterns] == [("a",), ("xa",)]
+
     def test_wrong_alphabet_rejected(self, fair):
         other = SourceModel(("a", "b"), (F(1, 2), F(1, 2)))
         with pytest.raises(ValidationError, match="outside the alphabet"):
@@ -213,6 +221,47 @@ class TestValidatePatternSet:
     def test_single_pattern_ok(self, fair):
         spec = validate_pattern_set([parse_pattern("H", fair)], fair)
         assert spec.player_count == 1
+
+
+# prefix-free alphabets in which some labels end others
+ENDING_LABELS = (("a", "xa", "ya", "b"), ("0", "10", "110", "111"), ("H", "TH"))
+
+
+def reference_refusal(patterns: list[Pattern]) -> str | None:
+    """The message `validate_pattern_set` gives a set that is not
+    substring-free, by the reference rule `_contains`; None for a valid set."""
+    for i, a in enumerate(patterns):
+        for j, b in enumerate(patterns):
+            if i != j and _contains(b.symbols, a.symbols):
+                if a == b:
+                    return f"patterns {i + 1} and {j + 1} are duplicates: {a}"
+                return (
+                    f"pattern {i + 1} ({a}) occurs inside pattern {j + 1} "
+                    f"({b}); substring-free sets required"
+                )
+    return None
+
+
+@st.composite
+def labelled_sets(draw):
+    """A model over one of ENDING_LABELS and 1 to 5 patterns of 1 to 4 symbols."""
+    labels = draw(st.sampled_from(ENDING_LABELS))
+    model = SourceModel(labels, [F(1, len(labels))] * len(labels))
+    word = st.lists(st.sampled_from(labels), min_size=1, max_size=4).map(Pattern)
+    return model, draw(st.lists(word, min_size=1, max_size=5))
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(labelled_sets())
+def test_substring_rule_matches_the_reference(game):
+    model, patterns = game
+    expected = reference_refusal(patterns)
+    if expected is None:
+        assert validate_pattern_set(patterns, model).patterns == tuple(patterns)
+    else:
+        with pytest.raises(ValidationError) as refusal:
+            validate_pattern_set(patterns, model)
+        assert str(refusal.value) == expected
 
 
 def one_record_of_each_type() -> list[Record]:

@@ -26,7 +26,6 @@ from penney.patterns import (
     Pattern,
     SourceModel,
     ValidationError,
-    _contains,
     parse_pattern,
     validate_pattern_set,
 )
@@ -84,6 +83,7 @@ from specgen import (
     HUGE_D,
     RARE_A,
     WIDE_ALPHABET,
+    _contains,
     random_pair,
     random_single,
     random_spec,
@@ -383,6 +383,33 @@ class TestIntegerCore:
             assert all(pgf.denom == denominator for pgf in pgfs)
             assert tail.numer == det_corr
             assert tail.denom == denominator
+
+    def test_slot_width_is_the_row_hadamard_bound(self, monkeypatch):
+        # bits = ((m + 1 + D) * (isqrt(prod_i sum_j L1(e_ij)**2) + 1)).bit_length() + 2
+        # over the entries e_ij of [M | c] in u = s/D, whose coefficients are
+        # nonnegative, so each L1 norm is the entry's value at u = 1, s = D
+        widths = []
+        real = solver._unpack
+
+        def recorded(value, bits):
+            widths.append(bits)
+            return real(value, bits)
+
+        monkeypatch.setattr(solver, "_unpack", recorded)
+        games = (("H:1/2,T:1/2", 16, 16, 46), ("H:1/3,T:2/3", 12, 12, 92))
+        for text, players, length, pinned in games:
+            model = SourceModel.from_text(text)
+            spec = sized_spec(random.Random(16), model, players, length)
+            scale = model.common_denominator
+            rows = zip(correlation_matrix(spec).rows, completion_monomials(spec))
+            product = math.prod(
+                sum(e.evaluate(scale) ** 2 for e in (*row, completion)) for row, completion in rows
+            )
+            assert product.denominator == 1
+            bound = (players + 1 + scale) * (math.isqrt(product.numerator) + 1)
+            widths.clear()
+            game_pgfs(spec)
+            assert set(widths) == {bound.bit_length() + 2} == {pinned}
 
     def test_matches_oracle(self, wide_specs):
         for spec in wide_specs:
@@ -1094,6 +1121,19 @@ class TestBestResponse:
         for length in (1, 2, 3):
             assert response_table(opponents, length, fair) == []
             assert reference_response_table(opponents, length, fair) == []
+
+    def test_a_label_ending_another_is_not_split(self):
+        # text without delimiters would find "axa" inside "xaxa", and take "a"
+        # for a suffix of it
+        model = SourceModel.from_text("a:1/2,xa:1/2")
+        opponents = [parse_pattern("xaxa", model)]
+        table = response_table(opponents, 2, model)
+        assert table == reference_response_table(opponents, 2, model)
+        assert Pattern(("a", "xa")) in [pattern for pattern, _ in table]
+        # "a" lies inside "abxa" but does not end it, though "abxa" ends in "a"
+        model = SourceModel.from_text("a:1/3,b:1/3,xa:1/3")
+        opponents = [parse_pattern("abxa", model)]
+        assert response_table(opponents, 2, model) == reference_response_table(opponents, 2, model)
 
     def test_no_opponents_every_candidate_wins(self):
         for text, length in (("H:1/3,T:2/3", 3), ("a:1/2,b:1/3,c:1/6", 2), ("x:1/4,yy:3/4", 2)):
