@@ -96,6 +96,14 @@ def format_decimal(value: Fraction, digits: int) -> str:
     return sign + _fixed_point(scaled, digits)
 
 
+def _put_exact(fields: dict, name: str, value: Fraction, digits: int) -> dict:
+    """Set `name` to `value`'s exact text and `name`_decimal to its
+    `digits`-place decimal in `fields`, and return `fields`."""
+    fields[name] = format_exact(value)
+    fields[name + "_decimal"] = format_decimal(value, digits)
+    return fields
+
+
 def sqrt_decimal(value: Fraction, digits: int) -> str:
     """Decimal rendering (truncated at the last digit) of sqrt of a rational."""
     if value < 0:
@@ -250,22 +258,15 @@ def cmd_solve(args) -> dict:
     for i, (pattern, prob, conditional) in enumerate(
         zip(spec.patterns, solution.win_probs, solution.conditional_durations), start=1
     ):
-        players.append(
-            {
-                "player": i,
-                "pattern": str(pattern),
-                "win_probability": format_exact(prob),
-                "win_probability_decimal": format_decimal(prob, digits),
-                "conditional_expected_duration": format_exact(conditional),
-                "conditional_expected_duration_decimal": format_decimal(conditional, digits),
-            }
-        )
+        player = {"player": i, "pattern": str(pattern)}
+        _put_exact(player, "win_probability", prob, digits)
+        _put_exact(player, "conditional_expected_duration", conditional, digits)
+        players.append(player)
 
     doc = _header("solve", model)
     doc["patterns"] = [str(p) for p in spec.patterns]
     doc["players"] = players
-    doc["expected_duration"] = format_exact(solution.expected_duration)
-    doc["expected_duration_decimal"] = format_decimal(solution.expected_duration, digits)
+    _put_exact(doc, "expected_duration", solution.expected_duration, digits)
     if args.series is not None:
         doc["series"] = game_distribution(spec, args.series)
     return doc
@@ -287,21 +288,13 @@ def cmd_simulate(args) -> dict:
     ):
         error = abs(empirical - exact)
         sigma_sq = exact * (1 - exact) / report.trials
-        players.append(
-            {
-                "player": i,
-                "pattern": str(pattern),
-                "wins": win_count,
-                "exact_probability": format_exact(exact),
-                "exact_probability_decimal": format_decimal(exact, digits),
-                "empirical_probability": format_exact(empirical),
-                "empirical_probability_decimal": format_decimal(empirical, digits),
-                "absolute_error": format_exact(error),
-                "absolute_error_decimal": format_decimal(error, digits),
-                "three_sigma_decimal": sqrt_decimal(9 * sigma_sq, digits),
-                "within_three_sigma": error * error <= 9 * sigma_sq,
-            }
-        )
+        player = {"player": i, "pattern": str(pattern), "wins": win_count}
+        _put_exact(player, "exact_probability", exact, digits)
+        _put_exact(player, "empirical_probability", empirical, digits)
+        _put_exact(player, "absolute_error", error, digits)
+        player["three_sigma_decimal"] = sqrt_decimal(9 * sigma_sq, digits)
+        player["within_three_sigma"] = error * error <= 9 * sigma_sq
+        players.append(player)
 
     doc = _header("simulate", model)
     doc["patterns"] = [str(p) for p in spec.patterns]
@@ -309,10 +302,8 @@ def cmd_simulate(args) -> dict:
     doc["seed"] = report.seed
     doc["players"] = players
     doc["total_tosses"] = report.total_tosses
-    doc["mean_tosses"] = format_exact(report.mean_tosses)
-    doc["mean_tosses_decimal"] = format_decimal(report.mean_tosses, digits)
-    doc["expected_duration"] = format_exact(solution.expected_duration)
-    doc["expected_duration_decimal"] = format_decimal(solution.expected_duration, digits)
+    _put_exact(doc, "mean_tosses", report.mean_tosses, digits)
+    _put_exact(doc, "expected_duration", solution.expected_duration, digits)
     return doc
 
 
@@ -334,18 +325,10 @@ def cmd_best_response(args) -> dict:
     doc = _header("best-response", model)
     doc["opponents"] = [str(p) for p in opponents]
     doc["length"] = args.length
-    doc["best"] = {
-        "pattern": str(best_pattern),
-        "win_probability": format_exact(best_prob),
-        "win_probability_decimal": format_decimal(best_prob, digits),
-    }
+    doc["best"] = _put_exact({"pattern": str(best_pattern)}, "win_probability", best_prob, digits)
     if args.verbose:
         doc["candidates"] = [
-            {
-                "pattern": str(pattern),
-                "win_probability": format_exact(prob),
-                "win_probability_decimal": format_decimal(prob, digits),
-            }
+            _put_exact({"pattern": str(pattern)}, "win_probability", prob, digits)
             for pattern, prob in table
         ]
     return doc

@@ -418,25 +418,26 @@ def kept_bounds(spec: GameSpec) -> list[int]:
 def simulate(spec: GameSpec, trials: int, seed: int = 0) -> SimulationReport:
     """Play `trials` games to completion with a deterministic seeded generator.
 
-    Symbols are drawn by exact integer-interval inversion: each probability is
-    scaled to the common denominator D, and each 64-bit splitmix64 draw z is
-    placed among the cumulative bounds by its residue z mod D, read from the
-    fraction bits of one product without being formed. The top sliver of the
-    64-bit range is rejected so rational biases like 1/3 carry no modulo
-    bias; D may be at most 2**64 (`kept_bounds`). The games are played one
-    after another on one splitmix64 stream, whose state starts at the first
-    splitmix64 output from `seed`, so the report is bit-identical for a fixed
-    seed. Draws are made a block at a time as whole-int lane arithmetic, each
-    toss one character of a string (`_toss_blocks`), and games are found by
-    one regular-expression split of each block's string (`_play_stream`); the
-    counts are those of playing toss by toss on the prefix automaton.
+    Symbols are drawn by exact integer-interval inversion: the model's
+    `weights` scale each probability to the common denominator D, and each
+    64-bit splitmix64 draw z is placed among their cumulative bounds by its
+    residue z mod D, read from the fraction bits of one product without being
+    formed. The top sliver of the 64-bit range is rejected so rational biases
+    like 1/3 carry no modulo bias; D may be at most 2**64 (`kept_bounds`).
+    The games are played one after another on one splitmix64 stream, whose
+    state starts at the first splitmix64 output from `seed`, so the report is
+    bit-identical for a fixed seed. Draws are made a block at a time as
+    whole-int lane arithmetic, each toss one character of a string
+    (`_toss_blocks`), and games are found by one regular-expression split of
+    each block's string (`_play_stream`); the counts are those of playing
+    toss by toss on the prefix automaton.
     """
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     kept = kept_bounds(spec)
     model = spec.model
     common = model.common_denominator
-    bounds = list(accumulate(int(p * common) for p in model.probs))
+    bounds = list(accumulate(model.weights.values()))
     if bounds[-1] != common:
         raise InvariantError("scaled symbol probabilities do not sum to the common denominator")
 

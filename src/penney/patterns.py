@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from fractions import Fraction
+from types import MappingProxyType
 
 
 class ValidationError(ValueError):
@@ -51,6 +52,11 @@ class Record:
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
         return f"{type(self).__name__}({fields})"
 
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild a record through its constructor, which
+        # derives what is not a field, such as a model's weights
+        return type(self), self._values()
+
     def _read_only(self, name: str, *value) -> None:
         raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is read-only")
 
@@ -82,6 +88,10 @@ class SourceModel(Record):
     # every probability is an integer multiple of 1/D, so any product of k
     # symbol probabilities is an integer over D**k.
     common_denominator: int
+    # D * P(symbol) per symbol, in symbol order: the integers over D that weigh
+    # every correlation polynomial and bound the simulator's draws. They sum to
+    # D. Read-only, as the record is.
+    weights: MappingProxyType[str, int]
 
     def __init__(self, symbols: Iterable[str], probs: Iterable) -> None:
         labels = tuple(symbols)
@@ -111,10 +121,14 @@ class SourceModel(Record):
                 )
         if sum(values) != 1:
             raise ValidationError(f"probabilities must sum to exactly 1 (got {sum(values)})")
+        common = math.lcm(*(p.denominator for p in values))
         self.__dict__.update(
             symbols=labels,
             probs=values,
-            common_denominator=math.lcm(*(p.denominator for p in values)),
+            common_denominator=common,
+            weights=MappingProxyType(
+                {s: p.numerator * (common // p.denominator) for s, p in zip(labels, values)}
+            ),
             _lookup={s: i for i, s in enumerate(labels)},
         )
 
@@ -182,6 +196,12 @@ def delimited(symbols: Iterable[str]) -> str:
     symbol: `a in b` says that a's symbols occur inside b's, and
     `b.endswith(a)` that they end b's."""
     return ",".join(("", *symbols, ""))
+
+
+def undelimited(text: str) -> tuple[str, ...]:
+    """The symbols whose `delimited` text is `text`: "," is () and ",H,T," is
+    ("H", "T")."""
+    return tuple(text[1:-1].split(",")) if text != "," else ()
 
 
 class GameSpec(Record):

@@ -12,10 +12,11 @@ where M(s) is the correlation matrix and M_j replaces column j by the
 completion monomials P(A_i) * s^len(A_i).
 
 Every route reads the entries of M from one overlap table, `_correlations`,
-one dict lookup per pattern symbol. The values and the generating functions
-come from one elimination, `_cramer`: a fraction-free Gauss-Jordan pass on an
-integer [M | B] with row swaps and any number of right-hand columns B. The
-win-time series need none.
+one lookup per pattern symbol in the model's `weights`, D * P(symbol) for D
+the common denominator. The values and the generating functions come from
+one elimination, `_cramer`: a fraction-free Gauss-Jordan pass on an integer
+[M | B] with row swaps and any number of right-hand columns B. The win-time
+series need none.
 
 Win probabilities, the expected game length and the conditional lengths need
 only values at s = 1. With D the least common multiple of the
@@ -66,12 +67,12 @@ import decimal
 import itertools
 import math
 import operator
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from decimal import Decimal
 from fractions import Fraction
 
 from .patterns import GameSpec, Pattern, Record, SourceModel, ValidationError, delimited
-from .patterns import validate_pattern_set
+from .patterns import undelimited, validate_pattern_set
 from .polyalg import Polynomial, RationalFunction
 
 # Integer polynomials in u = s/D: coefficient lists, lowest degree first, with
@@ -83,19 +84,13 @@ class DegenerateGameError(ArithmeticError):
     """M(1) is singular, or a pgf denominator vanishes at s = 1; not seen for validated specs."""
 
 
-def _symbol_weights(model: SourceModel) -> dict[str, int]:
-    """D * P(symbol) per symbol: integers, D the common denominator."""
-    scale = model.common_denominator
-    return {s: p.numerator * (scale // p.denominator) for s, p in zip(model.symbols, model.probs)}
-
-
-def _completion_weight(word: tuple[str, ...], weights: dict[str, int]) -> int:
+def _completion_weight(word: tuple[str, ...], weights: Mapping[str, int]) -> int:
     """D**len(word) P(word): the completion monomial's coefficient in u = s/D."""
     return math.prod(map(weights.__getitem__, word))
 
 
 def _correlations(
-    heads: list[tuple[str, ...]], tails: list[tuple[str, ...]], weights: dict[str, int]
+    heads: list[tuple[str, ...]], tails: list[tuple[str, ...]], weights: Mapping[str, int]
 ) -> list[list[tuple[int, int, int]]]:
     """Per head a, every (j, k, w) with k >= 1 and a[:k] == tails[j][-k:], in
     tail order and then by k; w = D**(len(a)-k) P(a[k:]) is the coefficient of
@@ -209,7 +204,7 @@ def game_pgfs(spec: GameSpec) -> tuple[tuple[RationalFunction, ...], RationalFun
     elimination is, and Q = sum(N) + (1 - D u) det M is at most (m + 1 + D) H.
     """
     scale = spec.model.common_denominator
-    weights = _symbol_weights(spec.model)
+    weights = spec.model.weights
     words = [a.symbols for a in spec.patterns]
     table = _correlations(words, words, weights)
     completions = [_completion_weight(a, weights) for a in words]
@@ -273,7 +268,7 @@ def game_distribution(spec: GameSpec, horizon: int) -> list[list[tuple[Decimal, 
     """
     if horizon < 0:
         raise ValidationError("horizon must be nonnegative")
-    weights = _symbol_weights(spec.model)
+    weights = spec.model.weights
     scale = spec.model.common_denominator
     # entry pad + k is toss k; the pad of zeros stands for the tosses before 0
     words = [a.symbols for a in spec.patterns]
@@ -402,7 +397,7 @@ def _solve_at_one(
     det M / Q, the tail generating function, is E[T] >= 1 at s = 1, so
     det M(1) = E[T] Q(1) and Q(1) = 0 leaves no win probability either.
     """
-    weights = _symbol_weights(spec.model)
+    weights = spec.model.weights
     scale = spec.model.common_denominator
     words = [a.symbols for a in spec.patterns]
     powers = [scale**k for k in range(max(map(len, words)) + 1)]
@@ -521,8 +516,8 @@ def _response_scores(
     integer. With the opponents first, M = [[A, u], [v^T, alpha]] and
     c = (w_b, w_c): u is the candidate's column, v its row, alpha its
     autocorrelation and w_c its completion weight. One `_cramer` on
-    [A | w_b | u per automaton state] gives d = det A, p = adj(A) w_b and
-    every adj(A) u; A and every u come from one `_correlations` call, with
+    [A | u per automaton state | w_b] gives d = det A, every adj(A) u and
+    p = adj(A) w_b; A and every u come from one `_correlations` call, with
     the opponents as heads and the opponents and the states as tails. Then
     per candidate the bordered last step is
 
@@ -546,18 +541,16 @@ def _response_scores(
         validate_pattern_set(fixed, model)
     symbols = model.symbols
     prefixes, transitions, stops = _prefix_automaton(fixed, symbols)
-    weights = _symbol_weights(model)
+    weights = model.weights
     top = max([length, *(a.length for a in fixed)])
     powers = [model.common_denominator**k for k in range(top + 1)]
-    # [A | w_b | u per open state q], u the column of a candidate ending at q;
-    # the empty tail, which overlaps nothing, holds w_b's column
+    # [A | u per open state q | w_b], u the column of a candidate ending at q
     open_states = [q for q, stop in enumerate(stops) if not stop]
     heads = [a.symbols for a in fixed]
-    tails = [*heads, (), *(prefixes[q] for q in open_states)]
+    tails = [*heads, *(prefixes[q] for q in open_states)]
     rows = []
     for a, overlaps in zip(heads, _correlations(heads, tails, weights)):
-        row = [0] * len(tails)
-        row[len(heads)] = _completion_weight(a, weights)
+        row = [0] * len(tails) + [_completion_weight(a, weights)]
         for j, k, c in overlaps:
             row[j] += c * powers[k]
         rows.append(row)
@@ -565,11 +558,11 @@ def _response_scores(
     # is scored; with no admissible candidate nothing is yielded.
     failure: ArithmeticError | None = None
     try:
-        # one elimination of A: d = det A, p = adj(A) w_b and adj(A) u per open state
+        # one elimination of A: d = det A, adj(A) u per open state and p = adj(A) w_b
         det_a, solved = _cramer(rows)
     except ArithmeticError as exc:
         failure, det_a, solved = exc, 0, []
-    completion, *adjugate = [[row[c] for row in solved] for c in range(1 + len(open_states))]
+    *adjugate, completion = [[row[c] for row in solved] for c in range(len(open_states) + 1)]
     # per open state: adj(A) u and its sum
     columns: list[tuple[list[int], int] | None] = [None] * len(prefixes)
     for q, column in zip(open_states, adjugate):
@@ -679,7 +672,7 @@ def _response_scores(
             total = new + rest
             if not (det and new and total):
                 raise DegenerateGameError(
-                    f"candidate {Pattern(word[1:-1].split(','))} makes the game degenerate at s = 1"
+                    f"candidate {Pattern(undelimited(word))} makes the game degenerate at s = 1"
                 )
             yield word, new, total
 
@@ -694,7 +687,7 @@ def response_table(
     scores are `_response_scores`'.
     """
     table = [
-        (Pattern(word[1:-1].split(",")), Fraction(new, total))
+        (Pattern(undelimited(word)), Fraction(new, total))
         for word, new, total in _response_scores(opponents, length, model)
     ]
     return [table[i] for i in _ranking([value for _, value in table])]
@@ -721,4 +714,4 @@ def best_response(
         raise ValidationError(
             f"no admissible pattern of length {length} against the given opponents"
         )
-    return Pattern(best[1:-1].split(",")), Fraction(best_new, best_total)
+    return Pattern(undelimited(best)), Fraction(best_new, best_total)

@@ -85,7 +85,7 @@ def solver_entries(spec: GameSpec) -> list[list[tuple]]:
     come from its second: had the first solve given det M(1) = 0 and N = e_j,
     its right-hand side d c'(1) - M'(1) N is minus column j of M'(1).
     """
-    weights = solver._symbol_weights(spec.model)
+    weights = spec.model.weights
     scale = spec.model.common_denominator
     words = [a.symbols for a in spec.patterns]
     m = len(words)

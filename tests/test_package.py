@@ -1,7 +1,8 @@
 """The package's public surface, the README's library example, that every
 library function is reached from a command or the README, what importing
-the CLI loads, and the independence of the test-side reference routes from
-the solver."""
+the CLI loads, the independence of the test-side reference routes from
+the solver, and that the planted defects of `mutants.py` still apply and
+name tests that exist."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import mutants
 import penney
 import penney.cli
 from childenv import child_env
@@ -28,8 +30,9 @@ TESTS = Path(__file__).resolve().parent
 README = TESTS.parent / "README.md"
 PACKAGE = Path(penney.__file__).resolve().parent
 
-# Second routes the solver is checked against; none may call into it.
-REFERENCE_MODULES = ("refalgebra", "refconway")
+# Second routes the solver is checked against, and the references behind the
+# simulator's bounds and the substring rule; none may call into it.
+REFERENCE_MODULES = ("refalgebra", "refconway", "refsim", "specgen")
 
 # What only the benchmark reaches: the chain oracle, against which it checks
 # every output. It leaves src/ in the benchmark change (ROADMAP item 3).
@@ -45,6 +48,10 @@ BENCHMARK_ONLY = {
     "oracle.solve_linear_system",
     "oracle.step_distribution",
 }
+
+
+# What only `pickle` and `copy` call.
+PROTOCOL_ONLY = {"patterns.Record.__reduce__"}
 
 
 def test_every_exported_name_resolves():
@@ -103,7 +110,8 @@ def defined_functions() -> dict[tuple[str, int, str], str]:
 def test_every_library_function_is_reached(monkeypatch):
     """Every golden command, one of them through the console script's entry
     point, and the README's library example, run under a profiler: each
-    function of the package must be entered, but for BENCHMARK_ONLY."""
+    function of the package must be entered, but for BENCHMARK_ONLY and
+    PROTOCOL_ONLY."""
     # a cached function that an earlier test ran would not be entered again
     for path in PACKAGE.glob("*.py"):
         if path.stem not in ("__init__", "__main__"):
@@ -137,7 +145,7 @@ def test_every_library_function_is_reached(monkeypatch):
         sys.setprofile(previous)
     reached = {(os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name) for c in entered}
     unreached = {name for key, name in defined_functions().items() if key not in reached}
-    assert unreached == BENCHMARK_ONLY
+    assert unreached == BENCHMARK_ONLY | PROTOCOL_ONLY
 
 
 def test_cli_import_leaves_out_costly_modules():
@@ -191,3 +199,23 @@ def test_the_runtime_is_the_standard_library():
             if name.partition(".")[0] not in (*sys.stdlib_module_names, "penney")
         }
         assert outside == set(), path.name
+
+
+def test_planted_defects_apply():
+    """Each planted defect is one edit of the source as it is, and lists
+    tests to fail; `python tests/mutants.py` checks that they do."""
+    assert len({defect.name for defect in mutants.DEFECTS}) == len(mutants.DEFECTS)
+    for defect in mutants.DEFECTS:
+        text = (mutants.ROOT / defect.path).read_text(encoding="utf-8")
+        assert text.count(defect.old) == 1, defect.name
+        assert defect.tests, defect.name
+
+
+def test_planted_defects_name_existing_tests():
+    ids = sorted({test for defect in mutants.DEFECTS for test in defect.tests})
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *ids],
+        cwd=TESTS.parent, env=child_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert set(ids) <= set(result.stdout.splitlines())

@@ -1,10 +1,12 @@
-"""Source models, pattern parsing and set validation, the value behaviour
-of every record type, and the overlap and probability helpers of the
-test-side reference `refconway`."""
+"""Source models and their symbol weights, pattern parsing, the delimited
+word text, set validation, the value behaviour of every record type, and the
+overlap and probability helpers of the test-side reference `refconway`."""
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 import re
 from fractions import Fraction as F
@@ -19,7 +21,9 @@ from penney.patterns import (
     Record,
     SourceModel,
     ValidationError,
+    delimited,
     parse_pattern,
+    undelimited,
     validate_pattern_set,
 )
 from penney.polyalg import ONE, S, Polynomial, RationalFunction
@@ -30,7 +34,17 @@ from refconway import (
     pattern_probability,
     symbols_probability,
 )
-from specgen import _contains, random_spec
+from specgen import HUGE_A, WIDE_ALPHABET, _contains, random_spec
+
+# models whose weights are checked: coins, a ternary alphabet, D = 2**64 + 1
+# and a uniform 300-symbol alphabet
+WEIGHTED_MODELS = {
+    "fair": SourceModel.from_text("H:1/2,T:1/2"),
+    "third": SourceModel.from_text("H:1/3,T:2/3"),
+    "ternary": SourceModel.from_text("a:1/2,b:1/3,c:1/6"),
+    "huge-d": SourceModel.from_text(HUGE_A),
+    "wide": WIDE_ALPHABET,
+}
 
 
 class TestSourceModel:
@@ -92,6 +106,29 @@ class TestSourceModel:
     def test_bad_format(self):
         with pytest.raises(ValidationError):
             SourceModel.from_text("H=1/2,T=1/2")
+
+    @pytest.mark.parametrize("model", WEIGHTED_MODELS.values(), ids=WEIGHTED_MODELS)
+    def test_weights_are_the_probabilities_over_d(self, model):
+        scale = model.common_denominator
+        assert tuple(model.weights) == model.symbols
+        for symbol, p in zip(model.symbols, model.probs):
+            assert type(model.weights[symbol]) is int
+            assert model.weights[symbol] == p * scale
+        assert sum(model.weights.values()) == scale
+
+    def test_weights_are_read_only_and_not_a_field(self):
+        model, fresh = SourceModel.from_text("H:1/3,T:2/3"), SourceModel.from_text("H:1/3,T:2/3")
+        with pytest.raises(AttributeError, match="weights"):
+            model.weights = {"H": 1, "T": 2}
+        with pytest.raises(TypeError):
+            model.weights["H"] = 2
+        with pytest.raises(TypeError):
+            del model.weights["H"]
+        assert dict(model.weights) == {"H": 1, "T": 2}
+        # equality, hash and repr are the two fields'
+        assert model._fields == ("symbols", "probs")
+        assert model == fresh and hash(model) == hash((model.symbols, model.probs))
+        assert repr(model) == "SourceModel(symbols=('H', 'T'), probs=(Fraction(1, 3), Fraction(2, 3)))"
 
     def test_three_symbol_alphabet(self):
         model = SourceModel(("a", "b", "c"), (F(1, 2), F(1, 3), F(1, 6)))
@@ -264,6 +301,20 @@ def test_substring_rule_matches_the_reference(game):
         assert str(refusal.value) == expected
 
 
+# the labels of ENDING_LABELS, or any label `SourceModel` takes: no ':', ','
+# or whitespace
+LABELS = st.sampled_from(sorted({label for labels in ENDING_LABELS for label in labels})) | (
+    st.text(min_size=1).filter(lambda text: not any(c in ":," or c.isspace() for c in text))
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.lists(LABELS, max_size=6))
+def test_undelimited_inverts_delimited(symbols):
+    assert undelimited(delimited(symbols)) == tuple(symbols)
+    assert undelimited(",") == ()
+
+
 def one_record_of_each_type() -> list[Record]:
     """One record of every type in the package, all built afresh on each call."""
     model = SourceModel.from_text("H:1/3,T:2/3")
@@ -318,6 +369,14 @@ class TestRecords:
             with pytest.raises(AttributeError):
                 record.extra = 1
             assert record == fresh
+
+    def test_pickle_and_copy_rebuild_through_the_constructor(self):
+        for record in one_record_of_each_type():
+            for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record)):
+                assert clone == record and type(clone) is type(record)
+                assert vars(clone).keys() == vars(record).keys()
+        model = one_record_of_each_type()[0]
+        assert pickle.loads(pickle.dumps(model)).weights == model.weights
 
     def test_constructor_takes_the_fields_in_order(self, fair):
         spec = validate_pattern_set([parse_pattern("HT", fair)], fair)

@@ -217,7 +217,7 @@ class TestCorrelationPolynomial:
     def test_overlap_table_matches_the_definition(self, case):
         model, heads, tails = case
         scale = model.common_denominator
-        table = solver._correlations(heads, tails, solver._symbol_weights(model))
+        table = solver._correlations(heads, tails, model.weights)
         assert len(table) == len(heads)
         for a, overlaps in zip(heads, table):
             # the empty tail has no k to test
@@ -559,18 +559,14 @@ class TestCramerKernel:
         for score in self.SCORERS:
             # no opponents: zero symbol weights make the candidate's Cramer numerator vanish
             with monkeypatch.context() as patch:
-                patch.setattr(
-                    solver, "_symbol_weights", lambda model: dict.fromkeys(model.symbols, 0)
-                )
+                patch.setitem(fair.__dict__, "weights", dict.fromkeys(fair.symbols, 0))
                 with pytest.raises(DegenerateGameError, match="degenerate at s = 1"):
                     score([], 2, fair)
             # no opponents, D = 0 with weights 1: alpha and so det M vanish, while
             # N_new = 1 and the total is 1
             with monkeypatch.context() as patch:
-                patch.setattr(
-                    solver, "_symbol_weights", lambda model: dict.fromkeys(model.symbols, 1)
-                )
-                # D is computed once, in the model's constructor
+                # D and the weights are computed once, in the model's constructor
+                patch.setitem(fair.__dict__, "weights", dict.fromkeys(fair.symbols, 1))
                 patch.setitem(fair.__dict__, "common_denominator", 0)
                 with pytest.raises(DegenerateGameError, match="degenerate at s = 1"):
                     score([], 2, fair)
